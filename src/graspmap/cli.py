@@ -7,8 +7,9 @@ Stages exchange plain files so any stage can be rerun or swapped in isolation:
     <run>/detect/   metric cloud, voxel-grid dump, graspable anchor list
     <run>/summary.yaml
 
-Exit codes: 0 success, 2 bad configuration, 3 file problems, 4 optimizer did
-not converge, 5 no usable data (empty cloud, degenerate mask, unseen terrain).
+Exit codes: 0 success, 2 bad configuration, 3 missing, unreadable or corrupt
+artifacts (the message names the file and line), 4 optimizer did not converge,
+5 no usable data (empty cloud, degenerate mask, unseen terrain).
 An empty graspable list is a success, not an error: flat ground has nothing to
 grasp. Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
 """
@@ -26,9 +27,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import (ConfigError, DegenerateMask, EmptyCloud, GraspmapError,
-                     NoVisibleTerrain, NotConverged, SingularNormalEquations,
-                     UnreachableTerrain)
+from .errors import (ConfigError, CorruptArtifact, DegenerateMask, EmptyCloud,
+                     GraspmapError, NoVisibleTerrain, NotConverged,
+                     SingularNormalEquations, UnreachableTerrain)
 from .factors import FkFactor, McFactor, PriorFactor
 from .kinematics import LimbModel, default_limb, fk_delta, fk_pose, load_limb
 from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
@@ -288,12 +289,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
+    except (CorruptArtifact, OSError) as exc:
+        print(f"[{_stage}] file error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ConfigError, UnreachableTerrain, ValueError) as exc:
         print(f"[{_stage}] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"[{_stage}] file error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (NotConverged, SingularNormalEquations) as exc:
         print(f"[{_stage}] solver error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -51,3 +51,7 @@ class ConfigError(GraspmapError):
 
 class NotConverged(GraspmapError):
     """Optimization finished without meeting any convergence criterion."""
+
+
+class CorruptArtifact(GraspmapError, ValueError):
+    """A stage's input file is malformed; the message names it as path:line."""

@@ -130,6 +130,8 @@ class McFactor:
         t = np.asarray(self.delta_trans, dtype=float).copy()
         if t.shape != (3,):
             raise DimensionMismatch(f"delta_trans must be a 3-vector, got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("delta_trans must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "delta_trans", t)
         info = default_mc_info() if self.info is None else self.info

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AlreadyScaled, DegenerateMask, DimensionMismatch,
-                     EmptyCloud)
+from .errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
+                     DimensionMismatch, EmptyCloud)
 from .factors import ScaleVar
+from .records import located, numbers, read_records, write_records
 
 UNSCALED_UNITS = "unscaled-map-units"
 METERS = "meters"
@@ -263,31 +264,28 @@ def write_ply(path, cloud: PointCloud) -> None:
 def read_ply(path, units: str | None = None) -> PointCloud:
     """Read an ASCII PLY; the units tag comes from the file comment unless given."""
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    n = None
-    file_units = None
-    body_start = None
-    for k, line in enumerate(lines[1:], 1):
-        tok = line.split()
-        if tok[:2] == ["comment", "units"] and len(tok) == 3:
-            file_units = tok[2]
-        elif tok[:2] == ["element", "vertex"]:
-            n = int(tok[2])
-        elif tok[:1] == ["end_header"]:
-            body_start = k + 1
-            break
-    if n is None or body_start is None:
-        raise ValueError(f"{path}: malformed PLY header")
-    units = units or file_units
-    if units is None:
-        raise ValueError(f"{path}: PLY lacks a units comment; pass units explicitly")
-    values = np.array(" ".join(lines[body_start:]).split(), dtype=float)
-    if values.size != 3 * n:
-        raise ValueError(f"{path}: expected {3 * n} vertex values, found {values.size}")
-    return PointCloud(values.reshape(n, 3) if n else np.zeros((0, 3)), units)
+        lines = fh.read().splitlines()
+    with located(path):
+        if not lines or lines[0].strip() != "ply":
+            raise ValueError("not a PLY file")
+        n = body_start = None
+        for k, line in enumerate(lines[1:], 1):
+            tok = line.split()
+            if tok[:2] == ["comment", "units"] and len(tok) == 3:
+                units = units or tok[2]
+            elif tok[:2] == ["element", "vertex"]:
+                n = int(tok[2])
+            elif tok[:1] == ["end_header"]:
+                body_start = k + 1
+                break
+        if n is None or body_start is None:
+            raise ValueError("malformed PLY header")
+        if units is None:
+            raise ValueError("PLY lacks a units comment; pass units explicitly")
+        values = np.array(" ".join(lines[body_start:]).split(), dtype=float)
+        if values.size != 3 * n:
+            raise ValueError(f"expected {3 * n} vertex values, found {values.size}")
+        return PointCloud(values.reshape(n, 3) if n else np.zeros((0, 3)), units)
 
 
 # --- voxel grid dump -----------------------------------------------------------
@@ -302,30 +300,24 @@ def save_grid(path, grid: VoxelGrid) -> None:
         starts = np.concatenate([[0], change])
         lengths = np.diff(np.concatenate([starts, [flat.size]]))
         runs = [f"{int(flat[s])}:{int(l)}" for s, l in zip(starts, lengths)]
-    with open(path, "w") as fh:
-        fh.write(f"origin {grid.origin[0]:.17g} {grid.origin[1]:.17g} {grid.origin[2]:.17g}\n")
-        fh.write(f"voxel_size {grid.voxel_size:.17g}\n")
-        fh.write(f"dims {grid.dims[0]} {grid.dims[1]} {grid.dims[2]}\n")
-        fh.write("rle " + " ".join(runs) + "\n")
+    write_records(path, [["origin", *grid.origin], ["voxel_size", grid.voxel_size],
+                         ["dims", *grid.dims], ["rle", *runs]])
 
 
 def load_grid(path) -> VoxelGrid:
-    with open(path) as fh:
-        lines = [l.split() for l in fh if l.strip()]
-    fields = {l[0]: l[1:] for l in lines}
-    try:
-        origin = np.array([float(v) for v in fields["origin"]])
-        voxel = float(fields["voxel_size"][0])
-        dims = tuple(int(v) for v in fields["dims"])
-        pieces = []
-        for run in fields.get("rle", []):
-            val, length = run.split(":")
-            pieces.append(np.full(int(length), val == "1", dtype=bool))
-        occ = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed grid dump: {exc}") from exc
+    rec = {tok[0]: (lineno, tok[1:]) for lineno, tok in read_records(path)}
+    if set(rec) != {"origin", "voxel_size", "dims", "rle"}:
+        raise CorruptArtifact(f"{path}: grid dump needs origin, voxel_size, dims, rle lines")
+    origin = numbers(path, *rec["origin"], 3)
+    (voxel,) = numbers(path, *rec["voxel_size"], 1)
+    dims = tuple(numbers(path, *rec["dims"], 3, int))
+    lineno, runs = rec["rle"]
+    with located(path, lineno):
+        pieces = [np.full(int(length), val == "1", dtype=bool)
+                  for val, length in (run.split(":") for run in runs)]
+    occ = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
     if occ.size != int(np.prod(dims)):
-        raise ValueError(f"{path}: RLE length {occ.size} does not match dims {dims}")
+        raise CorruptArtifact(f"{path}: RLE length {occ.size} does not match dims {dims}")
     return VoxelGrid(origin=origin, voxel_size=voxel, occupancy=occ.reshape(dims))
 
 
@@ -333,21 +325,11 @@ def load_grid(path) -> VoxelGrid:
 
 
 def save_graspable(path, points: list[GraspablePoint]) -> None:
-    with open(path, "w") as fh:
-        fh.write("# graspable anchors: x y z support_count (highest first)\n")
-        for p in points:
-            fh.write(f"{p.position[0]:.17g} {p.position[1]:.17g} "
-                     f"{p.position[2]:.17g} {p.support_count}\n")
+    write_records(path, ([*p.position, p.support_count] for p in points),
+                  comment="graspable anchors: x y z support_count (highest first)")
 
 
 def load_graspable(path) -> list[GraspablePoint]:
-    out = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            out.append(GraspablePoint(position=np.array([float(v) for v in tok[:3]]),
-                                      support_count=int(tok[3])))
-    return out
+    return [GraspablePoint(position=numbers(path, lineno, tok[:3], 3),
+                           support_count=numbers(path, lineno, tok[3:], 1, int)[0])
+            for lineno, tok in read_records(path)]

@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, NoVisibleTerrain, UnreachableTerrain
-from .geometry import Pose, Rotation, compose, inverse, so3_exp
+from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
+                     UnreachableTerrain)
+from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
+                       pose_to_seven, so3_exp)
 from .kinematics import JointReading, LimbModel, default_limb, fk_pose
+from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
+from .records import located, numbers, read_records, write_records
 
 _STREAMS = {"joints": 0, "vo_rot": 1, "vo_trans": 2, "cloud": 3}
 
@@ -433,38 +438,20 @@ BUNDLE_FILES = (TRAJECTORY_FILE, VO_FILE, CLOUD_FILE, TRUTH_GRASPABLE_FILE,
                 MANIFEST_FILE)
 
 
-def _csv_row(values) -> str:
-    return ",".join(f"{float(v):.17g}" for v in values)
-
-
 def write_bundle(directory, bundle: SimBundle) -> list[str]:
     """Write the four data files plus the manifest; returns the file names."""
-    from pathlib import Path
-
-    from .geometry import pose_to_seven
-    from .mapping import write_ply
-
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for reading, pose in zip(bundle.readings, bundle.truth_poses):
-        rows.append(_csv_row([reading.timestamp, *pose_to_seven(pose),
-                              *reading.angles]))
-    (d / TRAJECTORY_FILE).write_text(
-        "# timestamp,tx,ty,tz,qw,qx,qy,qz,angles...\n" + "\n".join(rows) + "\n")
-
-    rows = [f"{i + 1}," + _csv_row([*t, *r.quat])
-            for i, (r, t) in enumerate(bundle.vo_deltas)]
-    (d / VO_FILE).write_text(
-        "# step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)\n"
-        + "\n".join(rows) + "\n")
-
-    write_ply(d / CLOUD_FILE, bundle.cloud)
-
-    rows = [_csv_row(a) for a in bundle.truth_graspable]
-    (d / TRUTH_GRASPABLE_FILE).write_text(
-        "# apex x,y,z (meters)\n" + ("\n".join(rows) + "\n" if rows else ""))
+    write_records(d / TRAJECTORY_FILE,
+                  ([r.timestamp, *pose_to_seven(p), *r.angles]
+                   for r, p in zip(bundle.readings, bundle.truth_poses)),
+                  ",", "timestamp,tx,ty,tz,qw,qx,qy,qz,angles...")
+    write_records(d / VO_FILE,
+                  ([i + 1, *t, *r.quat] for i, (r, t) in enumerate(bundle.vo_deltas)),
+                  ",", "step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)")
+    mapping.write_ply(d / CLOUD_FILE, bundle.cloud)
+    write_records(d / TRUTH_GRASPABLE_FILE, bundle.truth_graspable, ",",
+                  "apex x,y,z (meters)")
 
     manifest = {
         "seed": bundle.config.seed,
@@ -479,45 +466,37 @@ def write_bundle(directory, bundle: SimBundle) -> list[str]:
 
 
 def read_bundle(directory) -> SimBundle:
-    from pathlib import Path
-
-    from .geometry import pose_from_seven
-    from .mapping import read_ply
-
     d = Path(directory)
-    with open(d / MANIFEST_FILE) as fh:
-        manifest = yaml.safe_load(fh)
-    config = config_from_dict(manifest["config"])
+    path = d / MANIFEST_FILE
+    with open(path) as fh:
+        try:
+            config = config_from_dict(yaml.safe_load(fh)["config"])
+        except (yaml.YAMLError, ConfigError, KeyError, TypeError) as exc:
+            raise CorruptArtifact(
+                f"{path}: bad manifest: {type(exc).__name__}: {exc}") from exc
 
-    readings, poses = [], []
-    with open(d / TRAJECTORY_FILE) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            vals = [float(v) for v in line.split(",")]
+    path = d / TRAJECTORY_FILE
+    readings, poses, width = [], [], None
+    for lineno, tok in read_records(path, ","):
+        # timestamp, pose (7), one angle per joint: every row as wide as the first
+        width = width or max(len(tok), 9)
+        vals = numbers(path, lineno, tok, width)
+        with located(path, lineno):
             poses.append(pose_from_seven(vals[1:8]))
-            readings.append(JointReading(vals[0], np.array(vals[8:])))
+        readings.append(JointReading(vals[0], np.array(vals[8:])))
 
-    vo = []
-    with open(d / VO_FILE) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            vals = [float(v) for v in line.split(",")]
+    path, vo = d / VO_FILE, []
+    for lineno, tok in read_records(path, ","):
+        vals = numbers(path, lineno, tok, 8)
+        with located(path, lineno):
             vo.append((Rotation(np.array(vals[4:8])), np.array(vals[1:4])))
 
-    cloud = read_ply(d / CLOUD_FILE)
+    if len(vo) != len(poses) - 1:
+        raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(poses)} keyframes")
 
-    apexes = []
-    with open(d / TRUTH_GRASPABLE_FILE) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                apexes.append([float(v) for v in line.split(",")])
+    cloud = mapping.read_ply(d / CLOUD_FILE)
 
-    return SimBundle(config=config, truth_poses=tuple(poses),
-                     readings=tuple(readings), vo_deltas=tuple(vo),
-                     cloud=cloud,
-                     truth_graspable=np.array(apexes).reshape(-1, 3))
+    path = d / TRUTH_GRASPABLE_FILE
+    apexes = [numbers(path, lineno, tok, 3) for lineno, tok in read_records(path, ",")]
+    return SimBundle(config=config, truth_poses=poses, readings=readings,
+                     vo_deltas=vo, cloud=cloud, truth_graspable=apexes)

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import IndexMismatch, SingularNormalEquations
+from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
                       factor_cost, factor_info_diag, factor_jacobians,
                       factor_residual)
 from .geometry import (Pose, Rotation, Twist, compose, pose_from_seven,
                        pose_to_seven, se3_exp)
+from .records import located, numbers, read_records, write_records
 
 
 @dataclass
@@ -94,11 +95,13 @@ class FactorGraph:
                 raise IndexMismatch(
                     f"factor index {f.i} out of range for {len(self.poses)} poses")
 
-    def total_cost(self) -> float:
-        """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor)."""
-        return sum(
-            factor_cost(factor_residual(f, self.poses, self.scale), factor_info_diag(f))
-            for f in self.factors)
+    def total_cost(self, poses=None, scale=None) -> float:
+        """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor),
+        at the graph's estimate unless other poses and scale are given."""
+        poses = self.poses if poses is None else poses
+        scale = self.scale if scale is None else scale
+        return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
+                   for f in self.factors)
 
     # -- linear algebra -------------------------------------------------------
 
@@ -134,11 +137,6 @@ class FactorGraph:
         new_scale = ScaleVar(scale.log_value + float(delta[-1]))
         return new_poses, new_scale
 
-    def _cost_at(self, poses, scale) -> float:
-        return sum(
-            factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
-            for f in self.factors)
-
     # -- optimization ----------------------------------------------------------
 
     def optimize(self, options: SolveOptions | None = None) -> SolveReport:
@@ -160,9 +158,12 @@ class FactorGraph:
             damping = np.diag(h).copy()
             accepted = False
             while True:
+                # damp one Fortran-ordered copy, which LAPACK factors in place
+                a = np.array(h, order="F")
+                a[np.diag_indices_from(a)] += lam * damping
                 try:
-                    cf = scipy.linalg.cho_factor(h + lam * np.diag(damping),
-                                                 lower=True, check_finite=False)
+                    cf = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
+                                                 check_finite=False)
                 except scipy.linalg.LinAlgError:
                     lam *= 10.0
                     if lam > opts.lambda_max:
@@ -171,7 +172,7 @@ class FactorGraph:
                     continue
                 delta = scipy.linalg.cho_solve(cf, -g, check_finite=False)
                 cand_poses, cand_scale = self._retract(poses, scale, delta)
-                cand_cost = self._cost_at(cand_poses, cand_scale)
+                cand_cost = self.total_cost(cand_poses, cand_scale)
                 if cand_cost <= cost:
                     accepted = True
                     rel_decrease = (cost - cand_cost) / cost if cost > 0.0 else 0.0
@@ -222,8 +223,7 @@ class FactorGraph:
 
 # --- graph file format ----------------------------------------------------------
 #
-# Plain text, one record per line, '#' comments. Numbers use repr-precision so
-# save/load round-trips are exact.
+# One record per line in the shared plain-text format (see records.py):
 #
 #   pose <i> tx ty tz qw qx qy qz
 #   scale <value>
@@ -231,79 +231,58 @@ class FactorGraph:
 #   fk <i> tx ty tz qw qx qy qz <info x6>
 #   mc <i> dtx dty dtz qw qx qy qz <info x6> aligned|literal
 
-
-def _fmt(values) -> str:
-    return " ".join(f"{float(v):.17g}" for v in values)
-
-
 def save_graph(path, graph: FactorGraph) -> None:
-    lines = ["# factor graph: poses, scale, factors"]
-    for i, p in enumerate(graph.poses):
-        lines.append(f"pose {i} {_fmt(pose_to_seven(p))}")
-    lines.append(f"scale {graph.scale.value:.17g}")
+    rows = [["pose", i, *pose_to_seven(p)] for i, p in enumerate(graph.poses)]
+    rows.append(["scale", graph.scale.value])
     for f in graph.factors:
         if isinstance(f, PriorFactor):
-            lines.append("prior " + _fmt(pose_to_seven(f.pose))
-                         + f" {f.scale:.17g} " + _fmt(f.pose_info)
-                         + f" {f.scale_info:.17g}")
+            rows.append(["prior", *pose_to_seven(f.pose), f.scale, *f.pose_info,
+                         f.scale_info])
         elif isinstance(f, FkFactor):
-            lines.append(f"fk {f.i} " + _fmt(pose_to_seven(f.delta))
-                         + " " + _fmt(f.info))
+            rows.append(["fk", f.i, *pose_to_seven(f.delta), *f.info])
         elif isinstance(f, McFactor):
-            tag = "aligned" if f.frame_aligned else "literal"
-            lines.append(f"mc {f.i} " + _fmt(f.delta_trans) + " "
-                         + _fmt(f.delta_rot.quat) + " " + _fmt(f.info) + f" {tag}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append(["mc", f.i, *f.delta_trans, *f.delta_rot.quat, *f.info,
+                         "aligned" if f.frame_aligned else "literal"])
+    write_records(path, rows, comment="factor graph: poses, scale, factors")
 
 
 def load_graph(path) -> FactorGraph:
     poses: dict[int, Pose] = {}
-    scale_value: float | None = None
+    scale: ScaleVar | None = None
     prior: PriorFactor | None = None
     fks: dict[int, FkFactor] = {}
     mcs: dict[int, McFactor] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                kind = tok[0]
-                if kind == "pose":
-                    poses[int(tok[1])] = pose_from_seven([float(v) for v in tok[2:9]])
-                elif kind == "scale":
-                    scale_value = float(tok[1])
-                elif kind == "prior":
-                    vals = [float(v) for v in tok[1:]]
-                    prior = PriorFactor(pose=pose_from_seven(vals[0:7]),
-                                        scale=vals[7],
-                                        pose_info=np.array(vals[8:14]),
-                                        scale_info=vals[14])
-                elif kind == "fk":
-                    i = int(tok[1])
-                    vals = [float(v) for v in tok[2:]]
-                    fks[i] = FkFactor(i, pose_from_seven(vals[0:7]),
-                                      info=np.array(vals[7:13]))
-                elif kind == "mc":
-                    i = int(tok[1])
-                    vals = [float(v) for v in tok[2:15]]
-                    mcs[i] = McFactor(i, Rotation(np.array(vals[3:7])),
-                                      np.array(vals[0:3]),
-                                      info=np.array(vals[7:13]),
-                                      frame_aligned=(tok[15] == "aligned"))
-                else:
-                    raise ValueError(f"unknown record '{kind}'")
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad graph record: {exc}") from exc
-    if prior is None or scale_value is None or 0 not in poses:
-        raise ValueError(f"{path}: graph file needs a prior, a scale, and pose 0")
+    for lineno, tok in read_records(path):
+        with located(path, lineno):
+            kind = tok[0]
+            if kind == "pose":
+                poses[int(tok[1])] = pose_from_seven(numbers(path, lineno, tok[2:], 7))
+            elif kind == "scale":
+                scale = ScaleVar.from_value(numbers(path, lineno, tok[1:], 1)[0])
+            elif kind == "prior":
+                vals = numbers(path, lineno, tok[1:], 15)
+                prior = PriorFactor(pose=pose_from_seven(vals[0:7]), scale=vals[7],
+                                    pose_info=np.array(vals[8:14]),
+                                    scale_info=vals[14])
+            elif kind == "fk":
+                vals = numbers(path, lineno, tok[2:], 13)
+                i = int(tok[1])
+                fks[i] = FkFactor(i, pose_from_seven(vals[0:7]),
+                                  info=np.array(vals[7:13]))
+            elif kind == "mc" and tok[-1] in ("aligned", "literal"):
+                vals = numbers(path, lineno, tok[2:-1], 13)
+                i = int(tok[1])
+                mcs[i] = McFactor(i, Rotation(np.array(vals[3:7])),
+                                  np.array(vals[0:3]), info=np.array(vals[7:13]),
+                                  frame_aligned=(tok[-1] == "aligned"))
+            else:
+                raise ValueError(f"unrecognized {kind!r} record")
     n = len(poses)
-    if sorted(poses) != list(range(n)) or sorted(fks) != list(range(1, n)) \
-            or sorted(mcs) != list(range(1, n)):
-        raise ValueError(f"{path}: poses/factors must cover indices 0..{n - 1} contiguously")
-    graph = FactorGraph(prior, t0=poses[0], scale=ScaleVar.from_value(scale_value))
+    if prior is None or scale is None or n == 0 or sorted(poses) != list(range(n)) \
+            or sorted(fks) != list(range(1, n)) or sorted(mcs) != list(range(1, n)):
+        raise CorruptArtifact(f"{path}: graph file needs a prior, a scale, and "
+                              f"poses/factors covering indices 0..{n - 1} contiguously")
+    graph = FactorGraph(prior, t0=poses[0], scale=scale)
     for i in range(1, n):
         graph.add_keyframe(fks[i], mcs[i], pose_init=poses[i])
     return graph
@@ -311,33 +290,28 @@ def load_graph(path) -> FactorGraph:
 
 # --- solve report file -----------------------------------------------------------
 
-
 def save_report(path, report: SolveReport) -> None:
-    lines = [
-        f"initial_cost {report.initial_cost:.17g}",
-        f"final_cost {report.final_cost:.17g}",
-        f"iterations {report.iterations}",
-        f"converged {'true' if report.converged else 'false'}",
-    ]
-    lines += [f"step_cost {k} {c:.17g}" for k, c in enumerate(report.step_costs)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_records(path, [["initial_cost", report.initial_cost],
+                         ["final_cost", report.final_cost],
+                         ["iterations", report.iterations],
+                         ["converged", "true" if report.converged else "false"],
+                         *(["step_cost", k, c] for k, c in enumerate(report.step_costs))])
 
 
 def load_report(path) -> SolveReport:
-    fields: dict[str, str] = {}
+    fields: dict[str, float | int | bool] = {}
     steps: dict[int, float] = {}
-    with open(path) as fh:
-        for raw in fh:
-            tok = raw.split()
-            if not tok:
-                continue
-            if tok[0] == "step_cost":
-                steps[int(tok[1])] = float(tok[2])
-            else:
-                fields[tok[0]] = tok[1]
-    return SolveReport(initial_cost=float(fields["initial_cost"]),
-                       final_cost=float(fields["final_cost"]),
-                       iterations=int(fields["iterations"]),
-                       converged=fields["converged"] == "true",
-                       step_costs=[steps[k] for k in sorted(steps)])
+    for lineno, tok in read_records(path):
+        with located(path, lineno):
+            key, vals = tok[0], tok[1:]
+            if key == "step_cost":
+                steps[int(vals[0])] = numbers(path, lineno, vals[1:], 1)[0]
+            elif key in ("initial_cost", "final_cost", "iterations"):
+                kind = int if key == "iterations" else float
+                fields[key] = numbers(path, lineno, vals, 1, kind)[0]
+            elif key == "converged" and vals in (["true"], ["false"]):
+                fields[key] = vals == ["true"]
+    missing = {"initial_cost", "final_cost", "iterations", "converged"} - set(fields)
+    if missing:
+        raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")
+    return SolveReport(**fields, step_costs=[steps[k] for k in sorted(steps)])

@@ -1,12 +1,17 @@
 """End-to-end command behaviour: files written, exit codes, reruns, reuse."""
 
+import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import graspmap
 from graspmap.cli import main
 from graspmap.mapping import (METERS, UNSCALED_UNITS, PointCloud,
                               load_graspable, read_ply, write_ply)
@@ -308,12 +313,80 @@ def test_pipeline_summary_matches_artifacts(noisy_run):
     assert abs(summary["final_cost"] - report.final_cost) <= 1e-12
 
 
+# --- corrupt artifacts ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("small_pipeline")
+    cfg = base / "cfg.yaml"
+    write_config(cfg, seed=3)
+    run = base / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    return run
+
+
+def on_line(lineno, edit):
+    """Text edit that rewrites one line (1-based) of a file."""
+    def apply(text):
+        lines = text.splitlines(keepends=True)
+        lines[lineno - 1] = edit(lines[lineno - 1].rstrip("\n")) + "\n"
+        return "".join(lines)
+    return apply
+
+
+def set_field(k, value, sep=","):
+    def edit(line):
+        tok = line.split(sep)
+        tok[k] = value
+        return sep.join(tok)
+    return edit
+
+
+@pytest.mark.parametrize("rel, edit, command, where", [
+    ("bundle/vo.csv", on_line(3, set_field(1, "abc")), "solve", "vo.csv:3"),
+    ("bundle/vo.csv", on_line(3, set_field(2, "nan")), "solve", "vo.csv:3"),
+    ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
+     "solve", "trajectory.csv:4"),
+    ("bundle/graspable_truth.csv", on_line(2, lambda l: ",".join(l.split(",")[:2])),
+     "pipeline-solve", "graspable_truth.csv:2"),
+    ("bundle/manifest.yaml", lambda t: t[:t.index("config:")], "solve",
+     "manifest.yaml"),
+    ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
+     "graph.txt:3"),
+    ("solve/report.txt", lambda t: re.sub(r"final_cost .*\n", "", t),
+     "pipeline-detect", "report.txt"),
+    ("bundle/cloud.ply", on_line(9, set_field(1, "abc", " ")), "pipeline-solve",
+     "cloud.ply"),
+], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "truth-two-columns",
+        "manifest-no-config", "graph-bad-record", "report-no-final-cost",
+        "ply-not-a-number"])
+def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
+                                              command, where):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    path = run / rel
+    path.write_text(edit(path.read_text()))
+    if command == "solve":
+        argv = ["solve", str(run / "bundle"), "--out", str(tmp_path / "s")]
+    else:
+        argv = ["pipeline", "--out", str(run), "--stage", command.split("-")[1]]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "file error" in err and where in err, err
+
+
 # --- wiring -----------------------------------------------------------------------
 
 
 def test_module_entry_point_help():
+    # the child imports the same graspmap as this process, installed or not
+    src = str(Path(graspmap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "graspmap.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert done.returncode == 0
     for word in ("simulate", "solve", "detect", "pipeline"):
         assert word in done.stdout

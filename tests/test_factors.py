@@ -166,6 +166,12 @@ def test_factor_cost_dimension_mismatch():
         factor_cost(np.zeros(6), np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mc_factor_rejects_non_finite_translation(bad):
+    with pytest.raises(ValueError, match="delta_trans must be finite"):
+        McFactor(1, Rotation.identity(), [0.1, bad, 0.0])
+
+
 def test_default_info_diagonals_exact():
     assert np.array_equal(default_fk_info(), np.full(6, 1e-4))
     assert np.array_equal(default_mc_info(), np.full(6, 1e-3))
