@@ -7,12 +7,11 @@ scale falls out, complete with an uncertainty that flags when it is fake.
 
 import numpy as np
 
-from graspmap.cli import build_graph
 from graspmap.factors import FkFactor, McFactor, PriorFactor
 from graspmap.geometry import Pose, Rotation, compose, inverse
 from graspmap.kinematics import default_limb
 from graspmap.simulation import SimConfig, simulate
-from graspmap.solver import FactorGraph
+from graspmap.solver import FactorGraph, build_graph
 
 QUIET = dict(joint_noise_stddev=0.0, vo_trans_noise_stddev=0.0,
              vo_rot_noise_stddev=0.0)

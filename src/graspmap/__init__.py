@@ -7,7 +7,6 @@ limb (:mod:`.kinematics`) to estimate gripper poses and the metric scale;
 :mod:`.mapping` rescales the cloud and extracts graspable terrain points.
 """
 
-from .cli import build_graph
 from .errors import (AlreadyScaled, ConfigError, CutLocusError, DegenerateMask,
                      DimensionMismatch, EmptyCloud, GraspmapError,
                      IndexMismatch, NoVisibleTerrain, NotConverged,
@@ -33,8 +32,8 @@ from .simulation import (CameraModel, Hemisphere, SimBundle, SimConfig,
                          Terrain, default_terrain, generate_cloud,
                          generate_trajectory, generate_vo, load_config,
                          read_bundle, save_config, simulate, write_bundle)
-from .solver import (FactorGraph, SolveOptions, SolveReport, load_graph,
-                     load_report, save_graph, save_report)
+from .solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
+                     load_graph, load_report, save_graph, save_report)
 
 __version__ = "0.1.0"
 

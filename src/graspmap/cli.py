@@ -4,14 +4,16 @@ Stages exchange plain files so any stage can be rerun or swapped in isolation:
 
     <run>/bundle/   synthetic trajectory, tracker deltas, unscaled cloud, truth
     <run>/solve/    factor graph with final estimates + optimization report
-    <run>/detect/   metric cloud, voxel-grid dump, graspable anchor list
+    <run>/detect/   voxel-grid dump, graspable anchor list; re-detect at another
+                    resolution with `pipeline --stage detect --voxel-size ...`
     <run>/summary.yaml
 
 Exit codes: 0 success, 2 bad configuration, 3 missing, unreadable or corrupt
 artifacts (the message names the file and line), 4 optimizer did not converge,
 5 no usable data (empty cloud, degenerate mask, unseen terrain).
 An empty graspable list is a success, not an error: flat ground has nothing to
-grasp. Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
+grasp. Errors are prefixed with their stage, as in "[solve] file error: ...".
+Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
 """
 
 from __future__ import annotations
@@ -22,24 +24,24 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import fk_pose, write_ply  # noqa: F401 -- read only by perfbench/tracer.py
 from .errors import (ConfigError, CorruptArtifact, DegenerateMask, EmptyCloud,
                      GraspmapError, NoVisibleTerrain, NotConverged,
                      SingularNormalEquations, UnreachableTerrain)
-from .factors import FkFactor, McFactor, PriorFactor
-from .kinematics import LimbModel, default_limb, fk_delta, fk_pose, load_limb
+from .kinematics import LimbModel, default_limb, load_limb
 from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
-                      DEFAULT_OUTER_RADIUS, DEFAULT_VOXEL_SIZE, METERS,
-                      PointCloud, build_mask, detect_graspable, fill_below,
-                      read_ply, save_graspable, save_grid, scale_cloud,
-                      voxelize, write_ply)
+                      DEFAULT_OUTER_RADIUS, DEFAULT_VOXEL_SIZE, PointCloud,
+                      build_mask, detect_graspable, fill_below, read_ply,
+                      save_graspable, save_grid, scale_cloud, voxelize)
 from .simulation import (SimBundle, SimConfig, load_config, read_bundle,
                          simulate, write_bundle)
-from .solver import (FactorGraph, SolveOptions, load_graph, load_report,
+from .solver import (SolveOptions, build_graph, load_graph, load_report,
                      save_graph, save_report)
 
 EXIT_OK = 0
@@ -49,52 +51,50 @@ EXIT_IO = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_EMPTY = 5
 
+# (error types, exit code, message kind); the first match wins, so
+# CorruptArtifact, also a ValueError, exits 3 rather than 2
+EXIT_CODES = (
+    ((CorruptArtifact, OSError), EXIT_IO, "file error"),
+    ((ConfigError, UnreachableTerrain, ValueError), EXIT_CONFIG, "config error"),
+    ((NotConverged, SingularNormalEquations), EXIT_NOT_CONVERGED, "solver error"),
+    ((EmptyCloud, DegenerateMask, NoVisibleTerrain), EXIT_EMPTY, "empty result"),
+    ((GraspmapError,), EXIT_FAILURE, "error"),
+)
+
 GRAPH_FILE = "graph.txt"
 REPORT_FILE = "report.txt"
-SCALED_CLOUD_FILE = "cloud_scaled.ply"
 GRID_FILE = "grid.txt"
 GRASPABLE_FILE = "graspable.csv"
 SUMMARY_FILE = "summary.yaml"
 
 log = logging.getLogger("graspmap")
 
-_stage = "cli"  # label prefixed to error messages; updated as stages run
 
-
-def _enter(stage: str) -> None:
-    global _stage
-    _stage = stage
-    log.debug("entering stage %s", stage)
+@contextmanager
+def stage(name: str):
+    """Run a block as stage ``name``: an error escaping it carries the name
+    as its ``stage`` attribute, which main() prefixes to the message."""
+    log.debug("entering stage %s", name)
+    try:
+        yield
+    except Exception as exc:
+        exc.stage = name
+        raise
 
 
 # --- stage bodies (shared by single commands and the pipeline) -----------------------
 
 
 def _stage_simulate(config: SimConfig, out_dir, model: LimbModel) -> SimBundle:
-    _enter("simulate")
     bundle = simulate(config, model)
     files = write_bundle(out_dir, bundle)
     print(f"[simulate] seed {config.seed}: wrote {', '.join(files)} to {out_dir}")
     return bundle
 
 
-def build_graph(bundle: SimBundle, model: LimbModel,
-                literal: bool = False) -> FactorGraph:
-    """Assemble the fusion graph from a bundle: prior at FK of the first
-    reading, then one kinematic and one tracker factor per later keyframe."""
-    graph = FactorGraph(PriorFactor(pose=fk_pose(model, bundle.readings[0].angles)))
-    for i in range(1, len(bundle.readings)):
-        rot, trans = bundle.vo_deltas[i - 1]
-        graph.add_keyframe(
-            FkFactor(i, fk_delta(model, bundle.readings[i - 1], bundle.readings[i])),
-            McFactor(i, rot, trans, frame_aligned=not literal))
-    return graph
-
-
-def _stage_solve(bundle: SimBundle, out_dir, options: SolveOptions,
-                 model: LimbModel, literal: bool):
-    _enter("solve")
-    graph = build_graph(bundle, model, literal)
+def _stage_solve(bundle: SimBundle, out_dir, model: LimbModel, args):
+    options = SolveOptions(max_iter=args.max_iter, rel_tol=args.rel_tol)
+    graph = build_graph(bundle, model, args.literal_eq8)
     report = graph.optimize(options)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,15 +108,10 @@ def _stage_solve(bundle: SimBundle, out_dir, options: SolveOptions,
     return graph, report
 
 
-def _stage_detect(cloud: PointCloud, out_dir, voxel_size: float, outer: float,
-                  inner: float, depth: float, min_points: int):
-    _enter("detect")
-    if cloud.units != METERS:
-        raise ConfigError(
-            f"detect needs a metric cloud, got units {cloud.units!r}; "
-            "solve for the scale and apply it first")
-    grid = fill_below(voxelize(cloud, voxel_size, min_points))
-    mask = build_mask(outer, inner, depth, voxel_size)
+def _stage_detect(cloud: PointCloud, out_dir, args):
+    grid = fill_below(voxelize(cloud, args.voxel_size, args.min_points))
+    mask = build_mask(args.outer_radius, args.inner_radius, args.depth,
+                      args.voxel_size)
     hits = detect_graspable(grid, mask)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,63 +137,52 @@ def _resolve_limb(args) -> LimbModel:
     return load_limb(args.limb) if args.limb else default_limb()
 
 
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(max_iter=args.max_iter, rel_tol=args.rel_tol)
-
-
 # --- subcommands -------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    _stage_simulate(_resolve_config(args), args.out, _resolve_limb(args))
+    with stage("simulate"):
+        _stage_simulate(_resolve_config(args), args.out, _resolve_limb(args))
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    _enter("solve")
-    bundle = read_bundle(args.bundle)
-    _stage_solve(bundle, args.out, _solve_options(args), _resolve_limb(args),
-                 args.literal_eq8)
+    with stage("solve"):
+        _stage_solve(read_bundle(args.bundle), args.out, _resolve_limb(args), args)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    _enter("detect")
-    cloud = read_ply(args.cloud)
-    _stage_detect(cloud, args.out, args.voxel_size, args.outer_radius,
-                  args.inner_radius, args.depth, args.min_points)
+    with stage("detect"):
+        _stage_detect(read_ply(args.cloud), args.out, args)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     t0 = time.perf_counter()
-    _enter("pipeline")
     run = Path(args.out)
     bundle_dir, solve_dir, detect_dir = run / "bundle", run / "solve", run / "detect"
     start = ("simulate", "solve", "detect").index(args.stage)
-    model = _resolve_limb(args)
 
-    if start <= 0:
-        bundle = _stage_simulate(_resolve_config(args), bundle_dir, model)
-    else:
-        log.info("reusing bundle in %s", bundle_dir)
-        bundle = read_bundle(bundle_dir)
+    with stage("simulate"):
+        model = _resolve_limb(args)
+        if start <= 0:
+            bundle = _stage_simulate(_resolve_config(args), bundle_dir, model)
+        else:
+            log.info("reusing bundle in %s", bundle_dir)
+            bundle = read_bundle(bundle_dir)
 
-    if start <= 1:
-        graph, report = _stage_solve(bundle, solve_dir, _solve_options(args),
-                                     model, args.literal_eq8)
-    else:
-        log.info("reusing solve artifacts in %s", solve_dir)
-        graph = load_graph(solve_dir / GRAPH_FILE)
-        report = load_report(solve_dir / REPORT_FILE)
+    with stage("solve"):
+        if start <= 1:
+            graph, report = _stage_solve(bundle, solve_dir, model, args)
+        else:
+            log.info("reusing solve artifacts in %s", solve_dir)
+            graph = load_graph(solve_dir / GRAPH_FILE)
+            report = load_report(solve_dir / REPORT_FILE)
 
-    scaled = scale_cloud(bundle.cloud, graph.scale)
-    detect_dir.mkdir(parents=True, exist_ok=True)
-    write_ply(detect_dir / SCALED_CLOUD_FILE, scaled)
-    hits = _stage_detect(scaled, detect_dir, args.voxel_size, args.outer_radius,
-                         args.inner_radius, args.depth, args.min_points)
+    with stage("detect"):
+        hits = _stage_detect(scale_cloud(bundle.cloud, graph.scale), detect_dir, args)
 
-    _enter("pipeline")
     s_true = bundle.config.true_scale
     apex_error = None
     if hits and len(bundle.truth_graspable):
@@ -210,7 +194,7 @@ def cmd_pipeline(args) -> int:
         "final_cost": float(report.final_cost),
         "wall_time_s": float(time.perf_counter() - t0),
     }
-    with open(run / SUMMARY_FILE, "w") as fh:
+    with stage("pipeline"), open(run / SUMMARY_FILE, "w") as fh:
         yaml.safe_dump(summary, fh, sort_keys=False)
     print(f"[pipeline] scale_error_rel={summary['scale_error_rel']:.3g} "
           f"apex_error_m={apex_error if apex_error is None else f'{apex_error:.4f}'} "
@@ -289,21 +273,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CorruptArtifact, OSError) as exc:
-        print(f"[{_stage}] file error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, UnreachableTerrain, ValueError) as exc:
-        print(f"[{_stage}] config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotConverged, SingularNormalEquations) as exc:
-        print(f"[{_stage}] solver error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except (EmptyCloud, DegenerateMask, NoVisibleTerrain) as exc:
-        print(f"[{_stage}] empty result: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except GraspmapError as exc:
-        print(f"[{_stage}] error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except Exception as exc:
+        for types, code, kind in EXIT_CODES:
+            if isinstance(exc, types):
+                label = getattr(exc, "stage", args.command)
+                print(f"[{label}] {kind}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -173,14 +173,14 @@ def save_limb(path, model: LimbModel) -> None:
 
 
 def load_limb(path) -> LimbModel:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
     try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
         joints = tuple(Joint(np.asarray(j["axis"], dtype=float),
                              pose_from_seven(j["offset"]))
                        for j in doc["joints"])
         return LimbModel(joints=joints,
                          base_pose=pose_from_seven(doc["base_pose"]),
                          gripper_offset=pose_from_seven(doc["gripper_offset"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, yaml.YAMLError) as exc:
         raise ValueError(f"malformed limb model file {path}: {exc}") from exc

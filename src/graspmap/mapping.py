@@ -139,7 +139,8 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     it, which rejects isolated depth speckle.
     """
     if cloud.units != METERS:
-        raise ValueError("voxelize needs a metric cloud; apply scale_cloud first")
+        raise ValueError(f"voxelize needs a metric cloud, got units {cloud.units!r}; "
+                         "solve for the scale and apply it first (scale_cloud)")
     if len(cloud) == 0:
         raise EmptyCloud("cannot voxelize an empty cloud")
     voxel_size = float(voxel_size)

@@ -379,6 +379,8 @@ def config_from_dict(doc: dict) -> SimConfig:
     terrain = defaults.terrain
     if "terrain" in doc:
         tdoc = doc["terrain"]
+        if not isinstance(tdoc, dict):
+            raise ConfigError("terrain must be a mapping")
         unknown = set(tdoc) - {"plane_z", "patch_center", "patch_size", "hemispheres"}
         if unknown:
             raise ConfigError(f"unknown terrain keys: {sorted(unknown)}")

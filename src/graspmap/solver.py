@@ -26,7 +26,9 @@ from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
                       factor_residual)
 from .geometry import (Pose, Rotation, Twist, compose, pose_from_seven,
                        pose_to_seven, se3_exp)
+from .kinematics import LimbModel, fk_delta, fk_pose
 from .records import located, numbers, read_records, write_records
+from .simulation import SimBundle
 
 
 @dataclass
@@ -193,6 +195,9 @@ class FactorGraph:
                 break
             if converged:
                 break
+            # drop the last trial's factor and the old Hessian first, so only
+            # one dense (6n+1)^2 matrix is alive while the next one is built
+            del a, cf, h
             h, g, cost = self._linearize(poses, scale)
 
         self.poses, self.scale = poses, scale
@@ -219,6 +224,19 @@ class FactorGraph:
         if var <= 0.0:
             raise SingularNormalEquations("non-positive marginal variance for log s")
         return float(np.sqrt(var))
+
+
+def build_graph(bundle: SimBundle, model: LimbModel,
+                literal: bool = False) -> FactorGraph:
+    """Assemble the fusion graph from a bundle: prior at FK of the first
+    reading, then one kinematic and one tracker factor per later keyframe."""
+    graph = FactorGraph(PriorFactor(pose=fk_pose(model, bundle.readings[0].angles)))
+    for i in range(1, len(bundle.readings)):
+        rot, trans = bundle.vo_deltas[i - 1]
+        graph.add_keyframe(
+            FkFactor(i, fk_delta(model, bundle.readings[i - 1], bundle.readings[i])),
+            McFactor(i, rot, trans, frame_aligned=not literal))
+    return graph
 
 
 # --- graph file format ----------------------------------------------------------

@@ -14,7 +14,7 @@ import yaml
 import graspmap
 from graspmap.cli import main
 from graspmap.mapping import (METERS, UNSCALED_UNITS, PointCloud,
-                              load_graspable, read_ply, write_ply)
+                              load_graspable, write_ply)
 from graspmap.simulation import SimConfig, Terrain, save_config
 from graspmap.solver import load_graph, load_report
 from tests.test_mapping import hemisphere_surface_cloud
@@ -75,6 +75,30 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
                  str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "keyframes" in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--config", "terrain: 5\n"),
+    ("--limb", "joints: [\n"),
+], ids=["terrain-not-a-mapping", "limb-bad-yaml"])
+def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["simulate", flag, str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.yaml" in err, err
+
+
+def test_error_label_names_the_failing_command(tmp_path, capsys):
+    """Each call labels its own errors: nothing carries over between calls."""
+    assert main(["detect", str(tmp_path / "missing.ply"),
+                 "--out", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr().err.startswith("[detect] file error")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("keyframes: 1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("[simulate] config error")
 
 
 # --- solve ------------------------------------------------------------------------
@@ -208,8 +232,9 @@ def test_pipeline_noiseless(tmp_path):
     assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == 0
     for sub in ("bundle", "solve", "detect"):
         assert (run / sub).is_dir()
-    scaled = read_ply(run / "detect" / "cloud_scaled.ply")
-    assert scaled.units == METERS
+    # the metric cloud is rebuilt when detection runs, not stored
+    assert sorted(p.name for p in (run / "detect").iterdir()) == [
+        "graspable.csv", "grid.txt"]
     summary = read_summary(run)
     assert summary["scale_error_rel"] < 1e-6
     assert summary["final_cost"] < 1e-12
@@ -343,26 +368,28 @@ def set_field(k, value, sep=","):
     return edit
 
 
-@pytest.mark.parametrize("rel, edit, command, where", [
-    ("bundle/vo.csv", on_line(3, set_field(1, "abc")), "solve", "vo.csv:3"),
-    ("bundle/vo.csv", on_line(3, set_field(2, "nan")), "solve", "vo.csv:3"),
+@pytest.mark.parametrize("rel, edit, command, where, label", [
+    ("bundle/vo.csv", on_line(3, set_field(1, "abc")), "solve", "vo.csv:3",
+     "solve"),
+    ("bundle/vo.csv", on_line(3, set_field(2, "nan")), "solve", "vo.csv:3",
+     "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
-     "solve", "trajectory.csv:4"),
+     "solve", "trajectory.csv:4", "solve"),
     ("bundle/graspable_truth.csv", on_line(2, lambda l: ",".join(l.split(",")[:2])),
-     "pipeline-solve", "graspable_truth.csv:2"),
+     "pipeline-solve", "graspable_truth.csv:2", "simulate"),
     ("bundle/manifest.yaml", lambda t: t[:t.index("config:")], "solve",
-     "manifest.yaml"),
+     "manifest.yaml", "solve"),
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
-     "graph.txt:3"),
+     "graph.txt:3", "solve"),
     ("solve/report.txt", lambda t: re.sub(r"final_cost .*\n", "", t),
-     "pipeline-detect", "report.txt"),
+     "pipeline-detect", "report.txt", "solve"),
     ("bundle/cloud.ply", on_line(9, set_field(1, "abc", " ")), "pipeline-solve",
-     "cloud.ply"),
+     "cloud.ply", "simulate"),
 ], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "truth-two-columns",
         "manifest-no-config", "graph-bad-record", "report-no-final-cost",
         "ply-not-a-number"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
-                                              command, where):
+                                              command, where, label):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
     path = run / rel
@@ -374,7 +401,7 @@ def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, 
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "file error" in err and where in err, err
+    assert err.startswith(f"[{label}] file error") and where in err, err
 
 
 # --- wiring -----------------------------------------------------------------------
@@ -388,5 +415,6 @@ def test_module_entry_point_help():
     done = subprocess.run([sys.executable, "-m", "graspmap.cli", "--help"],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
     for word in ("simulate", "solve", "detect", "pipeline"):
         assert word in done.stdout

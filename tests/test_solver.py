@@ -7,6 +7,7 @@ the solver machinery under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_residual)
 from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
                                se3_exp, se3_log, so3_exp)
-from graspmap.solver import (FactorGraph, SolveOptions, SolveReport,
+from graspmap.kinematics import default_limb
+from graspmap.simulation import SimConfig, simulate
+from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
                              load_graph, load_report, save_graph, save_report)
 
 
@@ -268,6 +271,24 @@ def test_marginal_stddev_finite_on_translating_data():
 
 
 # --- file round trips ----------------------------------------------------------------
+
+
+def test_optimize_holds_at_most_two_hessians():
+    """The dense Hessian is the one large object; LM keeps its damped factor
+    alongside, but must not keep an old one while building the next."""
+    limb = default_limb()
+    bundle = simulate(SimConfig(seed=0, keyframes=100, cloud_points_per_keyframe=1),
+                      limb)
+    graph = build_graph(bundle, limb)
+    hessian_bytes = (6 * graph.num_poses + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        report = graph.optimize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 2.5 * hessian_bytes, peak / hessian_bytes
 
 
 def test_graph_file_round_trip(tmp_path):
