@@ -10,6 +10,7 @@ envelop - which only convex bumps of roughly the bowl's curvature do.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,27 @@ class GraspablePoint:
         object.__setattr__(self, "support_count", int(self.support_count))
 
 
+def _voxel_size(voxel_size) -> float:
+    voxel_size = float(voxel_size)
+    if not (0.0 < voxel_size < np.inf):
+        raise ValueError(f"voxel_size must be finite and positive, got {voxel_size}")
+    return voxel_size
+
+
+@contextmanager
+def _grid_alloc(cells: float, voxel_size: float):
+    """Report a grid numpy cannot index, or memory cannot hold, as a bad
+    voxel_size; the check runs before the block that allocates it."""
+    msg = (f"voxel_size={voxel_size} needs {cells:.3g} grid cells, "
+           "too many to index or allocate")
+    if cells > np.iinfo(np.intp).max:
+        raise ValueError(msg)
+    try:
+        yield
+    except MemoryError as exc:
+        raise ValueError(msg) from exc
+
+
 def scale_cloud(cloud: PointCloud, scale) -> PointCloud:
     """Multiply an unscaled cloud into meters. Scaling twice is refused."""
     if cloud.units == METERS:
@@ -143,9 +165,7 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
                          "solve for the scale and apply it first (scale_cloud)")
     if len(cloud) == 0:
         raise EmptyCloud("cannot voxelize an empty cloud")
-    voxel_size = float(voxel_size)
-    if voxel_size <= 0.0:
-        raise ValueError("voxel_size must be positive")
+    voxel_size = _voxel_size(voxel_size)
     min_points = int(min_points)
     if min_points < 1:
         raise ValueError("min_points must be >= 1")
@@ -153,14 +173,15 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     pts = cloud.points
     origin = pts.min(axis=0) - voxel_size
     extent = pts.max(axis=0) + voxel_size - origin
-    dims = np.ceil(extent / voxel_size).astype(int)
-    dims = np.maximum(dims, 1)
+    shape = np.maximum(np.ceil(extent / voxel_size), 1.0)
+    with _grid_alloc(float(np.prod(shape)), voxel_size):
+        dims = shape.astype(int)
+        occ = np.zeros(int(np.prod(dims)), dtype=bool)
     idx = np.floor((pts - origin) / voxel_size).astype(int)
     # guard the upper boundary against float round-up
     idx = np.clip(idx, 0, dims - 1)
     flat = np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), tuple(dims))
     uniq, counts = np.unique(flat, return_counts=True)
-    occ = np.zeros(int(np.prod(dims)), dtype=bool)
     occ[uniq[counts >= min_points]] = True
     return VoxelGrid(origin=origin, voxel_size=voxel_size,
                      occupancy=occ.reshape(tuple(dims)))
@@ -186,21 +207,22 @@ def build_mask(outer_radius: float = DEFAULT_OUTER_RADIUS,
     included iff ``inner_radius <= |center| <= outer_radius`` and
     ``center.z in [-outer_radius, -outer_radius + depth]``.
     """
-    outer, inner = float(outer_radius), float(inner_radius)
-    depth, voxel_size = float(depth), float(voxel_size)
-    if not (0.0 < inner < outer):
-        raise ValueError("need 0 < inner_radius < outer_radius")
+    outer, inner, depth = float(outer_radius), float(inner_radius), float(depth)
+    if not (0.0 < inner < outer < np.inf):
+        raise ValueError("need 0 < inner_radius < outer_radius, all finite")
     if not (0.0 < depth <= outer):
         raise ValueError("need 0 < depth <= outer_radius")
-    if voxel_size <= 0.0:
-        raise ValueError("voxel_size must be positive")
+    voxel_size = _voxel_size(voxel_size)
 
-    w = int(np.ceil(outer / voxel_size))
-    rng = np.arange(-w, w + 1)
-    cx, cy, cz = np.meshgrid(rng, rng, rng, indexing="ij")
-    cells = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
-    centers = cells * voxel_size
-    norms = np.linalg.norm(centers, axis=1)
+    reach = float(np.ceil(outer / voxel_size))
+    side = 2.0 * reach + 1.0
+    with _grid_alloc(side * side * side, voxel_size):
+        w = int(reach)
+        rng = np.arange(-w, w + 1)
+        cx, cy, cz = np.meshgrid(rng, rng, rng, indexing="ij")
+        cells = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
+        centers = cells * voxel_size
+        norms = np.linalg.norm(centers, axis=1)
     keep = ((norms >= inner) & (norms <= outer)
             & (centers[:, 2] >= -outer) & (centers[:, 2] <= -outer + depth))
     offsets = cells[keep]

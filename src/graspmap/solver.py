@@ -8,7 +8,11 @@ factorization, and applies the step through the retraction
     T_k <- T_k @ exp(delta_k),      log s <- log s + delta_s.
 
 Damping follows the classic Marquardt schedule: multiply lambda by 10 when a
-step increases the cost, divide by 10 when it is accepted. Evaluation order is
+step increases the cost, divide by 10 when it is accepted. Only one dense
+system is alive at a time: the damped Hessian is factored in place, and each
+trial state is linearized once, its cost deciding acceptance and its Hessian
+and gradient becoming the next system. A rejected or singular trial has used
+up the factored Hessian, so the current system is rebuilt. Evaluation order is
 fixed (factors in insertion order, dense algebra), so repeated runs on the
 same graph produce bit-identical reports.
 """
@@ -43,6 +47,10 @@ class SolveOptions:
     grad_tol: float = 1e-14
     initial_lambda: float = 1e-4
     lambda_max: float = 1e8
+
+    def __post_init__(self):
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite and non-negative, got {self.rel_tol}")
 
 
 @dataclass
@@ -115,7 +123,7 @@ class FactorGraph:
     def _linearize(self, poses, scale):
         """Gauss-Newton Hessian, gradient, and cost at the given state."""
         dim = 6 * len(poses) + 1
-        h = np.zeros((dim, dim))
+        h = np.zeros((dim, dim), order="F")
         g = np.zeros(dim)
         cost = 0.0
         for f in self.factors:
@@ -151,59 +159,49 @@ class FactorGraph:
         step_costs: list[float] = []
         converged = False
         lam = opts.initial_lambda
-        iterations = 0
 
-        for _ in range(opts.max_iter):
+        while len(step_costs) < opts.max_iter:
             if np.max(np.abs(g)) < opts.grad_tol:
                 converged = True
                 break
-            damping = np.diag(h).copy()
-            accepted = False
-            while True:
-                # damp one Fortran-ordered copy, which LAPACK factors in place
-                a = np.array(h, order="F")
-                a[np.diag_indices_from(a)] += lam * damping
-                try:
-                    cf = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
-                                                 check_finite=False)
-                except scipy.linalg.LinAlgError:
-                    lam *= 10.0
-                    if lam > opts.lambda_max:
-                        raise SingularNormalEquations(
-                            f"normal equations not positive-definite at lambda={lam:.1e}")
-                    continue
+            # damp h itself, which LAPACK then factors in place
+            h[np.diag_indices_from(h)] += lam * np.diag(h)
+            try:
+                cf = scipy.linalg.cho_factor(h, lower=True, overwrite_a=True,
+                                             check_finite=False)
+            except scipy.linalg.LinAlgError:
+                lam *= 10.0
+                if lam > opts.lambda_max:
+                    raise SingularNormalEquations(
+                        f"normal equations not positive-definite at lambda={lam:.1e}")
+            else:
                 delta = scipy.linalg.cho_solve(cf, -g, check_finite=False)
+                del cf, h  # one dense system at a time
                 cand_poses, cand_scale = self._retract(poses, scale, delta)
-                cand_cost = self.total_cost(cand_poses, cand_scale)
+                h, cand_g, cand_cost = self._linearize(cand_poses, cand_scale)
                 if cand_cost <= cost:
-                    accepted = True
                     rel_decrease = (cost - cand_cost) / cost if cost > 0.0 else 0.0
-                    poses, scale, cost = cand_poses, cand_scale, cand_cost
+                    poses, scale, g, cost = cand_poses, cand_scale, cand_g, cand_cost
                     step_costs.append(cost)
-                    iterations += 1
                     lam = max(lam / 10.0, 1e-15)
                     if rel_decrease < opts.rel_tol:
                         converged = True
-                    break
+                        break
+                    continue
                 lam *= 10.0
                 if lam > opts.lambda_max:
+                    # No step of any admissible length lowers the cost: the
+                    # relative decrease is zero, which meets rel_tol.
+                    converged = True
                     break
-            if not accepted:
-                # No step of any admissible length lowers the cost: the
-                # relative decrease is zero, which meets rel_tol.
-                converged = True
-                break
-            if converged:
-                break
-            # drop the last trial's factor and the old Hessian first, so only
-            # one dense (6n+1)^2 matrix is alive while the next one is built
-            del a, cf, h
+            # the failed trial used up h: drop it, then rebuild the current system
+            del h
             h, g, cost = self._linearize(poses, scale)
 
         self.poses, self.scale = poses, scale
         return SolveReport(initial_cost=initial_cost,
                            final_cost=cost,
-                           iterations=iterations,
+                           iterations=len(step_costs),
                            converged=converged,
                            step_costs=step_costs)
 
@@ -215,15 +213,14 @@ class FactorGraph:
         """
         h, _, _ = self._linearize(self.poses, self.scale)
         try:
-            cf = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
+            factor, _ = scipy.linalg.cho_factor(h, lower=True, overwrite_a=True,
+                                                check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SingularNormalEquations("Gauss-Newton Hessian is singular") from exc
-        e = np.zeros(h.shape[0])
-        e[-1] = 1.0
-        var = float(scipy.linalg.cho_solve(cf, e, check_finite=False)[-1])
-        if var <= 0.0:
-            raise SingularNormalEquations("non-positive marginal variance for log s")
-        return float(np.sqrt(var))
+        # log s is the last variable, so with H = L L^T its variance is
+        # 1 / L[-1, -1]^2, rounded exactly as cho_solve would round it
+        l = factor[-1, -1]
+        return float(np.sqrt(1.0 / l / l))
 
 
 def build_graph(bundle: SimBundle, model: LimbModel,

@@ -139,6 +139,13 @@ def test_solve_missing_input_exits_3(quiet_bundle, tmp_path, capsys):
     assert "file error" in err and "vo.csv" in err
 
 
+def test_solve_nan_rel_tol_exits_2(quiet_bundle, tmp_path, capsys):
+    rc = main(["solve", str(quiet_bundle), "--rel-tol", "nan",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_solve_iteration_cap_exits_4(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     write_config(cfg, seed=8)
@@ -203,11 +210,18 @@ def test_detect_degenerate_mask_exits_5(tmp_path, capsys):
     assert "empty result" in capsys.readouterr().err
 
 
-def test_detect_inconsistent_geometry_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--depth", "0.09"],
+    ["--voxel-size", "inf"],
+    ["--voxel-size", "nan"],
+    ["--voxel-size", "1e-7"],
+    ["--outer-radius", "inf"],
+], ids=["depth-past-rim", "voxel-inf", "voxel-nan", "voxel-too-fine",
+        "outer-radius-inf"])
+def test_detect_inconsistent_geometry_exits_2(tmp_path, capsys, flags):
     ply = tmp_path / "cloud.ply"
     write_ply(ply, hemisphere_surface_cloud())
-    rc = main(["detect", str(ply), "--depth", "0.09",
-               "--out", str(tmp_path / "d")])
+    rc = main(["detect", str(ply), *flags, "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 

@@ -208,6 +208,11 @@ def test_degenerate_mask():
                    voxel_size=0.004)
 
 
+def test_mask_too_fine_to_allocate_names_voxel_size():
+    with pytest.raises(ValueError, match="voxel_size=1e-07"):
+        build_mask(voxel_size=1e-7)
+
+
 def test_mask_matches_predicate_scan():
     for params in ((0.030, 0.020, 0.015, 0.002),
                    (0.024, 0.016, 0.012, 0.003),

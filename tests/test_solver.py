@@ -11,9 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import rand_pose, rand_twist_vector
-from graspmap.errors import IndexMismatch
+from graspmap.errors import IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_residual)
 from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
@@ -273,9 +274,10 @@ def test_marginal_stddev_finite_on_translating_data():
 # --- file round trips ----------------------------------------------------------------
 
 
-def test_optimize_holds_at_most_two_hessians():
-    """The dense Hessian is the one large object; LM keeps its damped factor
-    alongside, but must not keep an old one while building the next."""
+@pytest.mark.parametrize("method", ["optimize", "marginal_scale_stddev"])
+def test_solver_holds_one_hessian(method):
+    """The dense Hessian is the one large object and is factored in place:
+    no damped copy and no old system may sit beside it."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=0, keyframes=100, cloud_points_per_keyframe=1),
                       limb)
@@ -283,12 +285,62 @@ def test_optimize_holds_at_most_two_hessians():
     hessian_bytes = (6 * graph.num_poses + 1) ** 2 * 8
     tracemalloc.start()
     try:
-        report = graph.optimize()
+        result = getattr(graph, method)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.converged
-    assert peak < 2.5 * hessian_bytes, peak / hessian_bytes
+    if method == "optimize":
+        assert result.converged
+    assert peak < 1.5 * hessian_bytes, peak / hessian_bytes
+
+
+def small_solve(options: SolveOptions):
+    rng = np.random.default_rng(14)
+    graph, _ = synthetic_graph(rng, n=8, s_true=1.5, trans_noise=2e-4,
+                               rot_noise=1e-3)
+    return graph.optimize(options), graph
+
+
+def test_singular_trial_retries_with_more_damping(monkeypatch):
+    """A damped system that will not factor costs one lambda step: the solve
+    then matches, bit for bit, one started at ten times the initial lambda."""
+    want_report, want = small_solve(SolveOptions(initial_lambda=1e-3))
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def fail_first(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            a[...] = np.nan  # LAPACK leaves a failed in-place factor half written
+            raise scipy.linalg.LinAlgError("not positive definite")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
+    report, graph = small_solve(SolveOptions(initial_lambda=1e-4))
+    assert len(calls) > 1
+    assert report == want_report
+    assert graph.scale.log_value == want.scale.log_value
+    for a, b in zip(graph.poses, want.poses):
+        assert np.array_equal(a.translation, b.translation)
+        assert np.array_equal(a.rotation.quat, b.rotation.quat)
+
+
+def test_never_factoring_raises_singular(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    with pytest.raises(SingularNormalEquations, match="not positive-definite"):
+        small_solve(SolveOptions())
+
+
+def test_marginal_stddev_matches_inverse_hessian():
+    rng = np.random.default_rng(12)
+    graph, _ = synthetic_graph(rng, n=20, s_true=2.0, trans_noise=1e-4)
+    graph.optimize()
+    h, _, _ = graph._linearize(graph.poses, graph.scale)
+    want = math.sqrt(np.linalg.inv(h)[-1, -1])
+    assert graph.marginal_scale_stddev() == pytest.approx(want, rel=1e-9)
 
 
 def test_graph_file_round_trip(tmp_path):
@@ -320,3 +372,9 @@ def test_solve_options_defaults():
     assert opts.max_iter == 100
     assert opts.rel_tol == 1e-8
     assert opts.initial_lambda == 1e-4
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-8])
+def test_solve_options_reject_bad_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        SolveOptions(rel_tol=rel_tol)
