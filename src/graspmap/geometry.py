@@ -121,11 +121,15 @@ class Rotation:
 
     def apply(self, v) -> np.ndarray:
         """Rotate a 3-vector."""
-        v = _vec3(v)
-        w, xyz = self.quat[0], self.quat[1:]
-        # q v q* expanded: v + 2w (u x v) + 2 u x (u x v)
-        uv = np.cross(xyz, v)
-        return v + 2.0 * (w * uv + np.cross(xyz, uv))
+        vx, vy, vz = _vec3(v).tolist()
+        w, x, y, z = self.quat.tolist()
+        # q v q* expanded: v + 2w (u x v) + 2 u x (u x v) with u = (x, y, z),
+        # both cross products written out on floats (np.cross costs ~20x more)
+        ax, ay, az = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+        bx, by, bz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
+        return np.array([vx + 2.0 * (w * ax + bx),
+                         vy + 2.0 * (w * ay + by),
+                         vz + 2.0 * (w * az + bz)])
 
     def inverse(self) -> "Rotation":
         w, x, y, z = self.quat
@@ -385,6 +389,159 @@ def se3_left_jacobian_inv(x: Twist) -> np.ndarray:
 def se3_right_jacobian_inv(x: Twist) -> np.ndarray:
     # Jr^-1(x) = Jl^-1(-x)
     return se3_left_jacobian_inv(Twist(-x.rho, -x.phi))
+
+
+# --- stacked maps --------------------------------------------------------------
+#
+# Array versions of the maps above, for evaluating many factors at once.
+# Quaternions are (..., 4) arrays, vectors (..., 3), twists (..., 6) in
+# (rho, phi) order, matrices (..., 3, 3) or (..., 6, 6); leading axes are kept.
+# Each follows its scalar counterpart formula for formula, including the
+# series branches, which the scalar functions remain the reference for.
+
+
+def hat_stacked(v: np.ndarray) -> np.ndarray:
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([zero, -z, y], axis=-1),
+                     np.stack([z, zero, -x], axis=-1),
+                     np.stack([-y, x, zero], axis=-1)], axis=-2)
+
+
+def _normalized(q: np.ndarray) -> np.ndarray:
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def quat_conjugate(q: np.ndarray) -> np.ndarray:
+    """Inverse of unit quaternions."""
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product, renormalized as ``Rotation`` does."""
+    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+    return _normalized(np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1))
+
+
+def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate vectors by unit quaternions, as ``Rotation.apply``."""
+    w, u = q[..., :1], q[..., 1:]
+    uv = np.cross(u, v)
+    return v + 2.0 * (w * uv + np.cross(u, uv))
+
+
+def quat_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices of unit quaternions, as ``Rotation.matrix``."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
+
+
+def _by_angle(theta: np.ndarray, limit: float, series, closed) -> np.ndarray:
+    """``series(theta**2)`` where ``theta < limit``, else ``closed(theta)``;
+    the closed form sees 1.0 in place of small angles, so it never divides by 0."""
+    below = theta < limit
+    return np.where(below, series(theta * theta), closed(np.where(below, 1.0, theta)))
+
+
+def so3_exp_stacked(phi: np.ndarray) -> np.ndarray:
+    """Unit quaternions of ``so3_exp``."""
+    theta = np.linalg.norm(phi, axis=-1)
+    s = _by_angle(theta, SMALL_ANGLE, lambda t2: 0.5 - t2 / 48.0,
+                  lambda t: np.sin(0.5 * t) / t)
+    return _normalized(np.concatenate([np.cos(0.5 * theta)[..., None],
+                                       s[..., None] * phi], axis=-1))
+
+
+def so3_log_stacked(q: np.ndarray) -> np.ndarray:
+    """``so3_log`` of unit quaternions; raises ``CutLocusError`` if any is
+    within ``CUT_LOCUS_MARGIN`` of angle pi."""
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w = q[..., 0]
+    n = np.linalg.norm(q[..., 1:], axis=-1)
+    theta = 2.0 * np.arctan2(n, w)
+    near_pi = theta >= math.pi - CUT_LOCUS_MARGIN
+    if np.any(near_pi):
+        raise CutLocusError(f"rotation angle {theta[near_pi].flat[0]:.9f} "
+                            f"within {CUT_LOCUS_MARGIN} of pi")
+    small = n < SMALL_ANGLE
+    scale = np.where(small, (2.0 / w) * (1.0 - n * n / (3.0 * w * w)),
+                     theta / np.where(small, 1.0, n))
+    return scale[..., None] * q[..., 1:]
+
+
+def _coeff_a_stacked(theta):
+    return _by_angle(theta, _SERIES_ANGLE,
+                     lambda t2: 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                     lambda t: 2.0 * np.sin(0.5 * t) ** 2 / (t * t))
+
+
+def _coeff_b_stacked(theta):
+    return _by_angle(theta, _SERIES_ANGLE,
+                     lambda t2: 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+                     lambda t: (t - np.sin(t)) / t ** 3)
+
+
+def _coeff_c_stacked(theta):
+    return _by_angle(theta, _SERIES_ANGLE,
+                     lambda t2: 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                     lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+
+
+def so3_left_jacobian_inv_stacked(phi: np.ndarray) -> np.ndarray:
+    theta = np.linalg.norm(phi, axis=-1)
+    k = hat_stacked(phi)
+    return np.eye(3) - 0.5 * k + _coeff_c_stacked(theta)[..., None, None] * (k @ k)
+
+
+def _q_matrix_stacked(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    theta = np.linalg.norm(phi, axis=-1)
+    k = hat_stacked(phi)
+    p = hat_stacked(rho)
+    kp = k @ p
+    pk = p @ k
+    kpk = kp @ k
+    c1 = _coeff_b_stacked(theta)
+    c2 = _by_angle(theta, _SERIES_ANGLE,
+                   lambda t2: 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0,
+                   lambda t: (t * t + 2.0 * np.cos(t) - 2.0) / (2.0 * t ** 4))
+    c3 = _by_angle(theta, _SERIES_ANGLE,
+                   lambda t2: 1.0 / 120.0 - t2 / 2520.0,
+                   lambda t: (2.0 * t + t * np.cos(t) - 3.0 * np.sin(t)) / (2.0 * t ** 5))
+    return (0.5 * p
+            + c1[..., None, None] * (kp + pk + kpk)
+            + c2[..., None, None] * (k @ kp + pk @ k - 3.0 * kpk)
+            + c3[..., None, None] * (kpk @ k + k @ kpk))
+
+
+def se3_left_jacobian_inv_stacked(x: np.ndarray) -> np.ndarray:
+    """``se3_left_jacobian_inv`` of (..., 6) twists; the right one is at ``-x``."""
+    rho, phi = x[..., :3], x[..., 3:]
+    jli = so3_left_jacobian_inv_stacked(phi)
+    out = np.zeros(x.shape[:-1] + (6, 6))
+    out[..., :3, :3] = jli
+    out[..., :3, 3:] = -jli @ _q_matrix_stacked(rho, phi) @ jli
+    out[..., 3:, 3:] = jli
+    return out
+
+
+def se3_exp_stacked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``se3_exp`` of (..., 6) twists as (unit quaternions, translations)."""
+    rho, phi = x[..., :3], x[..., 3:]
+    theta = np.linalg.norm(phi, axis=-1)
+    k = hat_stacked(phi)
+    v = (np.eye(3) + _coeff_a_stacked(theta)[..., None, None] * k
+         + _coeff_b_stacked(theta)[..., None, None] * (k @ k))
+    return so3_exp_stacked(phi), (v @ rho[..., None])[..., 0]
 
 
 # --- 7-number pose serialization ---------------------------------------------

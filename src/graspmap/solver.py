@@ -2,19 +2,29 @@
 
 The state is the list of keyframe gripper poses T_0..T_n plus one global
 log-scale variable. Each iteration linearizes every factor about the current
-estimate, solves the damped normal equations with a dense Cholesky
-factorization, and applies the step through the retraction
+estimate, solves the damped normal equations, and applies the step through
+the retraction
 
     T_k <- T_k @ exp(delta_k),      log s <- log s + delta_s.
 
-Damping follows the classic Marquardt schedule: multiply lambda by 10 when a
-step increases the cost, divide by 10 when it is accepted. Only one dense
-system is alive at a time: the damped Hessian is factored in place, and each
-trial state is linearized once, its cost deciding acceptance and its Hessian
-and gradient becoming the next system. A rejected or singular trial has used
-up the factored Hessian, so the current system is rebuilt. Evaluation order is
-fixed (factors in insertion order, dense algebra), so repeated runs on the
-same graph produce bit-identical reports.
+Linearization is stacked: the kinematic and tracker factors are packed into
+arrays once per call (``StackedFactors``) and evaluated for all keyframes at
+once; only the single prior goes through the scalar factor functions. Every
+factor ties pose i-1 to pose i, so the Gauss-Newton Hessian is
+block-tridiagonal in 6x6 pose blocks plus one dense border row for log s.
+``NormalEquations`` holds just those blocks, and ``block_cholesky`` factors
+the system block by block, carrying the border through to a last pivot l_ss:
+the dense Cholesky factor of the same matrix without its fill, in O(n) time
+and memory. No dense Hessian is ever formed. The marginal standard deviation
+of log s is 1 / l_ss.
+
+Damping follows the classic Marquardt schedule: the diagonal is scaled by
+1 + lambda, lambda is multiplied by 10 when a step increases the cost or the
+damped system will not factor, and divided by 10 when a step is accepted.
+Each trial state is linearized once, its cost deciding acceptance and its
+system becoming the next one; a rejected trial leaves the current system as
+it was. Evaluation order is fixed, so repeated runs on the same graph produce
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -26,10 +36,10 @@ import scipy.linalg
 
 from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
-                      factor_cost, factor_info_diag, factor_jacobians,
-                      factor_residual)
-from .geometry import (Pose, Rotation, Twist, compose, pose_from_seven,
-                       pose_to_seven, se3_exp)
+                      StackedFactors, factor_cost, factor_info_diag,
+                      factor_jacobians, factor_residual)
+from .geometry import (Pose, Rotation, compose, pose_from_seven, pose_to_seven,
+                       quat_product, quat_rotate, se3_exp_stacked)
 from .kinematics import LimbModel, fk_delta, fk_pose
 from .records import located, numbers, read_records, write_records
 from .simulation import SimBundle
@@ -55,13 +65,172 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    """Outcome of one optimize() call; step_costs holds accepted costs only."""
+    """Outcome of one optimize() call.
+
+    step_costs holds accepted costs only. Entry k of step_lambdas is the
+    damping that produced accepted step k, and of step_grads the largest
+    gradient component at the state that step reached. rejected_steps counts
+    the steps that were solved but raised the cost; a damped system that will
+    not factor yields no step and is not counted.
+    """
 
     initial_cost: float
     final_cost: float
     iterations: int
     converged: bool
     step_costs: list[float] = field(default_factory=list)
+    rejected_steps: int = 0
+    step_lambdas: list[float] = field(default_factory=list)
+    step_grads: list[float] = field(default_factory=list)
+
+
+# --- normal equations by blocks ---------------------------------------------------
+
+
+@dataclass
+class NormalEquations:
+    """Gauss-Newton system H x = -g at one state, held by blocks.
+
+    Over the 6x6 pose blocks, diag[k] = H[k, k] and sub[k] = H[k, k-1]
+    (sub[0] is zero); border[k] = H[k, s] and h_ss = H[s, s] for log s.
+    grad and grad_s split g the same way; cost is the total cost at the state.
+    """
+
+    diag: np.ndarray    # (n, 6, 6)
+    sub: np.ndarray     # (n, 6, 6)
+    border: np.ndarray  # (n, 6)
+    h_ss: float
+    grad: np.ndarray    # (n, 6)
+    grad_s: float
+    cost: float
+
+    def grad_max(self) -> float:
+        return max(float(np.max(np.abs(self.grad))), abs(self.grad_s))
+
+
+def _add_pairs(system: NormalEquations, i, info, r, j_prev, j_curr) -> np.ndarray:
+    """Add factors between poses i-1 and i to the pose blocks and gradient;
+    returns the information-weighted residuals."""
+    wr = info * r
+    wj_prev = info[..., None] * j_prev
+    wj_curr = info[..., None] * j_curr
+    np.add.at(system.diag, i - 1, np.einsum("kri,krj->kij", j_prev, wj_prev))
+    np.add.at(system.diag, i, np.einsum("kri,krj->kij", j_curr, wj_curr))
+    np.add.at(system.sub, i, np.einsum("kri,krj->kij", j_curr, wj_prev))
+    np.add.at(system.grad, i - 1, np.einsum("kri,kr->ki", j_prev, wr))
+    np.add.at(system.grad, i, np.einsum("kri,kr->ki", j_curr, wr))
+    system.cost += float(np.einsum("kr,kr->", r, wr))
+    return wr
+
+
+def normal_equations(stacked: StackedFactors, prior: PriorFactor,
+                     quats: np.ndarray, trans: np.ndarray,
+                     log_s: float) -> NormalEquations:
+    """Gauss-Newton system of a chain graph at the state (quats, trans, log_s)."""
+    n = len(quats)
+    scale = ScaleVar(log_s)
+    pose0 = [Pose(Rotation(quats[0]), trans[0])]
+    r = factor_residual(prior, pose0, scale)
+    info = factor_info_diag(prior)
+    jac = factor_jacobians(prior, pose0, scale)
+    j_pose, j_s = jac[("pose", 0)], jac[("scale",)]
+    wr = info * r
+    wj_s = info * j_s
+    system = NormalEquations(diag=np.zeros((n, 6, 6)), sub=np.zeros((n, 6, 6)),
+                             border=np.zeros((n, 6)), h_ss=float(j_s @ wj_s),
+                             grad=np.zeros((n, 6)), grad_s=float(j_s @ wr),
+                             cost=float(r @ wr))
+    system.diag[0] += j_pose.T @ (info[:, None] * j_pose)
+    system.border[0] += j_pose.T @ wj_s
+    system.grad[0] += j_pose.T @ wr
+
+    _add_pairs(system, stacked.fk_i, stacked.fk_info, *stacked.fk(quats, trans))
+    r, j_prev, j_curr, j_s = stacked.mc(quats, trans, log_s)
+    wr = _add_pairs(system, stacked.mc_i, stacked.mc_info, r, j_prev, j_curr)
+    wj_s = stacked.mc_info * j_s
+    np.add.at(system.border, stacked.mc_i - 1, np.einsum("kri,kr->ki", j_prev, wj_s))
+    np.add.at(system.border, stacked.mc_i, np.einsum("kri,kr->ki", j_curr, wj_s))
+    system.h_ss += float(np.einsum("kr,kr->", j_s, wj_s))
+    system.grad_s += float(np.einsum("kr,kr->", j_s, wr))
+    return system
+
+
+@dataclass
+class BlockCholesky:
+    """Lower Cholesky factor L of a bordered block-tridiagonal H = L L^T.
+
+    L has the sparsity of H's lower half: diag[k] = L[k, k] (lower
+    triangular), sub_t[k] = L[k, k-1]^T for 0 < k < n (sub_t[0] and sub_t[n]
+    are zero), border[k] = L[s, k] and the last pivot l_ss = L[s, s].
+    """
+
+    diag: np.ndarray    # (n, 6, 6)
+    sub_t: np.ndarray   # (n + 1, 6, 6)
+    border: np.ndarray  # (n, 6)
+    l_ss: float
+
+    def solve(self, b: np.ndarray, b_s: float) -> tuple[np.ndarray, float]:
+        """x, x_s with H [x; x_s] = [b; b_s], by forward then back substitution."""
+        trtrs = scipy.linalg.lapack.dtrtrs
+        n = len(self.diag)
+        y = np.zeros((n + 1, 6))  # y[-1] stays zero: the block before pose 0
+        for k in range(n):
+            y[k] = trtrs(self.diag[k], b[k] - self.sub_t[k].T @ y[k - 1], lower=1)[0]
+        x_s = (b_s - float(np.einsum("ki,ki->", self.border, y[:n]))) / self.l_ss / self.l_ss
+        x = np.zeros((n + 1, 6))  # x[n] stays zero: the block after the last pose
+        for k in range(n - 1, -1, -1):
+            x[k] = trtrs(self.diag[k], y[k] - self.sub_t[k + 1] @ x[k + 1]
+                         - self.border[k] * x_s, lower=1, trans=1)[0]
+        return x[:n], x_s
+
+
+def block_cholesky(diag: np.ndarray, sub: np.ndarray, border: np.ndarray,
+                   h_ss: float) -> BlockCholesky:
+    """Factor H given by the blocks of ``NormalEquations``, one pose at a time.
+
+    With L[k, k-1] = sub[k] L[k-1, k-1]^-T, each pose block factors
+    diag[k] - L[k, k-1] L[k, k-1]^T, the border row solves L w = border, and
+    l_ss = sqrt(h_ss - w.w) is the Schur complement of the poses on log s.
+    Raises ``np.linalg.LinAlgError`` when a block or the last pivot is not
+    positive-definite (or not finite).
+    """
+    potrf, trtrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtrs
+    n = len(diag)
+    l_diag = np.empty((n, 6, 6))
+    sub_t = np.zeros((n + 1, 6, 6))
+    w = np.zeros((n + 1, 6))  # w[-1] stays zero: the block before pose 0
+    for k in range(n):
+        l_k, info = potrf(diag[k] - sub_t[k].T @ sub_t[k], lower=1, clean=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"pose block {k} is not positive-definite")
+        w[k] = trtrs(l_k, border[k] - sub_t[k].T @ w[k - 1], lower=1)[0]
+        if k + 1 < n:
+            sub_t[k + 1] = trtrs(l_k, sub[k + 1].T, lower=1)[0]
+        l_diag[k] = l_k
+    pivot = h_ss - float(np.einsum("ki,ki->", w[:n], w[:n]))
+    if not (np.isfinite(pivot) and pivot > 0.0):
+        raise np.linalg.LinAlgError(f"scale pivot {pivot!r} is not positive")
+    return BlockCholesky(l_diag, sub_t, w[:n], float(np.sqrt(pivot)))
+
+
+def damped_step(system: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
+    """Pose steps (n, 6) and log-scale step of (H + lam diag(H)) x = -g.
+
+    Raises ``np.linalg.LinAlgError`` when the damped system will not factor.
+    """
+    diag = system.diag.copy()
+    d = np.arange(6)
+    diag[:, d, d] += lam * system.diag[:, d, d]
+    factor = block_cholesky(diag, system.sub, system.border,
+                            system.h_ss + lam * system.h_ss)
+    return factor.solve(-system.grad, -system.grad_s)
+
+
+def _retract(quats, trans, log_s, step, step_s):
+    """T_k @ exp(step_k) for every pose, and log s + step_s."""
+    exp_quat, exp_trans = se3_exp_stacked(step)
+    return (quat_product(quats, exp_quat), quat_rotate(quats, exp_trans) + trans,
+            log_s + step_s)
 
 
 class FactorGraph:
@@ -113,97 +282,71 @@ class FactorGraph:
         return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
                    for f in self.factors)
 
-    # -- linear algebra -------------------------------------------------------
-
-    def _var_slice(self, key) -> slice:
-        if key[0] == "pose":
-            return slice(6 * key[1], 6 * key[1] + 6)
-        return slice(6 * len(self.poses), 6 * len(self.poses) + 1)
-
-    def _linearize(self, poses, scale):
-        """Gauss-Newton Hessian, gradient, and cost at the given state."""
-        dim = 6 * len(poses) + 1
-        h = np.zeros((dim, dim), order="F")
-        g = np.zeros(dim)
-        cost = 0.0
-        for f in self.factors:
-            r = factor_residual(f, poses, scale)
-            lam = factor_info_diag(f)
-            wr = lam * r
-            cost += float(r @ wr)
-            blocks = [(self._var_slice(k), j.reshape(r.size, -1))
-                      for k, j in factor_jacobians(f, poses, scale).items()]
-            for sl_a, j_a in blocks:
-                g[sl_a] += j_a.T @ wr
-                wj_a = lam[:, None] * j_a
-                for sl_b, j_b in blocks:
-                    h[sl_a, sl_b] += wj_a.T @ j_b
-        return h, g, cost
-
-    def _retract(self, poses, scale, delta):
-        new_poses = [compose(p, se3_exp(Twist(delta[6 * k:6 * k + 3],
-                                              delta[6 * k + 3:6 * k + 6])))
-                     for k, p in enumerate(poses)]
-        new_scale = ScaleVar(scale.log_value + float(delta[-1]))
-        return new_poses, new_scale
+    def _packed(self):
+        """The validated factors as arrays, the prior, and the estimate as a
+        state (quats, trans, log_s) for ``normal_equations``."""
+        self.validate()
+        prior = next(f for f in self.factors if isinstance(f, PriorFactor))
+        state = (np.array([p.rotation.quat for p in self.poses]),
+                 np.array([p.translation for p in self.poses]),
+                 self.scale.log_value)
+        return StackedFactors.pack(self.factors), prior, state
 
     # -- optimization ----------------------------------------------------------
 
     def optimize(self, options: SolveOptions | None = None) -> SolveReport:
         """Minimize the total cost in place; returns the iteration report."""
-        self.validate()
         opts = options or SolveOptions()
-        poses, scale = list(self.poses), self.scale
-        h, g, cost = self._linearize(poses, scale)
-        initial_cost = cost
-        step_costs: list[float] = []
-        converged = False
+        stacked, prior, state = self._packed()
+        system = normal_equations(stacked, prior, *state)
+        report = SolveReport(initial_cost=system.cost, final_cost=system.cost,
+                             iterations=0, converged=False)
         lam = opts.initial_lambda
 
-        while len(step_costs) < opts.max_iter:
-            if np.max(np.abs(g)) < opts.grad_tol:
-                converged = True
+        while len(report.step_costs) < opts.max_iter:
+            if system.grad_max() < opts.grad_tol:
+                report.converged = True
                 break
-            # damp h itself, which LAPACK then factors in place
-            h[np.diag_indices_from(h)] += lam * np.diag(h)
             try:
-                cf = scipy.linalg.cho_factor(h, lower=True, overwrite_a=True,
-                                             check_finite=False)
-            except scipy.linalg.LinAlgError:
+                step = damped_step(system, lam)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
                 if lam > opts.lambda_max:
                     raise SingularNormalEquations(
                         f"normal equations not positive-definite at lambda={lam:.1e}")
-            else:
-                delta = scipy.linalg.cho_solve(cf, -g, check_finite=False)
-                del cf, h  # one dense system at a time
-                cand_poses, cand_scale = self._retract(poses, scale, delta)
-                h, cand_g, cand_cost = self._linearize(cand_poses, cand_scale)
-                if cand_cost <= cost:
-                    rel_decrease = (cost - cand_cost) / cost if cost > 0.0 else 0.0
-                    poses, scale, g, cost = cand_poses, cand_scale, cand_g, cand_cost
-                    step_costs.append(cost)
-                    lam = max(lam / 10.0, 1e-15)
-                    if rel_decrease < opts.rel_tol:
-                        converged = True
-                        break
-                    continue
-                lam *= 10.0
-                if lam > opts.lambda_max:
-                    # No step of any admissible length lowers the cost: the
-                    # relative decrease is zero, which meets rel_tol.
-                    converged = True
+                continue
+            cand_state = _retract(*state, *step)
+            # a step too long to evaluate (say, log s past exp's range) gives
+            # a non-finite cost, which the comparison below rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = normal_equations(stacked, prior, *cand_state)
+            if cand.cost <= system.cost:
+                rel_decrease = ((system.cost - cand.cost) / system.cost
+                                if system.cost > 0.0 else 0.0)
+                state, system = cand_state, cand
+                report.step_costs.append(system.cost)
+                report.step_lambdas.append(lam)
+                report.step_grads.append(system.grad_max())
+                lam = max(lam / 10.0, 1e-15)
+                if rel_decrease < opts.rel_tol:
+                    report.converged = True
                     break
-            # the failed trial used up h: drop it, then rebuild the current system
-            del h
-            h, g, cost = self._linearize(poses, scale)
+                continue
+            report.rejected_steps += 1
+            lam *= 10.0
+            if lam > opts.lambda_max:
+                # No step of any admissible length lowers the cost: the
+                # relative decrease is zero, which meets rel_tol.
+                report.converged = True
+                break
 
-        self.poses, self.scale = poses, scale
-        return SolveReport(initial_cost=initial_cost,
-                           final_cost=cost,
-                           iterations=len(step_costs),
-                           converged=converged,
-                           step_costs=step_costs)
+        if report.step_costs:
+            quats, trans, log_s = state
+            self.poses = [Pose(Rotation(q), t) for q, t in zip(quats, trans)]
+            self.scale = ScaleVar(log_s)
+        report.final_cost = system.cost
+        report.iterations = len(report.step_costs)
+        return report
 
     def marginal_scale_stddev(self) -> float:
         """Marginal standard deviation of log s from the Gauss-Newton Hessian.
@@ -211,16 +354,14 @@ class FactorGraph:
         Large values flag trajectories whose translations do not constrain the
         map scale (the estimate then just reproduces the prior).
         """
-        h, _, _ = self._linearize(self.poses, self.scale)
+        stacked, prior, state = self._packed()
+        system = normal_equations(stacked, prior, *state)
         try:
-            factor, _ = scipy.linalg.cho_factor(h, lower=True, overwrite_a=True,
-                                                check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            factor = block_cholesky(system.diag, system.sub, system.border, system.h_ss)
+        except np.linalg.LinAlgError as exc:
             raise SingularNormalEquations("Gauss-Newton Hessian is singular") from exc
-        # log s is the last variable, so with H = L L^T its variance is
-        # 1 / L[-1, -1]^2, rounded exactly as cho_solve would round it
-        l = factor[-1, -1]
-        return float(np.sqrt(1.0 / l / l))
+        # log s is the last variable, so with H = L L^T its variance is 1 / l_ss^2
+        return 1.0 / factor.l_ss
 
 
 def build_graph(bundle: SimBundle, model: LimbModel,
@@ -305,28 +446,38 @@ def load_graph(path) -> FactorGraph:
 
 # --- solve report file -----------------------------------------------------------
 
+# per-step records: key -> SolveReport list field
+STEP_RECORDS = {"step_cost": "step_costs", "step_lambda": "step_lambdas",
+                "step_grad": "step_grads"}
+
+
 def save_report(path, report: SolveReport) -> None:
     write_records(path, [["initial_cost", report.initial_cost],
                          ["final_cost", report.final_cost],
                          ["iterations", report.iterations],
                          ["converged", "true" if report.converged else "false"],
-                         *(["step_cost", k, c] for k, c in enumerate(report.step_costs))])
+                         ["rejected_steps", report.rejected_steps],
+                         *([key, k, v] for key, name in STEP_RECORDS.items()
+                           for k, v in enumerate(getattr(report, name)))])
 
 
 def load_report(path) -> SolveReport:
+    """Read a report; the LM trace lines (rejected_steps, step_lambda,
+    step_grad) are optional, so reports written before them still load."""
     fields: dict[str, float | int | bool] = {}
-    steps: dict[int, float] = {}
+    steps: dict[str, dict[int, float]] = {key: {} for key in STEP_RECORDS}
     for lineno, tok in read_records(path):
         with located(path, lineno):
             key, vals = tok[0], tok[1:]
-            if key == "step_cost":
-                steps[int(vals[0])] = numbers(path, lineno, vals[1:], 1)[0]
-            elif key in ("initial_cost", "final_cost", "iterations"):
-                kind = int if key == "iterations" else float
+            if key in STEP_RECORDS:
+                steps[key][int(vals[0])] = numbers(path, lineno, vals[1:], 1)[0]
+            elif key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
+                kind = float if key.endswith("cost") else int
                 fields[key] = numbers(path, lineno, vals, 1, kind)[0]
             elif key == "converged" and vals in (["true"], ["false"]):
                 fields[key] = vals == ["true"]
     missing = {"initial_cost", "final_cost", "iterations", "converged"} - set(fields)
     if missing:
         raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")
-    return SolveReport(**fields, step_costs=[steps[k] for k in sorted(steps)])
+    return SolveReport(**fields, **{STEP_RECORDS[key]: [v[k] for k in sorted(v)]
+                                    for key, v in steps.items()})

@@ -11,18 +11,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import rand_pose, rand_twist_vector
+from graspmap import solver
 from graspmap.errors import IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                              factor_cost, factor_info_diag, factor_residual)
+                              factor_cost, factor_info_diag, factor_jacobians,
+                              factor_residual)
 from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
                                se3_exp, se3_log, so3_exp)
 from graspmap.kinematics import default_limb
 from graspmap.simulation import SimConfig, simulate
 from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
-                             load_graph, load_report, save_graph, save_report)
+                             damped_step, load_graph, load_report,
+                             normal_equations, save_graph, save_report)
 
 
 def smooth_truth_poses(rng, n: int) -> list[Pose]:
@@ -276,8 +278,9 @@ def test_marginal_stddev_finite_on_translating_data():
 
 @pytest.mark.parametrize("method", ["optimize", "marginal_scale_stddev"])
 def test_solver_holds_one_hessian(method):
-    """The dense Hessian is the one large object and is factored in place:
-    no damped copy and no old system may sit beside it."""
+    """The Hessian is held by its 6x6 blocks and factored block by block, so
+    the solver's peak memory grows with n, not with a dense (6n+1)^2 matrix:
+    at 100 keyframes it stays well below a quarter of one dense Hessian."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=0, keyframes=100, cloud_points_per_keyframe=1),
                       limb)
@@ -291,7 +294,7 @@ def test_solver_holds_one_hessian(method):
         tracemalloc.stop()
     if method == "optimize":
         assert result.converged
-    assert peak < 1.5 * hessian_bytes, peak / hessian_bytes
+    assert peak < 0.25 * hessian_bytes, peak / hessian_bytes
 
 
 def small_solve(options: SolveOptions):
@@ -305,17 +308,17 @@ def test_singular_trial_retries_with_more_damping(monkeypatch):
     """A damped system that will not factor costs one lambda step: the solve
     then matches, bit for bit, one started at ten times the initial lambda."""
     want_report, want = small_solve(SolveOptions(initial_lambda=1e-3))
-    real = scipy.linalg.cho_factor
+    real = solver.block_cholesky
     calls = []
 
-    def fail_first(a, *args, **kwargs):
-        calls.append(a.shape)
+    def fail_first(diag, *args, **kwargs):
+        calls.append(diag.shape)
         if len(calls) == 1:
-            a[...] = np.nan  # LAPACK leaves a failed in-place factor half written
-            raise scipy.linalg.LinAlgError("not positive definite")
-        return real(a, *args, **kwargs)
+            diag[...] = np.nan  # a failed factor may leave its input half written
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(diag, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
+    monkeypatch.setattr(solver, "block_cholesky", fail_first)
     report, graph = small_solve(SolveOptions(initial_lambda=1e-4))
     assert len(calls) > 1
     assert report == want_report
@@ -327,20 +330,101 @@ def test_singular_trial_retries_with_more_damping(monkeypatch):
 
 def test_never_factoring_raises_singular(monkeypatch):
     def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("not positive definite")
+        raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    monkeypatch.setattr(solver, "block_cholesky", fail)
     with pytest.raises(SingularNormalEquations, match="not positive-definite"):
         small_solve(SolveOptions())
+
+
+def dense_normal_equations(graph: FactorGraph):
+    """H and g over [pose_0 .. pose_n-1, log s], summed factor by factor from
+    the scalar Jacobians: the dense oracle of the structured solver."""
+    n = graph.num_poses
+    dim = 6 * n + 1
+
+    def cols(key):
+        return slice(6 * key[1], 6 * key[1] + 6) if key[0] == "pose" else slice(dim - 1, dim)
+
+    h = np.zeros((dim, dim))
+    g = np.zeros(dim)
+    for f in graph.factors:
+        r = factor_residual(f, graph.poses, graph.scale)
+        info = factor_info_diag(f)
+        jac = np.zeros((r.size, dim))
+        for key, block in factor_jacobians(f, graph.poses, graph.scale).items():
+            jac[:, cols(key)] = block.reshape(r.size, -1)
+        h += jac.T @ (info[:, None] * jac)
+        g += jac.T @ (info * r)
+    return h, g
 
 
 def test_marginal_stddev_matches_inverse_hessian():
     rng = np.random.default_rng(12)
     graph, _ = synthetic_graph(rng, n=20, s_true=2.0, trans_noise=1e-4)
     graph.optimize()
-    h, _, _ = graph._linearize(graph.poses, graph.scale)
+    h, _ = dense_normal_equations(graph)
     want = math.sqrt(np.linalg.inv(h)[-1, -1])
     assert graph.marginal_scale_stddev() == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 1e2])
+def test_damped_step_matches_dense_solve(lam):
+    """One structured LM step solves the same damped system as a dense solve
+    of the Hessian built from the scalar factor Jacobians."""
+    rng = np.random.default_rng(15)
+    graph, _ = synthetic_graph(rng, n=12, s_true=1.7, trans_noise=3e-4,
+                               rot_noise=2e-3)
+    # move off the dead-reckoned start so every residual is nonzero
+    graph.poses = [compose(p, se3_exp(Twist.from_vector(0.01 * rng.normal(size=6))))
+                   for p in graph.poses]
+    h, g = dense_normal_equations(graph)
+    h[np.diag_indices_from(h)] += lam * np.diag(h)
+    want = np.linalg.solve(h, -g)
+
+    stacked, prior, state = graph._packed()
+    step, step_s = damped_step(normal_equations(stacked, prior, *state), lam)
+    got = np.append(step.ravel(), step_s)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def scrambled_graph(seed: int) -> FactorGraph:
+    """25 keyframes started about a radian and a meter off the truth."""
+    rng = np.random.default_rng(seed)
+    graph, _ = synthetic_graph(rng, n=25, s_true=2.0, trans_noise=3e-4,
+                               rot_noise=2e-3)
+    graph.poses = [compose(p, se3_exp(Twist.from_vector(rng.normal(size=6))))
+                   for p in graph.poses]
+    return graph
+
+
+def test_lm_trace_counts_rejected_steps():
+    """A scrambled start at a tiny lambda forces cost increases; the report
+    counts them and logs lambda and max|g| per accepted step."""
+    graph = scrambled_graph(16)
+    report = graph.optimize(SolveOptions(initial_lambda=1e-9))
+    assert report.converged
+    assert report.rejected_steps > 0
+    assert len(report.step_lambdas) == len(report.step_grads) == report.iterations
+    assert all(v > 0.0 for v in report.step_grads)
+    # each accepted step divides lambda by 10 and each rejected one multiplies
+    # it by 10, so the damping of the first accepted step shows the rejections
+    # before it, and the lambdas stay on the 10^k grid above 1e-15
+    assert report.step_lambdas[0] >= 1e-9
+    for lam in report.step_lambdas:
+        assert math.log10(lam / 1e-9) == pytest.approx(round(math.log10(lam / 1e-9)),
+                                                      abs=1e-9)
+    _, g = dense_normal_equations(graph)
+    assert report.step_grads[-1] == pytest.approx(np.max(np.abs(g)), rel=1e-6)
+
+
+def test_trial_past_exp_range_is_rejected():
+    """A trial step that sends log s past exp's range has no finite cost: it
+    is rejected like any cost increase instead of ending the solve."""
+    graph = scrambled_graph(20)
+    report = graph.optimize(SolveOptions(initial_lambda=1e-9))
+    assert report.converged and report.rejected_steps > 0
+    assert graph.total_cost() == pytest.approx(report.final_cost, rel=1e-9)
 
 
 def test_graph_file_round_trip(tmp_path):
@@ -359,12 +443,27 @@ def test_graph_file_round_trip(tmp_path):
 
 
 def test_report_file_round_trip(tmp_path):
-    report = SolveReport(initial_cost=0.25, final_cost=1.25e-13, iterations=7,
-                         converged=True, step_costs=[0.1, 0.01, 1.25e-13])
+    report = SolveReport(initial_cost=0.25, final_cost=1.25e-13, iterations=3,
+                         converged=True, step_costs=[0.1, 0.01, 1.25e-13],
+                         rejected_steps=2, step_lambdas=[1e-4, 1e-3, 1e-4],
+                         step_grads=[3.5e-7, 2.25e-9, 1.0e-15])
     path = tmp_path / "report.txt"
     save_report(path, report)
+    text = path.read_text()
+    assert "rejected_steps 2\n" in text
+    assert "step_lambda 1 0.001\n" in text and "step_grad 2 1.0000000000000001e-15\n" in text
     back = load_report(path)
     assert back == report
+
+
+def test_report_without_lm_trace_loads(tmp_path):
+    """Reports written before the LM trace lines still load, with an empty trace."""
+    path = tmp_path / "report.txt"
+    path.write_text("initial_cost 0.25\nfinal_cost 0.125\niterations 1\n"
+                    "converged true\nstep_cost 0 0.125\n")
+    assert load_report(path) == SolveReport(initial_cost=0.25, final_cost=0.125,
+                                            iterations=1, converged=True,
+                                            step_costs=[0.125])
 
 
 def test_solve_options_defaults():
