@@ -10,7 +10,11 @@ Stages exchange plain files so any stage can be rerun or swapped in isolation:
 
 Exit codes: 0 success, 2 bad configuration, 3 missing, unreadable or corrupt
 artifacts (the message names the file and line), 4 optimizer did not converge,
-5 no usable data (empty cloud, degenerate mask, unseen terrain).
+5 no usable data (empty cloud, degenerate mask, unseen terrain). Which of 2
+and 3 a bad file gets depends on its role: a file that configures a run
+(--config, --limb) and does not parse exits 2; a data artifact (the bundle
+files including manifest.yaml, a PLY cloud, graph.txt, report.txt) that is
+corrupt exits 3; a missing or unreadable file of either kind exits 3.
 An empty graspable list is a success, not an error: flat ground has nothing to
 grasp. Errors are prefixed with their stage, as in "[solve] file error: ...".
 Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.

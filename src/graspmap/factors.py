@@ -15,7 +15,7 @@ scale. Jacobians are analytic, taken with respect to right perturbations
 ``T <- T @ exp(delta)`` of each pose and additive perturbation of ``log s``.
 
 The per-factor functions are the reference. ``StackedFactors`` evaluates the
-same kinematic and tracker residuals and Jacobians for a whole graph at once,
+same kinematic and tracker residuals and Jacobians for a whole chain at once,
 as arrays; the solver linearizes through it.
 """
 
@@ -310,22 +310,20 @@ def _rows(values, shape: tuple, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StackedFactors:
-    """The kinematic and tracker factors of a graph packed into arrays.
+    """The kinematic and tracker factors of a chain packed into arrays.
 
-    Row k of each ``fk_*`` array is the k-th ``FkFactor`` in graph order, and
-    likewise for ``mc_*``; ``fk_i``/``mc_i`` hold each factor's later pose
-    index. The measurement-only terms (inverse deltas, adjoints, rotation
+    Row k of each ``fk_*`` and ``mc_*`` array is the factor that ties pose k
+    to pose k+1. The measurement-only terms (inverse deltas, adjoints, rotation
     matrices) are computed once here. The evaluation methods take the state as
-    arrays, (n, 4) unit quaternions, (n, 3) translations and log s, and return
-    for every row what the scalar residual and Jacobian functions return.
+    arrays, (n, 4) unit quaternions, (n, 3) translations and log s, with
+    n = m + 1, and return for every row what the scalar residual and Jacobian
+    functions return.
     """
 
-    fk_i: np.ndarray          # (m,)
     fk_inv_quat: np.ndarray   # (m, 4) rotation of inverse(delta)
     fk_inv_trans: np.ndarray  # (m, 3) translation of inverse(delta)
     fk_adjoint: np.ndarray    # (m, 6, 6) se3_adjoint(delta)
     fk_info: np.ndarray       # (m, 6)
-    mc_i: np.ndarray          # (m,)
     mc_inv_quat: np.ndarray   # (m, 4) delta_rot.inverse()
     mc_rot: np.ndarray        # (m, 3, 3) delta_rot.matrix()
     mc_trans: np.ndarray      # (m, 3) delta_trans
@@ -333,17 +331,15 @@ class StackedFactors:
     mc_info: np.ndarray       # (m, 6)
 
     @staticmethod
-    def pack(factors) -> "StackedFactors":
-        fks = [f for f in factors if isinstance(f, FkFactor)]
-        mcs = [f for f in factors if isinstance(f, McFactor)]
+    def pack(fks, mcs) -> "StackedFactors":
+        """Arrays of the chain's kinematic and tracker factors, each list in
+        keyframe order."""
         fk_inv = [inverse(f.delta) for f in fks]
         return StackedFactors(
-            fk_i=_rows([f.i for f in fks], (), np.intp),
             fk_inv_quat=_rows([p.rotation.quat for p in fk_inv], (4,)),
             fk_inv_trans=_rows([p.translation for p in fk_inv], (3,)),
             fk_adjoint=_rows([se3_adjoint(f.delta) for f in fks], (6, 6)),
             fk_info=_rows([f.info for f in fks], (6,)),
-            mc_i=_rows([f.i for f in mcs], (), np.intp),
             mc_inv_quat=_rows([f.delta_rot.inverse().quat for f in mcs], (4,)),
             mc_rot=_rows([f.delta_rot.matrix() for f in mcs], (3, 3)),
             mc_trans=_rows([f.delta_trans for f in mcs], (3,)),
@@ -351,13 +347,12 @@ class StackedFactors:
             mc_info=_rows([f.info for f in mcs], (6,)))
 
     def fk(self, quats, trans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residuals (m, 6) and Jacobians (m, 6, 6) wrt poses i-1 and i, as
+        """Residuals (m, 6) and Jacobians (m, 6, 6) wrt poses k and k+1, as
         ``fk_residual`` and ``fk_jacobians``."""
-        prev, curr = self.fk_i - 1, self.fk_i
-        prev_inv = quat_conjugate(quats[prev])
+        prev_inv = quat_conjugate(quats[:-1])
         # compose(compose(inverse(t_prev), t_curr), inverse(delta))
-        rel_quat = quat_product(prev_inv, quats[curr])
-        rel_trans = quat_rotate(prev_inv, trans[curr]) - quat_rotate(prev_inv, trans[prev])
+        rel_quat = quat_product(prev_inv, quats[1:])
+        rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
         phi = so3_log_stacked(quat_product(rel_quat, self.fk_inv_quat))
         err_trans = quat_rotate(rel_quat, self.fk_inv_trans) + rel_trans
         rho = (so3_left_jacobian_inv_stacked(phi) @ err_trans[..., None])[..., 0]
@@ -368,23 +363,22 @@ class StackedFactors:
 
     def mc(self, quats, trans, log_s: float
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Residuals (m, 6), Jacobians (m, 6, 6) wrt poses i-1 and i, and
+        """Residuals (m, 6), Jacobians (m, 6, 6) wrt poses k and k+1, and
         (m, 6) wrt log s, as ``mc_residual`` and ``mc_jacobians``."""
-        prev, curr = self.mc_i - 1, self.mc_i
         s = np.exp(log_s)  # inf, not OverflowError, for a wild trial state
         aligned = self.mc_aligned[:, None]
-        r_prev = quat_matrix(quats[prev])
-        moved = np.where(aligned, quat_rotate(quats[prev], self.mc_trans), self.mc_trans)
+        r_prev = quat_matrix(quats[:-1])
+        moved = np.where(aligned, quat_rotate(quats[:-1], self.mc_trans), self.mc_trans)
         r_rot = so3_log_stacked(quat_product(
-            quat_product(quat_conjugate(quats[prev]), quats[curr]), self.mc_inv_quat))
-        r = np.concatenate([(trans[curr] - trans[prev]) - s * moved, r_rot], axis=-1)
+            quat_product(quat_conjugate(quats[:-1]), quats[1:]), self.mc_inv_quat))
+        r = np.concatenate([(trans[1:] - trans[:-1]) - s * moved, r_rot], axis=-1)
 
-        m = len(prev)
+        m = len(r)
         j_prev = np.zeros((m, 6, 6))
         j_curr = np.zeros((m, 6, 6))
         j_scale = np.zeros((m, 6))
         j_prev[:, :3, :3] = -r_prev
-        j_curr[:, :3, :3] = quat_matrix(quats[curr])
+        j_curr[:, :3, :3] = quat_matrix(quats[1:])
         j_prev[:, :3, 3:] = np.where(aligned[..., None],
                                      (s * r_prev) @ hat_stacked(self.mc_trans), 0.0)
         j_scale[:, :3] = -s * np.where(aligned, (r_prev @ self.mc_trans[..., None])[..., 0],

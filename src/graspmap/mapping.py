@@ -305,9 +305,17 @@ def read_ply(path, units: str | None = None) -> PointCloud:
             raise ValueError("malformed PLY header")
         if units is None:
             raise ValueError("PLY lacks a units comment; pass units explicitly")
-        values = np.array(" ".join(lines[body_start:]).split(), dtype=float)
-        if values.size != 3 * n:
-            raise ValueError(f"expected {3 * n} vertex values, found {values.size}")
+        body = lines[body_start:]
+        tokens = " ".join(body).split()
+        try:
+            values = np.array(tokens, dtype=float)
+        except ValueError:
+            values = None
+        if values is None or values.size != 3 * n or not np.all(np.isfinite(values)):
+            # name the first vertex line that is not three finite numbers
+            for lineno, line in enumerate(body, body_start + 1):
+                numbers(path, lineno, line.split(), 3)
+            raise ValueError(f"expected {3 * n} vertex values, found {len(tokens)}")
         return PointCloud(values.reshape(n, 3) if n else np.zeros((0, 3)), units)
 
 

@@ -232,16 +232,6 @@ def generate_vo(truth_poses, config: SimConfig) -> list[tuple[Rotation, np.ndarr
 # --- terrain cloud ----------------------------------------------------------------
 
 
-def _surface_height(terrain: Terrain, xy: np.ndarray) -> np.ndarray:
-    """Terrain height field at (N, 2) horizontal positions."""
-    z = np.full(xy.shape[0], terrain.plane_z)
-    for h in terrain.hemispheres:
-        d2 = np.sum((xy - h.center) ** 2, axis=1)
-        cap = d2 < h.radius ** 2
-        z[cap] = np.maximum(z[cap], terrain.plane_z + np.sqrt(h.radius ** 2 - d2[cap]))
-    return z
-
-
 def _sample_surface(terrain: Terrain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-by-area samples of the terrain surface (plane + bump caps)."""
     areas = [float(np.prod(terrain.patch_size))]
@@ -388,9 +378,9 @@ def config_from_dict(doc: dict) -> SimConfig:
             hemis = tuple(Hemisphere(np.asarray(h["center"], dtype=float), h["radius"])
                           for h in tdoc.get("hemispheres", []))
             terrain = Terrain(
-                plane_z=tdoc.get("plane_z", 0.0),
-                patch_center=np.asarray(tdoc.get("patch_center", [0.25, 0.0]), dtype=float),
-                patch_size=np.asarray(tdoc.get("patch_size", [0.16, 0.16]), dtype=float),
+                plane_z=tdoc.get("plane_z", defaults.terrain.plane_z),
+                patch_center=tdoc.get("patch_center", defaults.terrain.patch_center),
+                patch_size=tdoc.get("patch_size", defaults.terrain.patch_size),
                 hemispheres=hemis)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"terrain: {exc}") from exc

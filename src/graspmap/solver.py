@@ -7,16 +7,19 @@ the retraction
 
     T_k <- T_k @ exp(delta_k),      log s <- log s + delta_s.
 
-Linearization is stacked: the kinematic and tracker factors are packed into
-arrays once per call (``StackedFactors``) and evaluated for all keyframes at
-once; only the single prior goes through the scalar factor functions. Every
-factor ties pose i-1 to pose i, so the Gauss-Newton Hessian is
-block-tridiagonal in 6x6 pose blocks plus one dense border row for log s.
-``NormalEquations`` holds just those blocks, and ``block_cholesky`` factors
-the system block by block, carrying the border through to a last pivot l_ss:
-the dense Cholesky factor of the same matrix without its fill, in O(n) time
-and memory. No dense Hessian is ever formed. The marginal standard deviation
-of log s is 1 / l_ss.
+The graph is a chain, and ``FactorGraph`` stores it as one: a prior on pose 0
+and the scale, then for each keyframe k >= 1 one kinematic and one tracker
+factor tying pose k-1 to pose k, held in two lists in keyframe order.
+Linearization is stacked: the two lists are packed into arrays once per call
+(``StackedFactors``) and evaluated for all keyframe pairs at once, pairing
+poses [:-1] with [1:]; only the prior goes through the scalar factor
+functions. The Gauss-Newton Hessian is therefore block-tridiagonal in 6x6
+pose blocks plus one dense border row for log s, and each pair's terms add
+into those blocks by slices. ``NormalEquations`` holds just the blocks, and
+``block_cholesky`` factors the system block by block, carrying the border
+through to a last pivot l_ss: the dense Cholesky factor of the same matrix
+without its fill, in O(n) time and memory. No dense Hessian is ever formed.
+The marginal standard deviation of log s is 1 / l_ss.
 
 Damping follows the classic Marquardt schedule: the diagonal is scaled by
 1 + lambda, lambda is multiplied by 10 when a step increases the cost or the
@@ -38,9 +41,9 @@ from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
                       StackedFactors, factor_cost, factor_info_diag,
                       factor_jacobians, factor_residual)
-from .geometry import (Pose, Rotation, compose, pose_from_seven, pose_to_seven,
-                       quat_product, quat_rotate, se3_exp_stacked)
-from .kinematics import LimbModel, fk_delta, fk_pose
+from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
+                       pose_to_seven, quat_product, quat_rotate, se3_exp_stacked)
+from .kinematics import LimbModel, fk_pose
 from .records import located, numbers, read_records, write_records
 from .simulation import SimBundle
 
@@ -108,17 +111,17 @@ class NormalEquations:
         return max(float(np.max(np.abs(self.grad))), abs(self.grad_s))
 
 
-def _add_pairs(system: NormalEquations, i, info, r, j_prev, j_curr) -> np.ndarray:
-    """Add factors between poses i-1 and i to the pose blocks and gradient;
-    returns the information-weighted residuals."""
+def _add_pairs(system: NormalEquations, info, r, j_prev, j_curr) -> np.ndarray:
+    """Add one factor per keyframe pair (row k ties pose k to pose k+1) to the
+    pose blocks and gradient; returns the information-weighted residuals."""
     wr = info * r
     wj_prev = info[..., None] * j_prev
     wj_curr = info[..., None] * j_curr
-    np.add.at(system.diag, i - 1, np.einsum("kri,krj->kij", j_prev, wj_prev))
-    np.add.at(system.diag, i, np.einsum("kri,krj->kij", j_curr, wj_curr))
-    np.add.at(system.sub, i, np.einsum("kri,krj->kij", j_curr, wj_prev))
-    np.add.at(system.grad, i - 1, np.einsum("kri,kr->ki", j_prev, wr))
-    np.add.at(system.grad, i, np.einsum("kri,kr->ki", j_curr, wr))
+    system.diag[:-1] += np.einsum("kri,krj->kij", j_prev, wj_prev)
+    system.diag[1:] += np.einsum("kri,krj->kij", j_curr, wj_curr)
+    system.sub[1:] += np.einsum("kri,krj->kij", j_curr, wj_prev)
+    system.grad[:-1] += np.einsum("kri,kr->ki", j_prev, wr)
+    system.grad[1:] += np.einsum("kri,kr->ki", j_curr, wr)
     system.cost += float(np.einsum("kr,kr->", r, wr))
     return wr
 
@@ -144,12 +147,12 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
     system.border[0] += j_pose.T @ wj_s
     system.grad[0] += j_pose.T @ wr
 
-    _add_pairs(system, stacked.fk_i, stacked.fk_info, *stacked.fk(quats, trans))
+    _add_pairs(system, stacked.fk_info, *stacked.fk(quats, trans))
     r, j_prev, j_curr, j_s = stacked.mc(quats, trans, log_s)
-    wr = _add_pairs(system, stacked.mc_i, stacked.mc_info, r, j_prev, j_curr)
+    wr = _add_pairs(system, stacked.mc_info, r, j_prev, j_curr)
     wj_s = stacked.mc_info * j_s
-    np.add.at(system.border, stacked.mc_i - 1, np.einsum("kri,kr->ki", j_prev, wj_s))
-    np.add.at(system.border, stacked.mc_i, np.einsum("kri,kr->ki", j_curr, wj_s))
+    system.border[:-1] += np.einsum("kri,kr->ki", j_prev, wj_s)
+    system.border[1:] += np.einsum("kri,kr->ki", j_curr, wj_s)
     system.h_ss += float(np.einsum("kr,kr->", j_s, wj_s))
     system.grad_s += float(np.einsum("kr,kr->", j_s, wr))
     return system
@@ -234,14 +237,17 @@ def _retract(quats, trans, log_s, step, step_s):
 
 
 class FactorGraph:
-    """Poses, scale, and factors; exactly one prior anchors pose 0 and the scale."""
+    """Poses, scale, and a chain of factors: the one prior anchors pose 0 and
+    the scale, and fks[k-1], mcs[k-1] tie pose k-1 to pose k."""
 
     def __init__(self, prior: PriorFactor, t0: Pose | None = None,
                  scale: ScaleVar | None = None):
         self.poses: list[Pose] = [prior.pose if t0 is None else t0]
         self.scale: ScaleVar = (ScaleVar.from_value(prior.scale)
                                 if scale is None else scale)
-        self.factors: list[Factor] = [prior]
+        self.prior = prior
+        self.fks: list[FkFactor] = []
+        self.mcs: list[McFactor] = []
 
     @property
     def num_poses(self) -> int:
@@ -262,17 +268,13 @@ class FactorGraph:
         if pose_init is None:
             pose_init = compose(self.poses[-1], fk.delta)
         self.poses.append(pose_init)
-        self.factors.append(fk)
-        self.factors.append(mc)
+        self.fks.append(fk)
+        self.mcs.append(mc)
 
-    def validate(self) -> None:
-        priors = [f for f in self.factors if isinstance(f, PriorFactor)]
-        if len(priors) != 1:
-            raise IndexMismatch(f"graph must hold exactly one prior, found {len(priors)}")
-        for f in self.factors:
-            if isinstance(f, (FkFactor, McFactor)) and not (1 <= f.i < len(self.poses)):
-                raise IndexMismatch(
-                    f"factor index {f.i} out of range for {len(self.poses)} poses")
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """Every factor in graph order: prior, fk1, mc1, fk2, mc2, ..."""
+        return (self.prior, *(f for pair in zip(self.fks, self.mcs) for f in pair))
 
     def total_cost(self, poses=None, scale=None) -> float:
         """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor),
@@ -283,14 +285,12 @@ class FactorGraph:
                    for f in self.factors)
 
     def _packed(self):
-        """The validated factors as arrays, the prior, and the estimate as a
+        """The chain's factors as arrays, the prior, and the estimate as a
         state (quats, trans, log_s) for ``normal_equations``."""
-        self.validate()
-        prior = next(f for f in self.factors if isinstance(f, PriorFactor))
         state = (np.array([p.rotation.quat for p in self.poses]),
                  np.array([p.translation for p in self.poses]),
                  self.scale.log_value)
-        return StackedFactors.pack(self.factors), prior, state
+        return StackedFactors.pack(self.fks, self.mcs), self.prior, state
 
     # -- optimization ----------------------------------------------------------
 
@@ -367,13 +367,14 @@ class FactorGraph:
 def build_graph(bundle: SimBundle, model: LimbModel,
                 literal: bool = False) -> FactorGraph:
     """Assemble the fusion graph from a bundle: prior at FK of the first
-    reading, then one kinematic and one tracker factor per later keyframe."""
-    graph = FactorGraph(PriorFactor(pose=fk_pose(model, bundle.readings[0].angles)))
-    for i in range(1, len(bundle.readings)):
+    reading, then one kinematic and one tracker factor per later keyframe.
+    FK runs once per reading; each kinematic delta joins two neighbours."""
+    fk = [fk_pose(model, r.angles) for r in bundle.readings]
+    graph = FactorGraph(PriorFactor(pose=fk[0]))
+    for i in range(1, len(fk)):
         rot, trans = bundle.vo_deltas[i - 1]
-        graph.add_keyframe(
-            FkFactor(i, fk_delta(model, bundle.readings[i - 1], bundle.readings[i])),
-            McFactor(i, rot, trans, frame_aligned=not literal))
+        graph.add_keyframe(FkFactor(i, compose(inverse(fk[i - 1]), fk[i])),
+                           McFactor(i, rot, trans, frame_aligned=not literal))
     return graph
 
 
@@ -390,15 +391,12 @@ def build_graph(bundle: SimBundle, model: LimbModel,
 def save_graph(path, graph: FactorGraph) -> None:
     rows = [["pose", i, *pose_to_seven(p)] for i, p in enumerate(graph.poses)]
     rows.append(["scale", graph.scale.value])
-    for f in graph.factors:
-        if isinstance(f, PriorFactor):
-            rows.append(["prior", *pose_to_seven(f.pose), f.scale, *f.pose_info,
-                         f.scale_info])
-        elif isinstance(f, FkFactor):
-            rows.append(["fk", f.i, *pose_to_seven(f.delta), *f.info])
-        elif isinstance(f, McFactor):
-            rows.append(["mc", f.i, *f.delta_trans, *f.delta_rot.quat, *f.info,
-                         "aligned" if f.frame_aligned else "literal"])
+    p = graph.prior
+    rows.append(["prior", *pose_to_seven(p.pose), p.scale, *p.pose_info, p.scale_info])
+    for fk, mc in zip(graph.fks, graph.mcs):
+        rows.append(["fk", fk.i, *pose_to_seven(fk.delta), *fk.info])
+        rows.append(["mc", mc.i, *mc.delta_trans, *mc.delta_rot.quat, *mc.info,
+                     "aligned" if mc.frame_aligned else "literal"])
     write_records(path, rows, comment="factor graph: poses, scale, factors")
 
 

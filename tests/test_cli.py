@@ -398,10 +398,12 @@ def set_field(k, value, sep=","):
     ("solve/report.txt", lambda t: re.sub(r"final_cost .*\n", "", t),
      "pipeline-detect", "report.txt", "solve"),
     ("bundle/cloud.ply", on_line(9, set_field(1, "abc", " ")), "pipeline-solve",
-     "cloud.ply", "simulate"),
+     "cloud.ply:9", "simulate"),
+    ("bundle/cloud.ply", on_line(11, set_field(2, "nan", " ")), "pipeline-solve",
+     "cloud.ply:11", "simulate"),
 ], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "truth-two-columns",
         "manifest-no-config", "graph-bad-record", "report-no-final-cost",
-        "ply-not-a-number"])
+        "ply-not-a-number", "ply-nan"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):
     run = tmp_path / "run"

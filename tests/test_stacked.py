@@ -130,7 +130,7 @@ def as_state(poses):
 def test_stacked_fk_matches_scalar():
     rng = np.random.default_rng(4)
     poses, fks, mcs = chain(rng)
-    r, j_prev, j_curr = StackedFactors.pack([*fks, *mcs]).fk(*as_state(poses))
+    r, j_prev, j_curr = StackedFactors.pack(fks, mcs).fk(*as_state(poses))
     for k, f in enumerate(fks):
         close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
         want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
@@ -144,7 +144,7 @@ def test_stacked_mc_matches_scalar(log_s):
     poses, fks, mcs = chain(rng)
     assert {f.frame_aligned for f in mcs} == {True, False}
     scale = ScaleVar(log_s)
-    r, j_prev, j_curr, j_scale = StackedFactors.pack([*fks, *mcs]).mc(
+    r, j_prev, j_curr, j_scale = StackedFactors.pack(fks, mcs).mc(
         *as_state(poses), log_s)
     for k, f in enumerate(mcs):
         close(r[k], mc_residual(poses[f.i - 1], poses[f.i], scale, f))
