@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
+from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_adjoint, se3_exp, se3_log, so3_exp,
                                so3_log)
 
@@ -28,18 +28,18 @@ print("inverse undoes it:",
       compose(inverse(grip_in_base), cam_in_base).translation,
       "(should be the camera-in-gripper offset)")
 
-# Twists are the 6-vector tangent coordinates: translation part, then rotation
-twist = Twist.from_vector(np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.5]))
+# A twist is a plain 6-vector of tangent coordinates [rho; phi]: translation
+# part (m), then rotation (rad). se3_exp takes one and se3_log returns one.
+twist = np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.5])
 motion = se3_exp(twist)
 print("\nexp of a screw about z:")
 print("  moved to", motion.translation, "while turning",
       np.degrees(motion.rotation.angle()), "degrees")
-print("  log recovers the twist:", se3_log(motion).vector())
+print("  log recovers the twist:", se3_log(motion))
 
 # The adjoint moves twists between frames: T exp(x) T^-1 = exp(Adj(T) x)
 x = np.array([0.01, 0.02, 0.0, 0.03, 0.0, 0.01])
-lhs = compose(compose(grip_in_base, se3_exp(Twist.from_vector(x))),
-              inverse(grip_in_base))
-rhs = se3_exp(Twist.from_vector(se3_adjoint(grip_in_base) @ x))
+lhs = compose(compose(grip_in_base, se3_exp(x)), inverse(grip_in_base))
+rhs = se3_exp(se3_adjoint(grip_in_base) @ x)
 print("\nadjoint identity gap:",
       np.abs(lhs.matrix() - rhs.matrix()).max())

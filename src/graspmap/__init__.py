@@ -16,8 +16,8 @@ from .factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                       factor_jacobians, factor_residual, fk_jacobians,
                       fk_residual, mc_jacobians, mc_residual, prior_jacobians,
                       prior_residual)
-from .geometry import (Pose, Rotation, Twist, compose, hat, inverse,
-                       pose_from_seven, pose_to_seven, se3_adjoint, se3_exp,
+from .geometry import (Pose, Rotation, compose, hat, inverse, pose_from_seven,
+                       pose_to_seven, se3_adjoint, se3_exp,
                        se3_left_jacobian_inv, se3_log, se3_right_jacobian_inv,
                        so3_exp, so3_left_jacobian, so3_left_jacobian_inv,
                        so3_log, so3_right_jacobian_inv)

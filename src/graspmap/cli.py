@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 bad configuration, 3 missing, unreadable or corrupt
 artifacts (the message names the file and line), 4 optimizer did not converge,
 5 no usable data (empty cloud, degenerate mask, unseen terrain). Which of 2
 and 3 a bad file gets depends on its role: a file that configures a run
-(--config, --limb) and does not parse exits 2; a data artifact (the bundle
-files including manifest.yaml, a PLY cloud, graph.txt, report.txt) that is
-corrupt exits 3; a missing or unreadable file of either kind exits 3.
+(--config, --limb) and does not parse, holds a non-finite value or does not
+fit the bundle's joint count exits 2; a corrupt data artifact (the bundle
+files including manifest.yaml, a PLY cloud, graph.txt, report.txt) exits 3;
+a missing or unreadable file of either kind exits 3.
 An empty graspable list is a success, not an error: flat ground has nothing to
 grasp. Errors are prefixed with their stage, as in "[solve] file error: ...".
 Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
@@ -35,9 +36,10 @@ import numpy as np
 import yaml
 
 from . import fk_pose, write_ply  # noqa: F401 -- read only by perfbench/tracer.py
-from .errors import (ConfigError, CorruptArtifact, DegenerateMask, EmptyCloud,
-                     GraspmapError, NoVisibleTerrain, NotConverged,
-                     SingularNormalEquations, UnreachableTerrain)
+from .errors import (ConfigError, CorruptArtifact, DegenerateMask,
+                     DimensionMismatch, EmptyCloud, GraspmapError,
+                     NoVisibleTerrain, NotConverged, SingularNormalEquations,
+                     UnreachableTerrain)
 from .kinematics import LimbModel, default_limb, load_limb
 from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
                       DEFAULT_OUTER_RADIUS, DEFAULT_VOXEL_SIZE, PointCloud,
@@ -59,7 +61,8 @@ EXIT_EMPTY = 5
 # CorruptArtifact, also a ValueError, exits 3 rather than 2
 EXIT_CODES = (
     ((CorruptArtifact, OSError), EXIT_IO, "file error"),
-    ((ConfigError, UnreachableTerrain, ValueError), EXIT_CONFIG, "config error"),
+    ((ConfigError, UnreachableTerrain, DimensionMismatch, ValueError), EXIT_CONFIG,
+     "config error"),
     ((NotConverged, SingularNormalEquations), EXIT_NOT_CONVERGED, "solver error"),
     ((EmptyCloud, DegenerateMask, NoVisibleTerrain), EXIT_EMPTY, "empty result"),
     ((GraspmapError,), EXIT_FAILURE, "error"),

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import (Pose, Rotation, Twist, compose, hat, hat_stacked,
-                       inverse, quat_conjugate, quat_matrix, quat_product,
-                       quat_rotate, se3_adjoint, se3_left_jacobian_inv,
+from .geometry import (Pose, Rotation, compose, hat, hat_stacked, inverse,
+                       quat_conjugate, quat_matrix, quat_product, quat_rotate,
+                       se3_adjoint, se3_left_jacobian_inv,
                        se3_left_jacobian_inv_stacked, se3_log,
                        se3_right_jacobian_inv, so3_left_jacobian_inv,
                        so3_left_jacobian_inv_stacked, so3_log, so3_log_stacked,
@@ -177,7 +177,7 @@ Factor = FkFactor | McFactor | PriorFactor
 def fk_residual(t_prev: Pose, t_curr: Pose, factor: FkFactor) -> np.ndarray:
     """Local-frame twist discrepancy between estimated and measured motion."""
     err = compose(compose(inverse(t_prev), t_curr), inverse(factor.delta))
-    return se3_log(err).vector()
+    return se3_log(err)
 
 
 def mc_residual(t_prev: Pose, t_curr: Pose, scale: ScaleVar,
@@ -196,7 +196,7 @@ def mc_residual(t_prev: Pose, t_curr: Pose, scale: ScaleVar,
 
 def prior_residual(t0: Pose, scale: ScaleVar, factor: PriorFactor) -> np.ndarray:
     """7-vector: pose anchor twist followed by the log-scale anchor gap."""
-    pose_part = se3_log(compose(inverse(factor.pose), t0)).vector()
+    pose_part = se3_log(compose(inverse(factor.pose), t0))
     return np.concatenate([pose_part, [scale.log_value - math.log(factor.scale)]])
 
 
@@ -220,7 +220,7 @@ def factor_cost(residual, info) -> float:
 def fk_jacobians(t_prev: Pose, t_curr: Pose,
                  factor: FkFactor) -> tuple[np.ndarray, np.ndarray]:
     """(d r / d pose_{i-1}, d r / d pose_i) for right perturbations."""
-    r = Twist.from_vector(fk_residual(t_prev, t_curr, factor))
+    r = fk_residual(t_prev, t_curr, factor)
     j_prev = -se3_left_jacobian_inv(r)
     j_curr = se3_right_jacobian_inv(r) @ se3_adjoint(factor.delta)
     return j_prev, j_curr
@@ -256,8 +256,7 @@ def mc_jacobians(t_prev: Pose, t_curr: Pose, scale: ScaleVar,
 def prior_jacobians(t0: Pose, scale: ScaleVar,
                     factor: PriorFactor) -> tuple[np.ndarray, np.ndarray]:
     """(d r / d pose_0, d r / d log s) for the 7-row anchor residual."""
-    pose_part = Twist.from_vector(
-        se3_log(compose(inverse(factor.pose), t0)).vector())
+    pose_part = se3_log(compose(inverse(factor.pose), t0))
     j_pose = np.zeros((7, 6))
     j_pose[:6, :] = se3_right_jacobian_inv(pose_part)
     j_scale = np.zeros(7)

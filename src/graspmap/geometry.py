@@ -4,8 +4,9 @@ Conventions
 -----------
 * Quaternions are stored (w, x, y, z) with unit norm.
 * A ``Pose`` acts on points as ``R @ p + t``.
-* Twists stack translation first: ``(rho, phi)`` with ``rho`` in meters and
-  ``phi`` in radians, so a twist vector is ``[rho; phi]``.
+* A twist is a plain (6,) array ``[rho; phi]``, translation first, with
+  ``rho`` in meters and ``phi`` in radians; the stacked maps take (..., 6)
+  arrays in the same order.
 * Canonical twists satisfy ``norm(phi) <= pi``; the logarithm refuses inputs
   within ``CUT_LOCUS_MARGIN`` of the pi cut locus, where the map is not
   uniquely invertible.
@@ -32,10 +33,10 @@ _SERIES_ANGLE = 1e-2
 CUT_LOCUS_MARGIN = 1e-6
 
 
-def _vec3(v) -> np.ndarray:
+def _vec3(v, n: int = 3) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if a.shape != (n,):
+        raise ValueError(f"expected a {n}-vector, got shape {a.shape}")
     return a
 
 
@@ -200,36 +201,6 @@ class Pose:
         return compose(self, other)
 
 
-@dataclass(frozen=True)
-class Twist:
-    """se(3) tangent element: translational part ``rho`` (m), rotational ``phi`` (rad)."""
-
-    rho: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rho", "phi"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            if a.shape != (3,):
-                raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @staticmethod
-    def from_vector(x) -> "Twist":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (6,):
-            raise ValueError(f"twist vector must have shape (6,), got {x.shape}")
-        return Twist(x[:3], x[3:])
-
-    @staticmethod
-    def zero() -> "Twist":
-        return Twist(np.zeros(3), np.zeros(3))
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.phi])
-
-
 def compose(a: Pose, b: Pose) -> Pose:
     """Group product: ``compose(a, b)`` maps p to ``a(b(p))``."""
     return Pose(a.rotation @ b.rotation,
@@ -325,20 +296,21 @@ def so3_right_jacobian_inv(phi) -> np.ndarray:
     return so3_left_jacobian_inv(-_vec3(phi))
 
 
-def se3_exp(x: Twist) -> Pose:
-    """Exponential map of se(3)."""
-    return Pose(so3_exp(x.phi), so3_left_jacobian(x.phi) @ x.rho)
+def se3_exp(x) -> Pose:
+    """Exponential map of se(3) at a twist ``[rho; phi]``."""
+    x = _vec3(x, 6)
+    return Pose(so3_exp(x[3:]), so3_left_jacobian(x[3:]) @ x[:3])
 
 
-def se3_log(p: Pose) -> Twist:
-    """Logarithm of SE(3); canonical twist with ``norm(phi) <= pi``.
+def se3_log(p: Pose) -> np.ndarray:
+    """Logarithm of SE(3); canonical twist ``[rho; phi]`` with ``norm(phi) <= pi``.
 
     Near the identity the underlying coefficients use series expansions, so
     there is no division by ``norm(phi)`` to blow up. Raises ``CutLocusError``
     within ``CUT_LOCUS_MARGIN`` of the pi cut locus.
     """
     phi = so3_log(p.rotation)
-    return Twist(so3_left_jacobian_inv(phi) @ p.translation, phi)
+    return np.concatenate([so3_left_jacobian_inv(phi) @ p.translation, phi])
 
 
 def se3_adjoint(p: Pose) -> np.ndarray:
@@ -375,10 +347,11 @@ def _q_matrix(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
             + c3 * (kpk @ k + k @ kpk))
 
 
-def se3_left_jacobian_inv(x: Twist) -> np.ndarray:
-    """Inverse left Jacobian of SE(3) at a twist, for (rho, phi) ordering."""
-    jli = so3_left_jacobian_inv(x.phi)
-    q = _q_matrix(np.asarray(x.rho, float), np.asarray(x.phi, float))
+def se3_left_jacobian_inv(x) -> np.ndarray:
+    """Inverse left Jacobian of SE(3) at a twist ``[rho; phi]``."""
+    x = _vec3(x, 6)
+    jli = so3_left_jacobian_inv(x[3:])
+    q = _q_matrix(x[:3], x[3:])
     out = np.zeros((6, 6))
     out[:3, :3] = jli
     out[:3, 3:] = -jli @ q @ jli
@@ -386,9 +359,9 @@ def se3_left_jacobian_inv(x: Twist) -> np.ndarray:
     return out
 
 
-def se3_right_jacobian_inv(x: Twist) -> np.ndarray:
+def se3_right_jacobian_inv(x) -> np.ndarray:
     # Jr^-1(x) = Jl^-1(-x)
-    return se3_left_jacobian_inv(Twist(-x.rho, -x.phi))
+    return se3_left_jacobian_inv(-_vec3(x, 6))
 
 
 # --- stacked maps --------------------------------------------------------------

@@ -107,7 +107,7 @@ def jacobian_numeric(model: LimbModel, angles, step: float = 1e-6) -> np.ndarray
     """6 x dof geometric Jacobian by central differences.
 
     Column ``j`` is the local (body-frame) twist d log(fk(q)^-1 fk(q + e_j)) / dq_j,
-    rows ordered translation-then-rotation to match ``Twist.vector``.
+    rows ordered translation-then-rotation as in ``se3_log``.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (model.dof,):
@@ -118,9 +118,9 @@ def jacobian_numeric(model: LimbModel, angles, step: float = 1e-6) -> np.ndarray
     for j in range(model.dof):
         bumped = angles.copy()
         bumped[j] = angles[j] + step
-        plus = se3_log(compose(base_inv, fk_pose(model, bumped))).vector()
+        plus = se3_log(compose(base_inv, fk_pose(model, bumped)))
         bumped[j] = angles[j] - step
-        minus = se3_log(compose(base_inv, fk_pose(model, bumped))).vector()
+        minus = se3_log(compose(base_inv, fk_pose(model, bumped)))
         jac[:, j] = (plus - minus) / (2.0 * step)
     return jac
 

@@ -284,14 +284,14 @@ def write_ply(path, cloud: PointCloud) -> None:
         fh.write(header + body + ("\n" if n else ""))
 
 
-def read_ply(path, units: str | None = None) -> PointCloud:
-    """Read an ASCII PLY; the units tag comes from the file comment unless given."""
+def read_ply(path) -> PointCloud:
+    """Read an ASCII PLY; the units tag comes from the file's units comment."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     with located(path):
         if not lines or lines[0].strip() != "ply":
             raise ValueError("not a PLY file")
-        n = body_start = None
+        n = body_start = units = None
         for k, line in enumerate(lines[1:], 1):
             tok = line.split()
             if tok[:2] == ["comment", "units"] and len(tok) == 3:
@@ -304,7 +304,7 @@ def read_ply(path, units: str | None = None) -> PointCloud:
         if n is None or body_start is None:
             raise ValueError("malformed PLY header")
         if units is None:
-            raise ValueError("PLY lacks a units comment; pass units explicitly")
+            raise ValueError("PLY lacks a units comment")
         body = lines[body_start:]
         tokens = " ".join(body).split()
         try:

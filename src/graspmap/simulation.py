@@ -36,6 +36,28 @@ def _rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[purpose])))
 
 
+def _finite(name: str, value, pair: bool = False):
+    """``value`` as a finite float, or with ``pair`` as a read-only (x, y)
+    array of them; anything else is a ``ConfigError`` naming the field."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        a = np.array(math.nan)
+    if a.shape != ((2,) if pair else ()) or not np.all(np.isfinite(a)):
+        what = "an (x, y) pair of finite numbers" if pair else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if not pair:
+        return float(a)
+    a.flags.writeable = False
+    return a
+
+
+def _whole(name: str, value) -> int:
+    if not _finite(name, value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Hemisphere:
     """Bump on the ground plane; the apex sits one radius above the plane."""
@@ -44,11 +66,7 @@ class Hemisphere:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).copy()
-        if c.shape != (2,):
-            raise ValueError("hemisphere center must be (x, y)")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _finite("hemisphere center", self.center, True))
         r = float(self.radius)
         if not (np.isfinite(r) and r > 0.0):
             raise ValueError("hemisphere radius must be positive")
@@ -63,17 +81,13 @@ class Terrain:
     hemispheres: tuple[Hemisphere, ...]
 
     def __post_init__(self):
-        pc = np.asarray(self.patch_center, dtype=float).copy()
-        ps = np.asarray(self.patch_size, dtype=float).copy()
-        if pc.shape != (2,) or ps.shape != (2,):
-            raise ValueError("patch_center and patch_size must be (x, y) pairs")
+        pc = _finite("patch_center", self.patch_center, True)
+        ps = _finite("patch_size", self.patch_size, True)
         if np.any(ps <= 0.0):
             raise ValueError("patch_size must be positive")
-        pc.flags.writeable = False
-        ps.flags.writeable = False
         object.__setattr__(self, "patch_center", pc)
         object.__setattr__(self, "patch_size", ps)
-        object.__setattr__(self, "plane_z", float(self.plane_z))
+        object.__setattr__(self, "plane_z", _finite("plane_z", self.plane_z))
         object.__setattr__(self, "hemispheres", tuple(self.hemispheres))
 
     def apexes(self) -> np.ndarray:
@@ -90,8 +104,8 @@ class CameraModel:
     rate_hz: float = 30.0
 
     def __post_init__(self):
-        object.__setattr__(self, "fov_deg", float(self.fov_deg))
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        for name in ("fov_deg", "rate_hz"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
 
 def default_terrain() -> Terrain:
@@ -120,13 +134,11 @@ class SimConfig:
     terrain: Terrain = field(default_factory=default_terrain)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "keyframes", int(self.keyframes))
-        object.__setattr__(self, "cloud_points_per_keyframe",
-                           int(self.cloud_points_per_keyframe))
+        for name in ("seed", "keyframes", "cloud_points_per_keyframe"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         for name in ("true_scale", "joint_noise_stddev", "vo_trans_noise_stddev",
                      "vo_rot_noise_stddev"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.keyframes < 2:
             raise ConfigError("keyframes must be >= 2")
         if not self.true_scale > 0.0:
@@ -364,7 +376,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     defaults = SimConfig()
     try:
         camera = CameraModel(**doc["camera"]) if "camera" in doc else defaults.camera
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"camera: {exc}") from exc
     terrain = defaults.terrain
     if "terrain" in doc:
@@ -382,7 +394,7 @@ def config_from_dict(doc: dict) -> SimConfig:
                 patch_center=tdoc.get("patch_center", defaults.terrain.patch_center),
                 patch_size=tdoc.get("patch_size", defaults.terrain.patch_size),
                 hemispheres=hemis)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"terrain: {exc}") from exc
     kwargs = {k: doc[k] for k in doc if k not in ("camera", "terrain")}
     try:
@@ -486,7 +498,11 @@ def read_bundle(directory) -> SimBundle:
     if len(vo) != len(poses) - 1:
         raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(poses)} keyframes")
 
-    cloud = mapping.read_ply(d / CLOUD_FILE)
+    path = d / CLOUD_FILE
+    cloud = mapping.read_ply(path)
+    if cloud.units != UNSCALED_UNITS:
+        raise CorruptArtifact(f"{path}: bundle cloud must be in {UNSCALED_UNITS}, "
+                              f"got {cloud.units}")
 
     path = d / TRUTH_GRASPABLE_FILE
     apexes = [numbers(path, lineno, tok, 3) for lineno, tok in read_records(path, ",")]

@@ -47,6 +47,12 @@ from .kinematics import LimbModel, fk_pose
 from .records import located, numbers, read_records, write_records
 from .simulation import SimBundle
 
+# GRAD_TOL sits near machine noise on purpose: the information values here
+# are 1e-3..1e-4, so gradients run ~1e6 smaller than in a unit-weight
+# problem and a looser floor would stop well short of the minimum
+GRAD_TOL = 1e-14
+LAMBDA_MAX = 1e8
+
 
 @dataclass
 class SolveOptions:
@@ -54,12 +60,7 @@ class SolveOptions:
 
     max_iter: int = 100
     rel_tol: float = 1e-8
-    # grad_tol sits near machine noise on purpose: the information values here
-    # are 1e-3..1e-4, so gradients run ~1e6 smaller than in a unit-weight
-    # problem and a looser floor would stop well short of the minimum
-    grad_tol: float = 1e-14
     initial_lambda: float = 1e-4
-    lambda_max: float = 1e8
 
     def __post_init__(self):
         if not 0.0 <= self.rel_tol < np.inf:
@@ -304,14 +305,14 @@ class FactorGraph:
         lam = opts.initial_lambda
 
         while len(report.step_costs) < opts.max_iter:
-            if system.grad_max() < opts.grad_tol:
+            if system.grad_max() < GRAD_TOL:
                 report.converged = True
                 break
             try:
                 step = damped_step(system, lam)
             except np.linalg.LinAlgError:
                 lam *= 10.0
-                if lam > opts.lambda_max:
+                if lam > LAMBDA_MAX:
                     raise SingularNormalEquations(
                         f"normal equations not positive-definite at lambda={lam:.1e}")
                 continue
@@ -334,7 +335,7 @@ class FactorGraph:
                 continue
             report.rejected_steps += 1
             lam *= 10.0
-            if lam > opts.lambda_max:
+            if lam > LAMBDA_MAX:
                 # No step of any admissible length lowers the cost: the
                 # relative decrease is zero, which meets rel_tol.
                 report.converged = True

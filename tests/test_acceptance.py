@@ -14,7 +14,7 @@ from graspmap.cli import main
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               fk_jacobians, fk_residual, mc_jacobians,
                               mc_residual, prior_jacobians, prior_residual)
-from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
+from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_exp, se3_log, so3_exp, so3_log)
 from graspmap.kinematics import default_limb, fk_delta, fk_pose
 from graspmap.mapping import (DEFAULT_VOXEL_SIZE, GripperMask, VoxelGrid,
@@ -130,8 +130,7 @@ def test_criterion_04_jacobians_match_finite_differences(capsys):
     for _ in range(1000):
         t_prev, t_curr = rand_pose(rng), rand_pose(rng)
         near = compose(compose(inverse(t_prev), t_curr),
-                       se3_exp(Twist.from_vector(
-                           0.1 * rand_twist_vector(rng, 1.0))))
+                       se3_exp(0.1 * rand_twist_vector(rng, 1.0)))
         s = ScaleVar.from_value(float(rng.uniform(0.3, 4.0)))
 
         fk = FkFactor(1, near)
@@ -181,7 +180,7 @@ def test_criterion_05_lie_round_trips(capsys):
         worst_rot = max(worst_rot,
                         float(np.linalg.norm(so3_log(so3_exp(phi)) - phi)))
         v = rand_twist_vector(rng, math.pi - 2e-6)
-        back = se3_log(se3_exp(Twist.from_vector(v))).vector()
+        back = se3_log(se3_exp(v))
         worst_se3 = max(worst_se3, float(np.linalg.norm(back - v)))
     ok = worst_rot < 1e-10 and worst_se3 < 1e-10
     verdict(capsys, 5, ok,

@@ -1,5 +1,6 @@
 """End-to-end command behaviour: files written, exit codes, reruns, reuse."""
 
+import dataclasses
 import os
 import re
 import shutil
@@ -13,6 +14,7 @@ import yaml
 
 import graspmap
 from graspmap.cli import main
+from graspmap.kinematics import default_limb, save_limb
 from graspmap.mapping import (METERS, UNSCALED_UNITS, PointCloud,
                               load_graspable, write_ply)
 from graspmap.simulation import SimConfig, Terrain, save_config
@@ -89,6 +91,16 @@ def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text):
     assert "config error" in err and "bad.yaml" in err, err
 
 
+def test_pipeline_infinite_true_scale_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("true_scale: .inf\n")
+    assert main(["pipeline", "--config", str(cfg), "--out",
+                 str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[simulate] config error"), err
+    assert "cfg.yaml" in err and "true_scale" in err, err
+
+
 def test_error_label_names_the_failing_command(tmp_path, capsys):
     """Each call labels its own errors: nothing carries over between calls."""
     assert main(["detect", str(tmp_path / "missing.ply"),
@@ -144,6 +156,17 @@ def test_solve_nan_rel_tol_exits_2(quiet_bundle, tmp_path, capsys):
                "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_solve_limb_joint_count_mismatch_exits_2(quiet_bundle, tmp_path, capsys):
+    limb = default_limb()
+    three = tmp_path / "limb3.yaml"
+    save_limb(three, dataclasses.replace(limb, joints=limb.joints[:3]))
+    rc = main(["solve", str(quiet_bundle), "--limb", str(three),
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[solve] config error") and "3 joints" in err, err
 
 
 def test_solve_iteration_cap_exits_4(tmp_path, capsys):
@@ -401,9 +424,12 @@ def set_field(k, value, sep=","):
      "cloud.ply:9", "simulate"),
     ("bundle/cloud.ply", on_line(11, set_field(2, "nan", " ")), "pipeline-solve",
      "cloud.ply:11", "simulate"),
+    ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}",
+                                             f"comment units {METERS}"),
+     "pipeline-solve", "cloud.ply", "simulate"),
 ], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "truth-two-columns",
         "manifest-no-config", "graph-bad-record", "report-no-final-cost",
-        "ply-not-a-number", "ply-nan"])
+        "ply-not-a-number", "ply-nan", "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):
     run = tmp_path / "run"

@@ -18,7 +18,7 @@ from graspmap.factors import (FK_INFO_VALUE, MC_INFO_VALUE, FkFactor, McFactor,
                               factor_residual, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual, prior_jacobians,
                               prior_residual)
-from graspmap.geometry import Pose, Rotation, Twist, compose, inverse, se3_exp
+from graspmap.geometry import Pose, Rotation, compose, inverse, se3_exp
 
 FD_STEP = 1e-7
 FD_TOL = 1e-5
@@ -30,8 +30,8 @@ def fd_pose_jacobian(fun, pose: Pose, rows: int) -> np.ndarray:
     for k in range(6):
         step = np.zeros(6)
         step[k] = FD_STEP
-        hi = fun(compose(pose, se3_exp(Twist.from_vector(step))))
-        lo = fun(compose(pose, se3_exp(Twist.from_vector(-step))))
+        hi = fun(compose(pose, se3_exp(step)))
+        lo = fun(compose(pose, se3_exp(-step)))
         j[:, k] = (hi - lo) / (2.0 * FD_STEP)
     return j
 
@@ -131,7 +131,7 @@ def test_prior_residual_values():
 
     x = 1e-4 * np.array([1.0, -0.5, 0.3, 0.2, -0.7, 0.4])
     x *= 1e-4 / np.linalg.norm(x)
-    t0 = compose(mean, se3_exp(Twist.from_vector(x)))
+    t0 = compose(mean, se3_exp(x))
     r = prior_residual(t0, ScaleVar.from_value(1.0), p)
     assert np.allclose(r[:6], x, atol=1e-12)
 
@@ -207,7 +207,7 @@ def _random_fk_case(rng):
     # measured delta near the actual relative motion, so the residual rotation
     # stays well inside the cut locus
     delta = compose(compose(inverse(t_prev), t_curr),
-                    se3_exp(Twist.from_vector(0.1 * rand_twist_vector(rng, 1.0))))
+                    se3_exp(0.1 * rand_twist_vector(rng, 1.0)))
     return t_prev, t_curr, FkFactor(1, delta)
 
 
@@ -228,8 +228,7 @@ def test_mc_jacobians_match_finite_differences():
         for _ in range(40):
             t_prev, t_curr = rand_pose(rng), rand_pose(rng)
             rel = t_prev.rotation.inverse() @ t_curr.rotation
-            wobble = se3_exp(Twist.from_vector(
-                0.1 * rand_twist_vector(rng, 1.0))).rotation
+            wobble = se3_exp(0.1 * rand_twist_vector(rng, 1.0)).rotation
             f = McFactor(1, rel @ wobble, rng.normal(size=3),
                          frame_aligned=aligned)
             s = ScaleVar.from_value(float(rng.uniform(0.3, 4.0)))
@@ -249,8 +248,7 @@ def test_prior_jacobians_match_finite_differences():
     rng = np.random.default_rng(6)
     for _ in range(40):
         mean = rand_pose(rng)
-        t0 = compose(mean, se3_exp(Twist.from_vector(
-            0.3 * rand_twist_vector(rng, 1.0))))
+        t0 = compose(mean, se3_exp(0.3 * rand_twist_vector(rng, 1.0)))
         s = ScaleVar.from_value(float(rng.uniform(0.3, 4.0)))
         p = PriorFactor(pose=mean, scale=float(rng.uniform(0.5, 2.0)))
         j_pose, j_s = prior_jacobians(t0, s, p)

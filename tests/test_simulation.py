@@ -231,6 +231,32 @@ def test_config_rejects_bad_values():
         SimConfig(camera=CameraModel(fov_deg=500.0))
     with pytest.raises(ConfigError, match="joint_noise_stddev"):
         SimConfig(joint_noise_stddev=-0.1)
+    # non-finite floats and fractional counts name the field
+    with pytest.raises(ConfigError, match="true_scale"):
+        SimConfig(true_scale=math.inf)
+    with pytest.raises(ConfigError, match="vo_rot_noise_stddev"):
+        SimConfig(vo_rot_noise_stddev=math.nan)
+    with pytest.raises(ConfigError, match="rate_hz"):
+        SimConfig(camera=CameraModel(rate_hz=math.inf))
+    with pytest.raises(ConfigError, match="plane_z"):
+        dataclasses.replace(default_terrain(), plane_z=math.nan)
+    with pytest.raises(ConfigError, match="patch_size"):
+        dataclasses.replace(default_terrain(), patch_size=[math.inf, 0.16])
+    for name, value in (("seed", 1.5), ("keyframes", 2.7),
+                        ("cloud_points_per_keyframe", 10.5),
+                        ("keyframes", math.inf)):
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(**{name: value})
+    with pytest.raises(ConfigError, match="terrain: plane_z"):
+        config_from_dict({"terrain": {"plane_z": math.nan}})
+    with pytest.raises(ConfigError, match="camera: rate_hz"):
+        config_from_dict({"camera": {"rate_hz": math.inf}})
+    with pytest.raises(ConfigError, match="true_scale"):
+        config_from_dict({"true_scale": [2.0]})
+    with pytest.raises(ConfigError, match="patch_center"):
+        config_from_dict({"terrain": {"patch_center": [0.25, 0.0, 0.0]}})
+    # a whole float is a whole number
+    assert SimConfig(keyframes=20.0).keyframes == 20
 
 
 def test_config_file_errors_name_the_file_and_line(tmp_path):

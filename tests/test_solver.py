@@ -18,7 +18,7 @@ from graspmap.errors import IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_jacobians,
                               factor_residual)
-from graspmap.geometry import (Pose, Rotation, Twist, compose, inverse,
+from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_exp, se3_log, so3_exp)
 from graspmap.kinematics import default_limb, fk_delta
 from graspmap.simulation import SimConfig, simulate
@@ -33,7 +33,7 @@ def smooth_truth_poses(rng, n: int) -> list[Pose]:
     for _ in range(n - 1):
         step = rand_twist_vector(rng, 0.2)
         step[:3] *= 0.05
-        poses.append(compose(poses[-1], se3_exp(Twist.from_vector(step))))
+        poses.append(compose(poses[-1], se3_exp(step)))
     return poses
 
 
@@ -83,7 +83,7 @@ def golden_section_scale(graph: FactorGraph, lo: float = -4.0, hi: float = 4.0,
 
 
 def tangent_gap(a: Pose, b: Pose) -> float:
-    return float(np.linalg.norm(se3_log(compose(inverse(a), b)).vector()))
+    return float(np.linalg.norm(se3_log(compose(inverse(a), b))))
 
 
 # --- graph assembly ----------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_damped_step_matches_dense_solve(lam):
     graph, _ = synthetic_graph(rng, n=12, s_true=1.7, trans_noise=3e-4,
                                rot_noise=2e-3)
     # move off the dead-reckoned start so every residual is nonzero
-    graph.poses = [compose(p, se3_exp(Twist.from_vector(0.01 * rng.normal(size=6))))
+    graph.poses = [compose(p, se3_exp(0.01 * rng.normal(size=6)))
                    for p in graph.poses]
     h, g = dense_normal_equations(graph)
     h[np.diag_indices_from(h)] += lam * np.diag(h)
@@ -415,7 +415,7 @@ def scrambled_graph(seed: int) -> FactorGraph:
     rng = np.random.default_rng(seed)
     graph, _ = synthetic_graph(rng, n=25, s_true=2.0, trans_noise=3e-4,
                                rot_noise=2e-3)
-    graph.poses = [compose(p, se3_exp(Twist.from_vector(rng.normal(size=6))))
+    graph.poses = [compose(p, se3_exp(rng.normal(size=6)))
                    for p in graph.poses]
     return graph
 

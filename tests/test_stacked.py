@@ -17,7 +17,7 @@ from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual)
-from graspmap.geometry import (Rotation, Twist, compose, inverse,
+from graspmap.geometry import (Rotation, compose, inverse,
                                quat_matrix, quat_product, quat_rotate,
                                se3_exp, se3_exp_stacked, se3_left_jacobian_inv,
                                se3_left_jacobian_inv_stacked, so3_exp,
@@ -65,14 +65,14 @@ def test_exp_log_and_jacobians_match_scalar():
     x = twists(rng)
     close(so3_exp_stacked(x[:, 3:]), [so3_exp(t[3:]).quat for t in x])
     quats, trans = se3_exp_stacked(x)
-    want = [se3_exp(Twist.from_vector(t)) for t in x]
+    want = [se3_exp(t) for t in x]
     close(quats, [p.rotation.quat for p in want])
     close(trans, [p.translation for p in want])
     close(so3_log_stacked(quats), [so3_log(p.rotation) for p in want])
     close(so3_left_jacobian_inv_stacked(x[:, 3:]),
           [so3_left_jacobian_inv(t[3:]) for t in x])
     close(se3_left_jacobian_inv_stacked(x),
-          [se3_left_jacobian_inv(Twist.from_vector(t)) for t in x])
+          [se3_left_jacobian_inv(t) for t in x])
 
 
 def test_stacked_log_keeps_leading_axes():
@@ -108,12 +108,12 @@ def chain(rng, literal_every: int = 3):
     n = len(ANGLES) + 1
     poses = [rand_pose(rng)]
     for _ in range(n - 1):
-        poses.append(compose(poses[-1], se3_exp(Twist.from_vector(twist_at_angle(rng, 0.4, 0.1)))))
+        poses.append(compose(poses[-1], se3_exp(twist_at_angle(rng, 0.4, 0.1))))
     fks, mcs = [], []
     for i, angle in enumerate(ANGLES, start=1):
         rel = compose(inverse(poses[i - 1]), poses[i])
         # residual rotation log(rel delta^-1) then has exactly this angle
-        off = se3_exp(Twist.from_vector(twist_at_angle(rng, angle, 0.01)))
+        off = se3_exp(twist_at_angle(rng, angle, 0.01))
         fks.append(FkFactor(i, compose(inverse(off), rel),
                             info=rng.uniform(0.5, 2.0, 6)))
         mcs.append(McFactor(i, off.rotation.inverse() @ rel.rotation,
@@ -157,7 +157,7 @@ def test_stacked_mc_matches_scalar(log_s):
 
 def chain_graph(rng) -> FactorGraph:
     poses, fks, mcs = chain(rng)
-    prior_pose = compose(poses[0], se3_exp(Twist.from_vector(twist_at_angle(rng, 1e-3, 1e-3))))
+    prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
     graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5),
                         t0=poses[0], scale=ScaleVar(0.2))
     for fk, mc, pose in zip(fks, mcs, poses[1:]):
@@ -177,7 +177,7 @@ def test_one_pose_graph():
     solver moves pose 0 and the scale onto it."""
     rng = np.random.default_rng(7)
     prior = PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0)
-    start = compose(prior.pose, se3_exp(Twist.from_vector(twist_at_angle(rng, 0.1, 0.1))))
+    start = compose(prior.pose, se3_exp(twist_at_angle(rng, 0.1, 0.1)))
     graph = FactorGraph(prior, t0=start)
     stacked, prior, state = graph._packed()
     system = normal_equations(stacked, prior, *state)
