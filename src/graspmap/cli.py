@@ -12,10 +12,10 @@ Exit codes: 0 success, 2 bad configuration, 3 missing, unreadable or corrupt
 artifacts (the message names the file and line), 4 optimizer did not converge,
 5 no usable data (empty cloud, degenerate mask, unseen terrain). Which of 2
 and 3 a bad file gets depends on its role: a file that configures a run
-(--config, --limb) and does not parse, holds a non-finite value or does not
-fit the bundle's joint count exits 2; a corrupt data artifact (the bundle
-files including manifest.yaml, a PLY cloud, graph.txt, report.txt) exits 3;
-a missing or unreadable file of either kind exits 3.
+(--config, --limb) and does not parse, holds a non-finite or boolean value or
+does not fit the bundle's joint count exits 2; a corrupt data artifact (the
+bundle files including manifest.yaml, a PLY cloud, graph.txt, report.txt)
+exits 3; a missing or unreadable file of either kind exits 3.
 An empty graspable list is a success, not an error: flat ground has nothing to
 grasp. Errors are prefixed with their stage, as in "[solve] file error: ...".
 Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import fk_pose, write_ply  # noqa: F401 -- read only by perfbench/tracer.py
 from .errors import (ConfigError, CorruptArtifact, DegenerateMask,
@@ -45,6 +44,7 @@ from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
                       DEFAULT_OUTER_RADIUS, DEFAULT_VOXEL_SIZE, PointCloud,
                       build_mask, detect_graspable, fill_below, read_ply,
                       save_graspable, save_grid, scale_cloud, voxelize)
+from .records import write_yaml
 from .simulation import (SimBundle, SimConfig, load_config, read_bundle,
                          simulate, write_bundle)
 from .solver import (SolveOptions, build_graph, load_graph, load_report,
@@ -201,8 +201,8 @@ def cmd_pipeline(args) -> int:
         "final_cost": float(report.final_cost),
         "wall_time_s": float(time.perf_counter() - t0),
     }
-    with stage("pipeline"), open(run / SUMMARY_FILE, "w") as fh:
-        yaml.safe_dump(summary, fh, sort_keys=False)
+    with stage("pipeline"):
+        write_yaml(run / SUMMARY_FILE, summary)
     print(f"[pipeline] scale_error_rel={summary['scale_error_rel']:.3g} "
           f"apex_error_m={apex_error if apex_error is None else f'{apex_error:.4f}'} "
           f"final_cost={summary['final_cost']:.3g} "

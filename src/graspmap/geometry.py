@@ -194,12 +194,6 @@ class Pose:
     def apply(self, v) -> np.ndarray:
         return self.rotation.apply(v) + self.translation
 
-    def inverse(self) -> "Pose":
-        return inverse(self)
-
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return compose(self, other)
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Group product: ``compose(a, b)`` maps p to ``a(b(p))``."""

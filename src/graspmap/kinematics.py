@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
                        pose_to_seven, se3_log)
+from .records import read_yaml, write_yaml
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def default_limb() -> LimbModel:
 
 
 def save_limb(path, model: LimbModel) -> None:
-    doc = {
+    write_yaml(path, {
         "base_pose": [float(v) for v in pose_to_seven(model.base_pose)],
         "gripper_offset": [float(v) for v in pose_to_seven(model.gripper_offset)],
         "joints": [
@@ -167,20 +167,17 @@ def save_limb(path, model: LimbModel) -> None:
              "offset": [float(v) for v in pose_to_seven(j.offset)]}
             for j in model.joints
         ],
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    })
 
 
 def load_limb(path) -> LimbModel:
+    doc = read_yaml(path, ConfigError)
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
         joints = tuple(Joint(np.asarray(j["axis"], dtype=float),
                              pose_from_seven(j["offset"]))
                        for j in doc["joints"])
         return LimbModel(joints=joints,
                          base_pose=pose_from_seven(doc["base_pose"]),
                          gripper_offset=pose_from_seven(doc["gripper_offset"]))
-    except (KeyError, TypeError, yaml.YAMLError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed limb model file {path}: {exc}") from exc

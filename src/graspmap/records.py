@@ -1,4 +1,5 @@
-"""Plain-text record format shared by the artifacts the stages exchange.
+"""Plain-text record format shared by the artifacts the stages exchange, and
+the one reader and writer of every YAML document.
 
 One record per line; ``#`` starts a comment. Reading errors raise
 ``CorruptArtifact`` naming ``path:line``.
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+
+import yaml
 
 from .errors import CorruptArtifact
 
@@ -54,3 +57,22 @@ def numbers(path, lineno: int, tokens, count: int, kind=float) -> list:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value {token!r}")
     return values
+
+
+def read_yaml(path, error: type[Exception]):
+    """The YAML document in ``path``. Text that does not parse raises ``error``,
+    the class the file's role calls for, naming ``path:line`` where YAML knows it."""
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = path if mark is None else f"{path}:{mark.line + 1}"
+            problem = getattr(exc, "problem", None) or getattr(exc, "reason", exc)
+            raise error(f"{where}: bad YAML line: {problem}") from exc
+
+
+def write_yaml(path, doc) -> None:
+    """Write ``doc`` as block-style YAML, keys in insertion order."""
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)

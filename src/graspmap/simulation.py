@@ -11,14 +11,15 @@ Separate named random streams (joints / tracker rotation / tracker translation
 identical across runs that differ only in ``true_scale``.
 """
 
-from __future__ import annotations
+# no ``from __future__ import annotations``: config field types are read at run time
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from numbers import Real
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
-import yaml
 
 from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
@@ -27,7 +28,8 @@ from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
 from .kinematics import JointReading, LimbModel, default_limb, fk_pose
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
-from .records import located, numbers, read_records, write_records
+from .records import (located, numbers, read_records, read_yaml, write_records,
+                      write_yaml)
 
 _STREAMS = {"joints": 0, "vo_rot": 1, "vo_trans": 2, "cloud": 3}
 
@@ -36,26 +38,35 @@ def _rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[purpose])))
 
 
-def _finite(name: str, value, pair: bool = False):
-    """``value`` as a finite float, or with ``pair`` as a read-only (x, y)
-    array of them; anything else is a ``ConfigError`` naming the field."""
-    try:
-        a = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        a = np.array(math.nan)
-    if a.shape != ((2,) if pair else ()) or not np.all(np.isfinite(a)):
-        what = "an (x, y) pair of finite numbers" if pair else "a finite number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    if not pair:
-        return float(a)
+# what a config field of each declared number type must hold
+_NUMBER_TYPES = {int: "a whole number", float: "a finite number",
+                 np.ndarray: "an (x, y) pair of finite numbers"}
+
+
+def _number(name: str, value, kind: type):
+    """``value`` as a finite int, float or read-only (x, y) array, as ``kind`` says;
+    anything else, a boolean or a string included, is a ``ConfigError`` naming
+    the field."""
+    items = np.array(value, dtype=object)
+    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in items.flat)
+    a = items.astype(float) if real else np.array(math.nan)
+    if (a.shape != ((2,) if kind is np.ndarray else ()) or not np.all(np.isfinite(a))
+            or kind is int and not float(a).is_integer()):
+        raise ConfigError(f"{name} must be {_NUMBER_TYPES[kind]}, got {value!r}")
     a.flags.writeable = False
-    return a
+    return a if kind is np.ndarray else kind(a)
 
 
-def _whole(name: str, value) -> int:
-    if not _finite(name, value).is_integer():
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+def _coerce_numbers(config) -> None:
+    """Coerce each number field of a frozen config dataclass by its declared type."""
+    for f in fields(config):
+        if f.type in _NUMBER_TYPES:
+            object.__setattr__(config, f.name, _number(f.name, getattr(config, f.name), f.type))
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -66,28 +77,23 @@ class Hemisphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _finite("hemisphere center", self.center, True))
-        r = float(self.radius)
-        if not (np.isfinite(r) and r > 0.0):
-            raise ValueError("hemisphere radius must be positive")
-        object.__setattr__(self, "radius", r)
+        _coerce_numbers(self)
+        _require(self.radius > 0.0, "radius must be positive")
 
 
 @dataclass(frozen=True)
 class Terrain:
-    plane_z: float
-    patch_center: np.ndarray  # (x, y)
-    patch_size: np.ndarray    # (sx, sy)
-    hemispheres: tuple[Hemisphere, ...]
+    """Ground plane at height ``plane_z`` with a square sensing patch; a terrain
+    built without ``hemispheres`` is flat ground, see ``default_terrain``."""
+
+    plane_z: float = 0.0
+    patch_center: np.ndarray = (0.25, 0.0)  # (x, y)
+    patch_size: np.ndarray = (0.16, 0.16)   # (sx, sy)
+    hemispheres: tuple[Hemisphere, ...] = ()
 
     def __post_init__(self):
-        pc = _finite("patch_center", self.patch_center, True)
-        ps = _finite("patch_size", self.patch_size, True)
-        if np.any(ps <= 0.0):
-            raise ValueError("patch_size must be positive")
-        object.__setattr__(self, "patch_center", pc)
-        object.__setattr__(self, "patch_size", ps)
-        object.__setattr__(self, "plane_z", _finite("plane_z", self.plane_z))
+        _coerce_numbers(self)
+        _require(np.all(self.patch_size > 0.0), "patch_size must be positive")
         object.__setattr__(self, "hemispheres", tuple(self.hemispheres))
 
     def apexes(self) -> np.ndarray:
@@ -104,24 +110,23 @@ class CameraModel:
     rate_hz: float = 30.0
 
     def __post_init__(self):
-        for name in ("fov_deg", "rate_hz"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        _coerce_numbers(self)
+        _require(0.0 < self.fov_deg < 180.0, "fov_deg must be in (0, 180)")
+        _require(self.rate_hz > 0.0, "rate_hz must be positive")
 
 
 def default_terrain() -> Terrain:
     # Largest bump matches the default gripper's outer radius so it is the
     # one the bowl mask can envelop; the smaller two stay undetected.
-    return Terrain(plane_z=0.0,
-                   patch_center=np.array([0.25, 0.0]),
-                   patch_size=np.array([0.16, 0.16]),
-                   hemispheres=(Hemisphere(np.array([0.25, 0.0]), 0.030),
-                                Hemisphere(np.array([0.20, 0.05]), 0.024),
-                                Hemisphere(np.array([0.29, -0.055]), 0.020)))
+    return Terrain(hemispheres=(Hemisphere((0.25, 0.0), 0.030),
+                                Hemisphere((0.20, 0.05), 0.024),
+                                Hemisphere((0.29, -0.055), 0.020)))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """All knobs of one synthetic run; defaults give a mildly noisy instance."""
+    """All knobs of one synthetic run; defaults give a mildly noisy instance.
+    Its fields and its sections' fields are the config file's schema."""
 
     seed: int = 0
     true_scale: float = 2.0
@@ -134,25 +139,15 @@ class SimConfig:
     terrain: Terrain = field(default_factory=default_terrain)
 
     def __post_init__(self):
-        for name in ("seed", "keyframes", "cloud_points_per_keyframe"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        for name in ("true_scale", "joint_noise_stddev", "vo_trans_noise_stddev",
-                     "vo_rot_noise_stddev"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if self.keyframes < 2:
-            raise ConfigError("keyframes must be >= 2")
-        if not self.true_scale > 0.0:
-            raise ConfigError("true_scale must be positive")
-        for name in ("joint_noise_stddev", "vo_trans_noise_stddev",
-                     "vo_rot_noise_stddev"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.cloud_points_per_keyframe < 1:
-            raise ConfigError("cloud_points_per_keyframe must be >= 1")
-        if not 0.0 < self.camera.fov_deg < 180.0:
-            raise ConfigError("camera.fov_deg must be in (0, 180)")
-        if not self.camera.rate_hz > 0.0:
-            raise ConfigError("camera.rate_hz must be positive")
+        _coerce_numbers(self)
+        _require(self.seed >= 0, "seed must be >= 0")
+        _require(self.true_scale > 0.0, "true_scale must be positive")
+        _require(self.keyframes >= 2, "keyframes must be >= 2")
+        _require(self.joint_noise_stddev >= 0.0, "joint_noise_stddev must be >= 0")
+        _require(self.vo_trans_noise_stddev >= 0.0, "vo_trans_noise_stddev must be >= 0")
+        _require(self.vo_rot_noise_stddev >= 0.0, "vo_rot_noise_stddev must be >= 0")
+        _require(self.cloud_points_per_keyframe >= 1,
+                 "cloud_points_per_keyframe must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,8 @@ def _sample_surface(terrain: Terrain, n: int, rng: np.random.Generator) -> np.nd
         def under_bump(q):
             hit = np.zeros(q.shape[0], dtype=bool)
             for h in terrain.hemispheres:
-                hit |= np.sum((q - h.center) ** 2, axis=1) < h.radius ** 2
+                (cx, cy), r = h.center, h.radius
+                hit |= (q[:, 0] - cx) ** 2 + (q[:, 1] - cy) ** 2 < r ** 2
             return hit
 
         # points under a bump belong to the bump surface, not the plane
@@ -341,87 +337,58 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
 
 # --- config file -------------------------------------------------------------------
 
-_CONFIG_KEYS = {"seed", "true_scale", "keyframes", "joint_noise_stddev",
-                "vo_trans_noise_stddev", "vo_rot_noise_stddev",
-                "cloud_points_per_keyframe", "camera", "terrain"}
-
-
-def config_to_dict(config: SimConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "true_scale": config.true_scale,
-        "keyframes": config.keyframes,
-        "joint_noise_stddev": config.joint_noise_stddev,
-        "vo_trans_noise_stddev": config.vo_trans_noise_stddev,
-        "vo_rot_noise_stddev": config.vo_rot_noise_stddev,
-        "cloud_points_per_keyframe": config.cloud_points_per_keyframe,
-        "camera": {"fov_deg": config.camera.fov_deg, "rate_hz": config.camera.rate_hz},
-        "terrain": {
-            "plane_z": config.terrain.plane_z,
-            "patch_center": [float(v) for v in config.terrain.patch_center],
-            "patch_size": [float(v) for v in config.terrain.patch_size],
-            "hemispheres": [{"center": [float(v) for v in h.center],
-                             "radius": h.radius}
-                            for h in config.terrain.hemispheres],
-        },
-    }
+def config_to_dict(config) -> dict:
+    """A config dataclass as plain YAML values, in field order: sections become
+    nested dicts, arrays and tuples lists of Python numbers."""
+    def plain(value):
+        if is_dataclass(value):
+            return config_to_dict(value)
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return {f.name: plain(getattr(config, f.name)) for f in fields(config)}
 
 
 def config_from_dict(doc: dict) -> SimConfig:
+    return _from_dict(SimConfig, doc)
+
+
+def _from_dict(cls, doc):
+    """A config dataclass ``cls`` from a mapping of its fields, recursing into
+    section and tuple fields; a missing key takes the field's default."""
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(doc) - _CONFIG_KEYS
+        raise ConfigError(f"expected a mapping, got {doc!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(types)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    defaults = SimConfig()
-    try:
-        camera = CameraModel(**doc["camera"]) if "camera" in doc else defaults.camera
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"camera: {exc}") from exc
-    terrain = defaults.terrain
-    if "terrain" in doc:
-        tdoc = doc["terrain"]
-        if not isinstance(tdoc, dict):
-            raise ConfigError("terrain must be a mapping")
-        unknown = set(tdoc) - {"plane_z", "patch_center", "patch_size", "hemispheres"}
-        if unknown:
-            raise ConfigError(f"unknown terrain keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys: {sorted(unknown, key=str)}")
+    kwargs = {}
+    for name, value in doc.items():
+        kind = types[name]
         try:
-            hemis = tuple(Hemisphere(np.asarray(h["center"], dtype=float), h["radius"])
-                          for h in tdoc.get("hemispheres", []))
-            terrain = Terrain(
-                plane_z=tdoc.get("plane_z", defaults.terrain.plane_z),
-                patch_center=tdoc.get("patch_center", defaults.terrain.patch_center),
-                patch_size=tdoc.get("patch_size", defaults.terrain.patch_size),
-                hemispheres=hemis)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"terrain: {exc}") from exc
-    kwargs = {k: doc[k] for k in doc if k not in ("camera", "terrain")}
+            if is_dataclass(kind):
+                value = _from_dict(kind, value)
+            elif get_origin(kind) is tuple:
+                value = tuple(_from_dict(get_args(kind)[0], v) for v in value)
+        except (ConfigError, TypeError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+        kwargs[name] = value
     try:
-        return SimConfig(camera=camera, terrain=terrain, **kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except TypeError as exc:  # a field without a default is missing
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> SimConfig:
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}" if mark is not None else ""
-            raise ConfigError(f"{path}: YAML parse error{where}: {exc}") from exc
-    if doc is None:
-        doc = {}
+    doc = read_yaml(path, ConfigError)
     try:
-        return config_from_dict(doc)
+        return config_from_dict({} if doc is None else doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(path, config: SimConfig) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
+    write_yaml(path, config_to_dict(config))
 
 
 # --- bundle directory ----------------------------------------------------------------
@@ -464,20 +431,17 @@ def write_bundle(directory, bundle: SimBundle) -> list[str]:
         "files": list(BUNDLE_FILES[:-1]),
         "config": config_to_dict(bundle.config),
     }
-    with open(d / MANIFEST_FILE, "w") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=False)
+    write_yaml(d / MANIFEST_FILE, manifest)
     return list(BUNDLE_FILES)
 
 
 def read_bundle(directory) -> SimBundle:
     d = Path(directory)
     path = d / MANIFEST_FILE
-    with open(path) as fh:
-        try:
-            config = config_from_dict(yaml.safe_load(fh)["config"])
-        except (yaml.YAMLError, ConfigError, KeyError, TypeError) as exc:
-            raise CorruptArtifact(
-                f"{path}: bad manifest: {type(exc).__name__}: {exc}") from exc
+    try:
+        config = config_from_dict(read_yaml(path, CorruptArtifact)["config"])
+    except (ConfigError, KeyError, TypeError) as exc:
+        raise CorruptArtifact(f"{path}: bad manifest: {type(exc).__name__}: {exc}") from exc
 
     path = d / TRAJECTORY_FILE
     readings, poses, width = [], [], None

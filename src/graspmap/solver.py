@@ -65,6 +65,8 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 <= self.rel_tol < np.inf:
             raise ValueError(f"rel_tol must be finite and non-negative, got {self.rel_tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -277,12 +279,9 @@ class FactorGraph:
         """Every factor in graph order: prior, fk1, mc1, fk2, mc2, ..."""
         return (self.prior, *(f for pair in zip(self.fks, self.mcs) for f in pair))
 
-    def total_cost(self, poses=None, scale=None) -> float:
-        """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor),
-        at the graph's estimate unless other poses and scale are given."""
-        poses = self.poses if poses is None else poses
-        scale = self.scale if scale is None else scale
-        return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
+    def total_cost(self) -> float:
+        """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor)."""
+        return sum(factor_cost(factor_residual(f, self.poses, self.scale), factor_info_diag(f))
                    for f in self.factors)
 
     def _packed(self):

@@ -91,6 +91,14 @@ def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text):
     assert "config error" in err and "bad.yaml" in err, err
 
 
+def test_simulate_boolean_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("seed: true\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[simulate] config error") and "seed" in err, err
+
+
 def test_pipeline_infinite_true_scale_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("true_scale: .inf\n")
@@ -149,6 +157,13 @@ def test_solve_missing_input_exits_3(quiet_bundle, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "file error" in err and "vo.csv" in err
+
+
+def test_solve_max_iter_0_exits_2(quiet_bundle, tmp_path, capsys):
+    rc = main(["solve", str(quiet_bundle), "--max-iter", "0",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("[solve] config error")
 
 
 def test_solve_nan_rel_tol_exits_2(quiet_bundle, tmp_path, capsys):
@@ -444,6 +459,29 @@ def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"[{label}] file error") and where in err, err
+
+
+@pytest.mark.parametrize("role, code, kind", [
+    ("--config", 2, "config error"),
+    ("--limb", 2, "config error"),
+    ("manifest", 3, "file error"),
+])
+def test_yaml_syntax_error_names_path_line_once(small_run, tmp_path, capsys,
+                                                role, code, kind):
+    """A YAML file that does not parse exits by its role and names path:line once."""
+    if role == "manifest":
+        shutil.copytree(small_run / "bundle", tmp_path / "bundle")
+        bad = tmp_path / "bundle" / "manifest.yaml"
+        argv = ["solve", str(bad.parent), "--out", str(tmp_path / "s")]
+    else:
+        bad = tmp_path / "bad.yaml"
+        argv = ["simulate", role, str(bad), "--out", str(tmp_path / "x")]
+    bad.write_text("seed: 1\nkeyframes: 2: 3\n")
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{argv[0]}] {kind}: {bad}:2: "), err
+    assert err.count(bad.name) == 1, err
 
 
 # --- wiring -----------------------------------------------------------------------

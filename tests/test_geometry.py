@@ -176,12 +176,6 @@ def test_group_axioms():
         assert np.allclose(compose(inverse(a), a).matrix(), np.eye(4), atol=1e-12)
 
 
-def test_matmul_operator_matches_compose():
-    rng = np.random.default_rng(10)
-    a, b = rand_pose(rng), rand_pose(rng)
-    assert np.allclose((a @ b).matrix(), compose(a, b).matrix(), atol=0)
-
-
 # --- so3 exp/log -------------------------------------------------------------------
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graspmap.errors import ConfigError, NoVisibleTerrain, UnreachableTerrain
+from graspmap.errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
+                             UnreachableTerrain)
 from graspmap.geometry import Pose, compose, inverse
 from graspmap.kinematics import default_limb, fk_pose
 from graspmap.mapping import UNSCALED_UNITS
@@ -207,14 +209,46 @@ def test_bundle_round_trip(tmp_path):
     assert np.array_equal(bundle.truth_graspable, back.truth_graspable)
 
 
+def test_manifest_that_is_not_utf8_is_corrupt(tmp_path):
+    (tmp_path / "manifest.yaml").write_bytes(b"seed: \xff\n")
+    with pytest.raises(CorruptArtifact, match="manifest.yaml"):
+        read_bundle(tmp_path)
+
+
 # --- configuration -------------------------------------------------------------------
 
 
 def test_config_round_trip(tmp_path):
-    config = SimConfig(seed=99, true_scale=1.75, keyframes=11)
+    """Every field off its default, hemispheres included, survives a save and load."""
+    terrain = Terrain(plane_z=-0.02, patch_center=(0.3, 0.01), patch_size=(0.2, 0.1),
+                      hemispheres=(Hemisphere((0.3, 0.02), 0.025),
+                                   Hemisphere((0.26, -0.01), 0.01)))
+    config = SimConfig(seed=99, true_scale=1.75, keyframes=11, joint_noise_stddev=0.001,
+                       vo_trans_noise_stddev=3e-4, vo_rot_noise_stddev=0.01,
+                       cloud_points_per_keyframe=123,
+                       camera=CameraModel(fov_deg=80.0, rate_hz=15.0), terrain=terrain)
+    doc, defaults = config_to_dict(config), config_to_dict(SimConfig())
+    assert all(doc[k] != defaults[k] for k in doc)
+    assert all(doc[s][k] != defaults[s][k] for s in ("camera", "terrain") for k in doc[s])
     path = tmp_path / "run.yaml"
     save_config(path, config)
-    assert config_to_dict(load_config(path)) == config_to_dict(config)
+    assert config_to_dict(load_config(path)) == doc
+
+
+def test_default_config_file_matches_defaults(tmp_path):
+    path = tmp_path / "default.yaml"
+    save_config(path, SimConfig())
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    assert path.read_bytes() == shipped.read_bytes()
+
+
+def test_partial_terrain_takes_field_defaults():
+    """Missing plane and patch keys take the defaults; missing hemispheres
+    means flat ground."""
+    terrain = config_from_dict({"terrain": {"plane_z": 0.01}}).terrain
+    assert terrain.plane_z == 0.01 and terrain.hemispheres == ()
+    assert np.array_equal(terrain.patch_center, default_terrain().patch_center)
+    assert np.array_equal(terrain.patch_size, default_terrain().patch_size)
 
 
 def test_config_rejects_unknown_keys():
@@ -244,9 +278,16 @@ def test_config_rejects_bad_values():
         dataclasses.replace(default_terrain(), patch_size=[math.inf, 0.16])
     for name, value in (("seed", 1.5), ("keyframes", 2.7),
                         ("cloud_points_per_keyframe", 10.5),
-                        ("keyframes", math.inf)):
+                        ("keyframes", math.inf), ("seed", -3),
+                        ("seed", True), ("true_scale", True),
+                        ("keyframes", np.bool_(True)), ("keyframes", "20")):
         with pytest.raises(ConfigError, match=name):
             SimConfig(**{name: value})
+    # booleans are not numbers, in a section or a pair either
+    with pytest.raises(ConfigError, match="camera: fov_deg"):
+        config_from_dict({"true_scale": True, "camera": {"fov_deg": True}})
+    with pytest.raises(ConfigError, match="terrain: patch_center"):
+        config_from_dict({"terrain": {"patch_center": [True, 0.0]}})
     with pytest.raises(ConfigError, match="terrain: plane_z"):
         config_from_dict({"terrain": {"plane_z": math.nan}})
     with pytest.raises(ConfigError, match="camera: rate_hz"):

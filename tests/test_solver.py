@@ -499,3 +499,10 @@ def test_solve_options_defaults():
 def test_solve_options_reject_bad_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
         SolveOptions(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solve_options_reject_max_iter_below_1(max_iter):
+    """A run that may take no step can never converge: a bad parameter."""
+    with pytest.raises(ValueError, match="max_iter"):
+        SolveOptions(max_iter=max_iter)
