@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import (Pose, Rotation, compose, hat, hat_stacked, inverse,
-                       quat_conjugate, quat_matrix, quat_product, quat_rotate,
-                       se3_adjoint, se3_left_jacobian_inv,
+from .geometry import (Pose, Rotation, compose, frozen, hat, hat_stacked,
+                       inverse, quat_conjugate, quat_matrix, quat_product,
+                       quat_rotate, se3_adjoint, se3_left_jacobian_inv,
                        se3_left_jacobian_inv_stacked, se3_log,
                        se3_right_jacobian_inv, so3_left_jacobian_inv,
                        so3_left_jacobian_inv_stacked, so3_log, so3_log_stacked,
@@ -58,13 +58,9 @@ def default_mc_info() -> np.ndarray:
 
 
 def _check_info_diag(info, length: int) -> np.ndarray:
-    a = np.asarray(info, dtype=float).copy()
-    if a.shape != (length,):
-        raise DimensionMismatch(
-            f"information diagonal must have shape ({length},), got {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-        raise ValueError("information diagonal must be positive and finite")
-    a.flags.writeable = False
+    a = frozen(info, (length,), "information diagonal", error=DimensionMismatch)
+    if np.any(a <= 0.0):
+        raise ValueError("information diagonal must be positive")
     return a
 
 
@@ -134,13 +130,8 @@ class McFactor:
         if int(self.i) < 1:
             raise ValueError("McFactor index must be >= 1")
         object.__setattr__(self, "i", int(self.i))
-        t = np.asarray(self.delta_trans, dtype=float).copy()
-        if t.shape != (3,):
-            raise DimensionMismatch(f"delta_trans must be a 3-vector, got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("delta_trans must be finite")
-        t.flags.writeable = False
-        object.__setattr__(self, "delta_trans", t)
+        object.__setattr__(self, "delta_trans", frozen(self.delta_trans, (3,), "delta_trans",
+                                                       error=DimensionMismatch))
         info = default_mc_info() if self.info is None else self.info
         object.__setattr__(self, "info", _check_info_diag(info, 6))
         object.__setattr__(self, "frame_aligned", bool(self.frame_aligned))
@@ -201,17 +192,15 @@ def prior_residual(t0: Pose, scale: ScaleVar, factor: PriorFactor) -> np.ndarray
 
 
 def factor_cost(residual, info) -> float:
-    """Squared Mahalanobis norm r^T Info r; accepts a diagonal or full matrix."""
+    """Squared Mahalanobis norm r^T Info r for an information diagonal."""
     r = np.asarray(residual, dtype=float)
     if r.ndim != 1:
         raise DimensionMismatch("residual must be a flat vector")
     m = np.asarray(info, dtype=float)
-    if m.shape == (r.size,):
-        return float(r @ (m * r))
-    if m.shape == (r.size, r.size):
-        return float(r @ m @ r)
-    raise DimensionMismatch(
-        f"information of shape {m.shape} does not match residual of size {r.size}")
+    if m.shape != (r.size,):
+        raise DimensionMismatch(
+            f"information of shape {m.shape} does not match residual of size {r.size}")
+    return float(r @ (m * r))
 
 
 # --- analytic Jacobians ---------------------------------------------------------

@@ -33,6 +33,29 @@ _SERIES_ANGLE = 1e-2
 CUT_LOCUS_MARGIN = 1e-6
 
 
+def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
+           unit: bool = False) -> np.ndarray:
+    """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
+    ``-1`` matches any length. A wrong shape raises ``error``. A float array
+    must be finite, or ``ValueError`` is raised; with ``unit`` a vector is
+    scaled to unit norm and must also be nonzero. Messages name ``what``."""
+    a = np.array(value, dtype=dtype)
+    if a.shape != shape and (a.ndim != len(shape)
+                             or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
+        raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "
+                    f"got {a.shape}")
+    if unit:
+        # the norm as np.linalg.norm takes it; a finite one means finite entries
+        n = math.sqrt(a.dot(a))
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"{what} must be finite and nonzero")
+        a /= n
+    elif dtype is float and not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
+
+
 def _vec3(v, n: int = 3) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (n,):
@@ -57,15 +80,7 @@ class Rotation:
     quat: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quat, dtype=float).copy()
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        n = np.linalg.norm(q)
-        if not np.isfinite(n) or n == 0.0:
-            raise ValueError("quaternion must be finite and nonzero")
-        q /= n
-        q.flags.writeable = False
-        object.__setattr__(self, "quat", q)
+        object.__setattr__(self, "quat", frozen(self.quat, (4,), "quaternion", unit=True))
 
     @staticmethod
     def identity() -> "Rotation":
@@ -78,39 +93,6 @@ class Rotation:
         if n == 0.0:
             raise ValueError("rotation axis must be nonzero")
         return so3_exp(axis * (float(angle) / n))
-
-    @staticmethod
-    def from_matrix(m) -> "Rotation":
-        """Quaternion from an orthonormal matrix (Shepperd's branch method)."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        tr = m[0, 0] + m[1, 1] + m[2, 2]
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            q = np.array([0.25 * s,
-                          (m[2, 1] - m[1, 2]) / s,
-                          (m[0, 2] - m[2, 0]) / s,
-                          (m[1, 0] - m[0, 1]) / s])
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = np.array([(m[2, 1] - m[1, 2]) / s,
-                          0.25 * s,
-                          (m[0, 1] + m[1, 0]) / s,
-                          (m[0, 2] + m[2, 0]) / s])
-        elif m[1, 1] > m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = np.array([(m[0, 2] - m[2, 0]) / s,
-                          (m[0, 1] + m[1, 0]) / s,
-                          0.25 * s,
-                          (m[1, 2] + m[2, 1]) / s])
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = np.array([(m[1, 0] - m[0, 1]) / s,
-                          (m[0, 2] + m[2, 0]) / s,
-                          (m[1, 2] + m[2, 1]) / s,
-                          0.25 * s])
-        return Rotation(q)
 
     def matrix(self) -> np.ndarray:
         w, x, y, z = self.quat
@@ -161,13 +143,7 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float).copy()
-        if t.shape != (3,):
-            raise ValueError(f"translation must have shape (3,), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("translation must be finite")
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", frozen(self.translation, (3,), "translation"))
 
     @staticmethod
     def identity() -> "Pose":
@@ -177,13 +153,6 @@ class Pose:
     def from_parts(rotation: Rotation | None = None, translation=None) -> "Pose":
         return Pose(rotation if rotation is not None else Rotation.identity(),
                     np.zeros(3) if translation is None else translation)
-
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"homogeneous matrix must be 4x4, got {m.shape}")
-        return Pose(Rotation.from_matrix(m[:3, :3]), m[:3, 3])
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
-                       pose_to_seven, se3_log)
-from .records import read_yaml, write_yaml
+from .geometry import (Pose, Rotation, compose, frozen, inverse,
+                       pose_from_seven, pose_to_seven, se3_log)
+from .records import config_number, read_yaml, write_yaml
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,7 @@ class Joint:
     offset: Pose
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float).copy()
-        if a.shape != (3,):
-            raise ValueError(f"joint axis must be a 3-vector, got shape {a.shape}")
-        n = np.linalg.norm(a)
-        if not np.isfinite(n) or n == 0.0:
-            raise ValueError("joint axis must be finite and nonzero")
-        a /= n
-        a.flags.writeable = False
-        object.__setattr__(self, "axis", a)
+        object.__setattr__(self, "axis", frozen(self.axis, (3,), "joint axis", unit=True))
 
 
 @dataclass(frozen=True)
@@ -75,13 +67,7 @@ class JointReading:
     angles: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float).copy()
-        if a.ndim != 1:
-            raise ValueError("angles must be a flat vector")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("angles must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "angles", a)
+        object.__setattr__(self, "angles", frozen(self.angles, (-1,), "angles"))
         object.__setattr__(self, "timestamp", float(self.timestamp))
 
 
@@ -171,13 +157,20 @@ def save_limb(path, model: LimbModel) -> None:
 
 
 def load_limb(path) -> LimbModel:
+    """The limb model in ``path``; a missing or invalid value is a
+    ``ConfigError`` naming the file."""
     doc = read_yaml(path, ConfigError)
+
+    def seven(name, value):
+        return pose_from_seven(config_number(name, value, length=7))
+
     try:
-        joints = tuple(Joint(np.asarray(j["axis"], dtype=float),
-                             pose_from_seven(j["offset"]))
-                       for j in doc["joints"])
-        return LimbModel(joints=joints,
-                         base_pose=pose_from_seven(doc["base_pose"]),
-                         gripper_offset=pose_from_seven(doc["gripper_offset"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed limb model file {path}: {exc}") from exc
+        joints = tuple(Joint(config_number(f"joints[{k}].axis", j["axis"], length=3),
+                             seven(f"joints[{k}].offset", j["offset"]))
+                       for k, j in enumerate(doc["joints"]))
+        return LimbModel(joints=joints, base_pose=seven("base_pose", doc["base_pose"]),
+                         gripper_offset=seven("gripper_offset", doc["gripper_offset"]))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

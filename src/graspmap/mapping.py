@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
                      DimensionMismatch, EmptyCloud)
 from .factors import ScaleVar
+from .geometry import frozen
 from .records import located, numbers, read_records, write_records
 
 UNSCALED_UNITS = "unscaled-map-units"
@@ -32,14 +33,6 @@ DEFAULT_VOXEL_SIZE = 0.002
 DEFAULT_MIN_POINTS = 3
 
 
-def _points_array(points) -> np.ndarray:
-    a = np.asarray(points, dtype=float).reshape(-1, 3).copy()
-    if not np.all(np.isfinite(a)):
-        raise ValueError("cloud points must be finite")
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """N x 3 points plus a units tag so metric and unscaled clouds cannot mix."""
@@ -48,7 +41,7 @@ class PointCloud:
     units: str
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _points_array(self.points))
+        object.__setattr__(self, "points", frozen(self.points, (-1, 3), "cloud points"))
         if self.units not in (UNSCALED_UNITS, METERS):
             raise ValueError(f"unknown units tag {self.units!r}")
 
@@ -65,17 +58,10 @@ class VoxelGrid:
     occupancy: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.origin, dtype=float).copy()
-        if o.shape != (3,):
-            raise ValueError("origin must be a 3-vector")
-        o.flags.writeable = False
-        object.__setattr__(self, "origin", o)
+        object.__setattr__(self, "origin", frozen(self.origin, (3,), "origin"))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
-        occ = np.asarray(self.occupancy, dtype=bool).copy()
-        if occ.ndim != 3:
-            raise ValueError("occupancy must be a 3-d boolean array")
-        occ.flags.writeable = False
-        object.__setattr__(self, "occupancy", occ)
+        object.__setattr__(self, "occupancy",
+                           frozen(self.occupancy, (-1, -1, -1), "occupancy", bool))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -91,16 +77,11 @@ class GripperMask:
 
     offsets: np.ndarray
     voxel_size: float
-    outer_radius: float
-    inner_radius: float
-    depth: float
 
     def __post_init__(self):
-        o = np.asarray(self.offsets, dtype=int).copy()
-        if o.ndim != 2 or o.shape[1] != 3 or o.shape[0] == 0:
-            raise ValueError("offsets must be a nonempty (M, 3) integer array")
-        o.flags.writeable = False
-        object.__setattr__(self, "offsets", o)
+        object.__setattr__(self, "offsets", frozen(self.offsets, (-1, 3), "offsets", int))
+        if len(self.offsets) == 0:
+            raise ValueError("offsets must be nonempty")
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -114,11 +95,7 @@ class GraspablePoint:
     support_count: int
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).copy()
-        if p.shape != (3,):
-            raise ValueError("position must be a 3-vector")
-        p.flags.writeable = False
-        object.__setattr__(self, "position", p)
+        object.__setattr__(self, "position", frozen(self.position, (3,), "position"))
         object.__setattr__(self, "support_count", int(self.support_count))
 
 
@@ -230,8 +207,7 @@ def build_mask(outer_radius: float = DEFAULT_OUTER_RADIUS,
         raise DegenerateMask(
             f"no voxel centers fall in the bowl (outer={outer}, inner={inner}, "
             f"depth={depth}, voxel={voxel_size})")
-    return GripperMask(offsets=offsets, voxel_size=voxel_size,
-                       outer_radius=outer, inner_radius=inner, depth=depth)
+    return GripperMask(offsets=offsets, voxel_size=voxel_size)
 
 
 def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]:

@@ -1,5 +1,6 @@
-"""Plain-text record format shared by the artifacts the stages exchange, and
-the one reader and writer of every YAML document.
+"""Plain-text record format shared by the artifacts the stages exchange, the
+one reader and writer of every YAML document, and the check of the numbers a
+configuration file holds.
 
 One record per line; ``#`` starts a comment. Reading errors raise
 ``CorruptArtifact`` naming ``path:line``.
@@ -9,10 +10,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from numbers import Real
 
+import numpy as np
 import yaml
 
-from .errors import CorruptArtifact
+from .errors import ConfigError, CorruptArtifact
+from .geometry import frozen
 
 
 def write_records(path, rows, sep: str = " ", comment: str | None = None) -> None:
@@ -57,6 +61,24 @@ def numbers(path, lineno: int, tokens, count: int, kind=float) -> list:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value {token!r}")
     return values
+
+
+def config_number(name: str, value, kind: type = float, length: int | None = None):
+    """A configured ``value`` as a finite ``kind``, int or float, or given
+    ``length``, as a read-only array of that many finite floats. Anything
+    else, a boolean or a string included, is a ``ConfigError`` naming ``name``."""
+    # element by element: np.array(..., dtype=float) takes True and "1" as 1.0
+    items = np.array(value, dtype=object)
+    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in items.flat)
+    a = items.astype(float) if real else np.array(math.nan)
+    shape = () if length is None else (length,)
+    if (a.shape != shape or not np.isfinite(a).all()
+            or kind is int and not float(a).is_integer()):
+        want = ("a whole number" if kind is int else "a finite number" if length is None
+                else f"a list of {length} finite numbers")
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    a = frozen(a, shape, name)
+    return a if length is not None else kind(a)
 
 
 def read_yaml(path, error: type[Exception]):

@@ -15,7 +15,6 @@ identical across runs that differ only in ``true_scale``.
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from numbers import Real
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -23,13 +22,13 @@ import numpy as np
 
 from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
-from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
-                       pose_to_seven, so3_exp)
+from .geometry import (Pose, Rotation, compose, frozen, inverse,
+                       pose_from_seven, pose_to_seven, so3_exp)
 from .kinematics import JointReading, LimbModel, default_limb, fk_pose
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
-from .records import (located, numbers, read_records, read_yaml, write_records,
-                      write_yaml)
+from .records import (config_number, located, numbers, read_records, read_yaml,
+                      write_records, write_yaml)
 
 _STREAMS = {"joints": 0, "vo_rot": 1, "vo_trans": 2, "cloud": 3}
 
@@ -38,30 +37,14 @@ def _rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[purpose])))
 
 
-# what a config field of each declared number type must hold
-_NUMBER_TYPES = {int: "a whole number", float: "a finite number",
-                 np.ndarray: "an (x, y) pair of finite numbers"}
-
-
-def _number(name: str, value, kind: type):
-    """``value`` as a finite int, float or read-only (x, y) array, as ``kind`` says;
-    anything else, a boolean or a string included, is a ``ConfigError`` naming
-    the field."""
-    items = np.array(value, dtype=object)
-    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in items.flat)
-    a = items.astype(float) if real else np.array(math.nan)
-    if (a.shape != ((2,) if kind is np.ndarray else ()) or not np.all(np.isfinite(a))
-            or kind is int and not float(a).is_integer()):
-        raise ConfigError(f"{name} must be {_NUMBER_TYPES[kind]}, got {value!r}")
-    a.flags.writeable = False
-    return a if kind is np.ndarray else kind(a)
-
-
 def _coerce_numbers(config) -> None:
     """Coerce each number field of a frozen config dataclass by its declared type."""
     for f in fields(config):
-        if f.type in _NUMBER_TYPES:
-            object.__setattr__(config, f.name, _number(f.name, getattr(config, f.name), f.type))
+        value = getattr(config, f.name)
+        if f.type in (int, float):
+            object.__setattr__(config, f.name, config_number(f.name, value, f.type))
+        elif f.type is np.ndarray:  # an (x, y) pair
+            object.__setattr__(config, f.name, config_number(f.name, value, length=2))
 
 
 def _require(ok: bool, message: str) -> None:
@@ -166,9 +149,8 @@ class SimBundle:
         object.__setattr__(self, "readings", tuple(self.readings))
         object.__setattr__(self, "vo_deltas",
                            tuple((r, np.asarray(t, dtype=float)) for r, t in self.vo_deltas))
-        g = np.asarray(self.truth_graspable, dtype=float).reshape(-1, 3).copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "truth_graspable", g)
+        object.__setattr__(self, "truth_graspable",
+                           frozen(self.truth_graspable, (-1, 3), "truth_graspable"))
 
 
 # --- trajectory ------------------------------------------------------------------
@@ -470,5 +452,6 @@ def read_bundle(directory) -> SimBundle:
 
     path = d / TRUTH_GRASPABLE_FILE
     apexes = [numbers(path, lineno, tok, 3) for lineno, tok in read_records(path, ",")]
-    return SimBundle(config=config, truth_poses=poses, readings=readings,
-                     vo_deltas=vo, cloud=cloud, truth_graspable=apexes)
+    return SimBundle(config=config, truth_poses=poses, readings=readings, vo_deltas=vo,
+                     cloud=cloud,  # flat terrain has no apexes: shape (0, 3), not (0,)
+                     truth_graspable=np.reshape(apexes, (-1, 3)))

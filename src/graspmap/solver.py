@@ -51,6 +51,7 @@ from .simulation import SimBundle
 # are 1e-3..1e-4, so gradients run ~1e6 smaller than in a unit-weight
 # problem and a looser floor would stop well short of the minimum
 GRAD_TOL = 1e-14
+INITIAL_LAMBDA = 1e-4
 LAMBDA_MAX = 1e8
 
 
@@ -60,7 +61,6 @@ class SolveOptions:
 
     max_iter: int = 100
     rel_tol: float = 1e-8
-    initial_lambda: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 <= self.rel_tol < np.inf:
@@ -301,7 +301,7 @@ class FactorGraph:
         system = normal_equations(stacked, prior, *state)
         report = SolveReport(initial_cost=system.cost, final_cost=system.cost,
                              iterations=0, converged=False)
-        lam = opts.initial_lambda
+        lam = INITIAL_LAMBDA
 
         while len(report.step_costs) < opts.max_iter:
             if system.grad_max() < GRAD_TOL:

@@ -14,7 +14,7 @@ import yaml
 
 import graspmap
 from graspmap.cli import main
-from graspmap.kinematics import default_limb, save_limb
+from graspmap.kinematics import default_limb, load_limb, save_limb
 from graspmap.mapping import (METERS, UNSCALED_UNITS, PointCloud,
                               load_graspable, write_ply)
 from graspmap.simulation import SimConfig, Terrain, save_config
@@ -79,16 +79,44 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     assert "config error" in err and "keyframes" in err
 
 
-@pytest.mark.parametrize("flag, text", [
-    ("--config", "terrain: 5\n"),
-    ("--limb", "joints: [\n"),
-], ids=["terrain-not-a-mapping", "limb-bad-yaml"])
-def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text):
+# the default limb's file, one joint a line, for rows that spoil one value
+LIMB = """\
+base_pose: [0.0, 0.0, 0.3, 1.0, 0.0, 0.0, 0.0]
+gripper_offset: [0.0, 0.0, 0.0, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0]
+joints:
+- {axis: [0.0, 0.0, 1.0], offset: [0.0, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0]}
+- {axis: [0.0, 1.0, 0.0], offset: [0.15, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}
+- {axis: [0.0, 1.0, 0.0], offset: [0.15, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}
+- {axis: [0.0, 1.0, 0.0], offset: [0.05, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}
+"""
+
+
+def test_limb_text_is_the_default_limb(tmp_path):
+    given, again, want = (tmp_path / f"{name}.yaml" for name in ("given", "again", "want"))
+    given.write_text(LIMB)
+    save_limb(again, load_limb(given))
+    save_limb(want, default_limb())
+    assert again.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("flag, text, what", [
+    ("--config", "terrain: 5\n", "terrain"),
+    ("--limb", "joints: [\n", "bad YAML"),
+    ("--limb", LIMB.replace("0.3, 1.0", "0.3, true"), "base_pose"),
+    ("--limb", LIMB.replace("axis: [0.0, 0.0", "axis: [abc, 0.0"), "joints[0].axis"),
+    ("--limb", LIMB.replace("axis: [0.0, 0.0", "axis: [.nan, 0.0"), "joints[0].axis"),
+    ("--limb", LIMB.replace("0.7071067811865476", ".inf"), "gripper_offset"),
+    ("--limb", LIMB.replace("[0.05, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]",
+                            "[0.05, 0.0, 0.0, 1.0, 0.0, 0.0]"), "joints[3].offset"),
+    ("--limb", LIMB.replace("axis: [0.0, 0.0, 1.0], ", ""), "'axis'"),
+], ids=["terrain-not-a-mapping", "limb-bad-yaml", "limb-boolean", "limb-string",
+        "limb-nan", "limb-inf", "limb-short-offset", "limb-missing-axis"])
+def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text, what):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     assert main(["simulate", flag, str(bad), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "bad.yaml" in err, err
+    assert "config error" in err and "bad.yaml" in err and what in err, err
 
 
 def test_simulate_boolean_seed_exits_2(tmp_path, capsys):

@@ -319,17 +319,18 @@ def test_solver_holds_one_hessian(method):
     assert peak < 0.25 * hessian_bytes, peak / hessian_bytes
 
 
-def small_solve(options: SolveOptions):
+def small_solve():
     rng = np.random.default_rng(14)
     graph, _ = synthetic_graph(rng, n=8, s_true=1.5, trans_noise=2e-4,
                                rot_noise=1e-3)
-    return graph.optimize(options), graph
+    return graph.optimize(), graph
 
 
 def test_singular_trial_retries_with_more_damping(monkeypatch):
     """A damped system that will not factor costs one lambda step: the solve
     then matches, bit for bit, one started at ten times the initial lambda."""
-    want_report, want = small_solve(SolveOptions(initial_lambda=1e-3))
+    monkeypatch.setattr(solver, "INITIAL_LAMBDA", 1e-3)
+    want_report, want = small_solve()
     real = solver.block_cholesky
     calls = []
 
@@ -341,7 +342,8 @@ def test_singular_trial_retries_with_more_damping(monkeypatch):
         return real(diag, *args, **kwargs)
 
     monkeypatch.setattr(solver, "block_cholesky", fail_first)
-    report, graph = small_solve(SolveOptions(initial_lambda=1e-4))
+    monkeypatch.setattr(solver, "INITIAL_LAMBDA", 1e-4)
+    report, graph = small_solve()
     assert len(calls) > 1
     assert report == want_report
     assert graph.scale.log_value == want.scale.log_value
@@ -356,7 +358,7 @@ def test_never_factoring_raises_singular(monkeypatch):
 
     monkeypatch.setattr(solver, "block_cholesky", fail)
     with pytest.raises(SingularNormalEquations, match="not positive-definite"):
-        small_solve(SolveOptions())
+        small_solve()
 
 
 def dense_normal_equations(graph: FactorGraph):
@@ -420,11 +422,12 @@ def scrambled_graph(seed: int) -> FactorGraph:
     return graph
 
 
-def test_lm_trace_counts_rejected_steps():
+def test_lm_trace_counts_rejected_steps(monkeypatch):
     """A scrambled start at a tiny lambda forces cost increases; the report
     counts them and logs lambda and max|g| per accepted step."""
     graph = scrambled_graph(16)
-    report = graph.optimize(SolveOptions(initial_lambda=1e-9))
+    monkeypatch.setattr(solver, "INITIAL_LAMBDA", 1e-9)
+    report = graph.optimize()
     assert report.converged
     assert report.rejected_steps > 0
     assert len(report.step_lambdas) == len(report.step_grads) == report.iterations
@@ -440,11 +443,12 @@ def test_lm_trace_counts_rejected_steps():
     assert report.step_grads[-1] == pytest.approx(np.max(np.abs(g)), rel=1e-6)
 
 
-def test_trial_past_exp_range_is_rejected():
+def test_trial_past_exp_range_is_rejected(monkeypatch):
     """A trial step that sends log s past exp's range has no finite cost: it
     is rejected like any cost increase instead of ending the solve."""
     graph = scrambled_graph(20)
-    report = graph.optimize(SolveOptions(initial_lambda=1e-9))
+    monkeypatch.setattr(solver, "INITIAL_LAMBDA", 1e-9)
+    report = graph.optimize()
     assert report.converged and report.rejected_steps > 0
     assert graph.total_cost() == pytest.approx(report.final_cost, rel=1e-9)
 
@@ -492,7 +496,7 @@ def test_solve_options_defaults():
     opts = SolveOptions()
     assert opts.max_iter == 100
     assert opts.rel_tol == 1e-8
-    assert opts.initial_lambda == 1e-4
+    assert solver.INITIAL_LAMBDA == 1e-4
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-8])
