@@ -191,10 +191,10 @@ def cmd_pipeline(args) -> int:
         hits = _stage_detect(scale_cloud(bundle.cloud, graph.scale), detect_dir, args)
 
     s_true = bundle.config.true_scale
+    apexes = bundle.config.terrain.apexes()
     apex_error = None
-    if hits and len(bundle.truth_graspable):
-        apex_error = float(np.min(np.linalg.norm(
-            bundle.truth_graspable - hits[0].position, axis=1)))
+    if hits and len(apexes):
+        apex_error = float(np.min(np.linalg.norm(apexes - hits[0].position, axis=1)))
     summary = {
         "scale_error_rel": float(abs(graph.scale.value - s_true) / s_true),
         "apex_error_m": apex_error,

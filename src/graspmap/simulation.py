@@ -135,22 +135,21 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimBundle:
-    """Everything one synthetic run produces, truth included."""
+    """Everything one synthetic run produces, truth included; the true
+    graspable apexes are ``config.terrain.apexes()``."""
 
     config: SimConfig
     truth_poses: tuple[Pose, ...]
     readings: tuple[JointReading, ...]
     vo_deltas: tuple[tuple[Rotation, np.ndarray], ...]
     cloud: PointCloud                  # unscaled map units
-    truth_graspable: np.ndarray        # (G, 3) apex positions, meters
 
     def __post_init__(self):
         object.__setattr__(self, "truth_poses", tuple(self.truth_poses))
         object.__setattr__(self, "readings", tuple(self.readings))
         object.__setattr__(self, "vo_deltas",
-                           tuple((r, np.asarray(t, dtype=float)) for r, t in self.vo_deltas))
-        object.__setattr__(self, "truth_graspable",
-                           frozen(self.truth_graspable, (-1, 3), "truth_graspable"))
+                           tuple((r, frozen(t, (3,), "vo_deltas translation"))
+                                 for r, t in self.vo_deltas))
 
 
 # --- trajectory ------------------------------------------------------------------
@@ -274,8 +273,8 @@ def _visible(points: np.ndarray, pose: Pose, fov_deg: float) -> np.ndarray:
     return (along > 0.0) & (along >= dist * math.cos(math.radians(0.5 * fov_deg)))
 
 
-def generate_cloud(truth_poses, config: SimConfig) -> tuple[PointCloud, np.ndarray]:
-    """Unscaled terrain cloud as the tracker would map it, plus true apexes.
+def generate_cloud(truth_poses, config: SimConfig) -> PointCloud:
+    """Unscaled terrain cloud as the tracker would map it.
 
     Samples ``cloud_points_per_keyframe`` surface points seen from each
     keyframe, divides by the true scale, and adds isotropic noise with the
@@ -303,7 +302,7 @@ def generate_cloud(truth_poses, config: SimConfig) -> tuple[PointCloud, np.ndarr
     metric = np.concatenate(collected, axis=0)
     unscaled = metric / config.true_scale
     unscaled = unscaled + rng.normal(0.0, config.vo_trans_noise_stddev, unscaled.shape)
-    return PointCloud(unscaled, UNSCALED_UNITS), config.terrain.apexes()
+    return PointCloud(unscaled, UNSCALED_UNITS)
 
 
 def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
@@ -311,10 +310,9 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
     model = model or default_limb()
     readings, truth_poses = generate_trajectory(model, config)
     vo = generate_vo(truth_poses, config)
-    cloud, apexes = generate_cloud(truth_poses, config)
     return SimBundle(config=config, truth_poses=tuple(truth_poses),
                      readings=tuple(readings), vo_deltas=tuple(vo),
-                     cloud=cloud, truth_graspable=apexes)
+                     cloud=generate_cloud(truth_poses, config))
 
 
 # --- config file -------------------------------------------------------------------
@@ -376,23 +374,23 @@ def save_config(path, config: SimConfig) -> None:
 # --- bundle directory ----------------------------------------------------------------
 #
 # Layout:
-#   trajectory.csv       timestamp, true pose (7), noisy joint angles
-#   vo.csv               step index, translation (map units, 3), rotation quat (4)
-#   cloud.ply            unscaled terrain cloud
-#   graspable_truth.csv  apex positions, meters
-#   manifest.yaml        file list + the resolved config (includes true_scale)
+#   trajectory.csv   timestamp, true pose (7), noisy joint angles
+#   vo.csv           step index, translation (map units, 3), rotation quat (4)
+#   cloud.ply        unscaled terrain cloud
+#   manifest.yaml    {config: the resolved config}; its terrain's apexes are the truth
+#
+# read_bundle reads only these files and the manifest's ``config`` key, so a
+# bundle that carries more (an older graspable_truth.csv, manifest keys) loads.
 
 TRAJECTORY_FILE = "trajectory.csv"
 VO_FILE = "vo.csv"
 CLOUD_FILE = "cloud.ply"
-TRUTH_GRASPABLE_FILE = "graspable_truth.csv"
 MANIFEST_FILE = "manifest.yaml"
-BUNDLE_FILES = (TRAJECTORY_FILE, VO_FILE, CLOUD_FILE, TRUTH_GRASPABLE_FILE,
-                MANIFEST_FILE)
+BUNDLE_FILES = (TRAJECTORY_FILE, VO_FILE, CLOUD_FILE, MANIFEST_FILE)
 
 
 def write_bundle(directory, bundle: SimBundle) -> list[str]:
-    """Write the four data files plus the manifest; returns the file names."""
+    """Write the three data files plus the manifest; returns the file names."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_records(d / TRAJECTORY_FILE,
@@ -403,17 +401,7 @@ def write_bundle(directory, bundle: SimBundle) -> list[str]:
                   ([i + 1, *t, *r.quat] for i, (r, t) in enumerate(bundle.vo_deltas)),
                   ",", "step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)")
     mapping.write_ply(d / CLOUD_FILE, bundle.cloud)
-    write_records(d / TRUTH_GRASPABLE_FILE, bundle.truth_graspable, ",",
-                  "apex x,y,z (meters)")
-
-    manifest = {
-        "seed": bundle.config.seed,
-        "true_scale": bundle.config.true_scale,
-        "keyframes": bundle.config.keyframes,
-        "files": list(BUNDLE_FILES[:-1]),
-        "config": config_to_dict(bundle.config),
-    }
-    write_yaml(d / MANIFEST_FILE, manifest)
+    write_yaml(d / MANIFEST_FILE, {"config": config_to_dict(bundle.config)})
     return list(BUNDLE_FILES)
 
 
@@ -449,9 +437,5 @@ def read_bundle(directory) -> SimBundle:
     if cloud.units != UNSCALED_UNITS:
         raise CorruptArtifact(f"{path}: bundle cloud must be in {UNSCALED_UNITS}, "
                               f"got {cloud.units}")
-
-    path = d / TRUTH_GRASPABLE_FILE
-    apexes = [numbers(path, lineno, tok, 3) for lineno, tok in read_records(path, ",")]
     return SimBundle(config=config, truth_poses=poses, readings=readings, vo_deltas=vo,
-                     cloud=cloud,  # flat terrain has no apexes: shape (0, 3), not (0,)
-                     truth_graspable=np.reshape(apexes, (-1, 3)))
+                     cloud=cloud)

@@ -21,8 +21,7 @@ from graspmap.simulation import SimConfig, Terrain, save_config
 from graspmap.solver import load_graph, load_report
 from tests.test_mapping import hemisphere_surface_cloud
 
-BUNDLE_FILES = ("trajectory.csv", "vo.csv", "cloud.ply", "graspable_truth.csv",
-                "manifest.yaml")
+BUNDLE_FILES = ("trajectory.csv", "vo.csv", "cloud.ply", "manifest.yaml")
 
 QUIET = dict(joint_noise_stddev=0.0, vo_trans_noise_stddev=0.0,
              vo_rot_noise_stddev=0.0)
@@ -54,11 +53,11 @@ def test_simulate_writes_bundle(tmp_path, capsys):
     out = tmp_path / "bundle"
     assert main(["simulate", "--config", str(cfg), "--seed", "4",
                  "--out", str(out)]) == 0
-    for name in BUNDLE_FILES:
-        assert (out / name).is_file(), name
+    assert sorted(p.name for p in out.iterdir()) == sorted(BUNDLE_FILES)
     assert "seed 4" in capsys.readouterr().out
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-    assert manifest["seed"] == 4
+    assert list(manifest) == ["config"]
+    assert manifest["config"]["seed"] == 4
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -390,6 +389,18 @@ def test_pipeline_stage_restart_reuses_artifacts(tmp_path):
     assert first == third
 
 
+def test_quick_start_prints_the_readme_output(tmp_path, capsys):
+    """The README's quick-start output block is what `pipeline --seed 7` prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Typical output of the solve stage:\n\n```\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert [line.split()[0] for line in lines] == ["[solve]", "[detect]"]
+    assert main(["pipeline", "--seed", "7", "--out", str(tmp_path / "demo")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in printed
+
+
 def test_solve_literal_residual_flag(quiet_bundle, tmp_path):
     """The raw tracker residual compares a world-frame position difference
     against a body-frame delta, so it stays biased even without noise."""
@@ -409,8 +420,7 @@ def test_pipeline_summary_matches_artifacts(noisy_run):
     graph = load_graph(run / "solve" / "graph.txt")
     report = load_report(run / "solve" / "report.txt")
     hits = load_graspable(run / "detect" / "graspable.csv")
-    truth = np.loadtxt(run / "bundle" / "graspable_truth.csv",
-                       delimiter=",", skiprows=1).reshape(-1, 3)
+    truth = config.terrain.apexes()
     expect_scale_err = abs(graph.scale.value - config.true_scale) / config.true_scale
     expect_apex = float(np.min(np.linalg.norm(truth - hits[0].position, axis=1)))
     assert abs(summary["scale_error_rel"] - expect_scale_err) <= 1e-12
@@ -455,8 +465,6 @@ def set_field(k, value, sep=","):
      "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
      "solve", "trajectory.csv:4", "solve"),
-    ("bundle/graspable_truth.csv", on_line(2, lambda l: ",".join(l.split(",")[:2])),
-     "pipeline-solve", "graspable_truth.csv:2", "simulate"),
     ("bundle/manifest.yaml", lambda t: t[:t.index("config:")], "solve",
      "manifest.yaml", "solve"),
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
@@ -470,8 +478,7 @@ def set_field(k, value, sep=","):
     ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}",
                                              f"comment units {METERS}"),
      "pipeline-solve", "cloud.ply", "simulate"),
-], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "truth-two-columns",
-        "manifest-no-config", "graph-bad-record", "report-no-final-cost",
+], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "manifest-no-config", "graph-bad-record", "report-no-final-cost",
         "ply-not-a-number", "ply-nan", "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):
@@ -487,6 +494,29 @@ def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"[{label}] file error") and where in err, err
+
+
+def test_bundle_in_the_older_layout_still_solves(small_run, tmp_path):
+    """Bundles once also held graspable_truth.csv and repeated seed, true_scale,
+    keyframes and a file list in the manifest; reading skips both."""
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    shutil.rmtree(run / "solve")
+    bundle = run / "bundle"
+    config = yaml.safe_load((bundle / "manifest.yaml").read_text())["config"]
+    old_files = ["trajectory.csv", "vo.csv", "cloud.ply", "graspable_truth.csv"]
+    (bundle / "manifest.yaml").write_text(yaml.safe_dump(
+        {"seed": config["seed"], "true_scale": config["true_scale"],
+         "keyframes": config["keyframes"], "files": old_files, "config": config},
+        sort_keys=False))
+    apexes = SimConfig().terrain.apexes()
+    (bundle / "graspable_truth.csv").write_text(
+        "# apex x,y,z (meters)\n" + "".join(",".join(f"{v:.17g}" for v in apex) + "\n"
+                                             for apex in apexes))
+
+    assert main(["solve", str(bundle), "--out", str(tmp_path / "s")]) == 0
+    assert main(["pipeline", "--out", str(run), "--stage", "solve"]) == 0
+    assert tree_bytes(tmp_path / "s") == tree_bytes(run / "solve")
 
 
 @pytest.mark.parametrize("role, code, kind", [

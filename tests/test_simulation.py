@@ -125,9 +125,8 @@ def test_noiseless_cloud_lies_on_surface():
     config = SimConfig(seed=9, true_scale=2.0, cloud_points_per_keyframe=300,
                        **QUIET)
     _, truth_poses = generate_trajectory(default_limb(), config)
-    cloud, apexes = generate_cloud(truth_poses, config)
+    cloud = generate_cloud(truth_poses, config)
     assert cloud.units == UNSCALED_UNITS
-    assert np.array_equal(apexes, config.terrain.apexes())
     metric = cloud.points * config.true_scale
     gap = np.abs(metric[:, 2] - surface_height(config.terrain, metric[:, :2]))
     assert gap.max() < 1e-9
@@ -137,9 +136,8 @@ def test_cloud_samples_apex_neighborhood():
     config = SimConfig(seed=10, true_scale=2.0,
                        cloud_points_per_keyframe=1000, **QUIET)
     _, truth_poses = generate_trajectory(default_limb(), config)
-    cloud, apexes = generate_cloud(truth_poses, config)
-    metric = cloud.points * config.true_scale
-    for apex in apexes:
+    metric = generate_cloud(truth_poses, config).points * config.true_scale
+    for apex in config.terrain.apexes():
         assert np.linalg.norm(metric - apex, axis=1).min() < 0.005
 
 
@@ -147,8 +145,7 @@ def test_cloud_noise_level_on_open_plane():
     config = SimConfig(seed=11, true_scale=2.0,
                        cloud_points_per_keyframe=2500)
     _, truth_poses = generate_trajectory(default_limb(), config)
-    cloud, _ = generate_cloud(truth_poses, config)
-    metric = cloud.points * config.true_scale
+    metric = generate_cloud(truth_poses, config).points * config.true_scale
     open_plane = np.ones(len(metric), dtype=bool)
     for h in config.terrain.hemispheres:
         d = np.linalg.norm(metric[:, :2] - h.center, axis=1)
@@ -206,7 +203,6 @@ def test_bundle_round_trip(tmp_path):
         assert np.array_equal(ta, tb)
     assert np.array_equal(bundle.cloud.points, back.cloud.points)
     assert back.cloud.units == UNSCALED_UNITS
-    assert np.array_equal(bundle.truth_graspable, back.truth_graspable)
 
 
 def test_manifest_that_is_not_utf8_is_corrupt(tmp_path):

@@ -16,9 +16,9 @@ from graspmap.mapping import (METERS, UNSCALED_UNITS, GraspablePoint,
 from graspmap.simulation import SimBundle, SimConfig
 
 
-def sim_bundle(truth_graspable):
-    return SimBundle(SimConfig(), (), (), (),
-                     PointCloud(np.zeros((1, 3)), UNSCALED_UNITS), truth_graspable)
+def sim_bundle(vo_translation):
+    return SimBundle(SimConfig(), (), (), ((Rotation.identity(), vo_translation),),
+                     PointCloud(np.zeros((1, 3)), UNSCALED_UNITS))
 
 
 FIELDS = {
@@ -44,8 +44,8 @@ FIELDS = {
                             np.ones((2, 3), int), np.ones((2, 2), int), ValueError),
     "GraspablePoint.position": (lambda v: GraspablePoint(v, 1).position,
                                 [0.1, 0.2, 0.3], np.ones(2), ValueError),
-    "SimBundle.truth_graspable": (lambda v: sim_bundle(v).truth_graspable,
-                                  np.ones((2, 3)), np.ones((2, 2)), ValueError),
+    "SimBundle.vo_deltas": (lambda v: sim_bundle(v).vo_deltas[0][1],
+                            [0.1, 0.2, 0.3], np.ones(4), ValueError),
 }
 FLOAT_FIELDS = [name for name, (_, good, _, _) in FIELDS.items()
                 if np.asarray(good).dtype == float]
