@@ -161,11 +161,19 @@ def load_limb(path) -> LimbModel:
     ``ConfigError`` naming the file."""
     doc = read_yaml(path, ConfigError)
 
+    def named(name, build, *args):
+        """``build(*args)``, where a value it rejects is an error naming ``name``."""
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
     def seven(name, value):
-        return pose_from_seven(config_number(name, value, length=7))
+        return named(name, pose_from_seven, config_number(name, value, length=7))
 
     try:
-        joints = tuple(Joint(config_number(f"joints[{k}].axis", j["axis"], length=3),
+        joints = tuple(named(f"joints[{k}].axis", Joint,
+                             config_number(f"joints[{k}].axis", j["axis"], length=3),
                              seven(f"joints[{k}].offset", j["offset"]))
                        for k, j in enumerate(doc["joints"]))
         return LimbModel(joints=joints, base_pose=seven("base_pose", doc["base_pose"]),

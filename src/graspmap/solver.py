@@ -400,7 +400,15 @@ def save_graph(path, graph: FactorGraph) -> None:
     write_records(path, rows, comment="factor graph: poses, scale, factors")
 
 
+def _first(seen: set, kind: str, index: int | None = None) -> None:
+    """Note record ``kind [index]`` as read; an artifact that repeats one is corrupt."""
+    if (kind, index) in seen:
+        raise ValueError(f"repeated {kind}{'' if index is None else f' {index}'} record")
+    seen.add((kind, index))
+
+
 def load_graph(path) -> FactorGraph:
+    seen: set = set()
     poses: dict[int, Pose] = {}
     scale: ScaleVar | None = None
     prior: PriorFactor | None = None
@@ -409,8 +417,10 @@ def load_graph(path) -> FactorGraph:
     for lineno, tok in read_records(path):
         with located(path, lineno):
             kind = tok[0]
+            i = int(tok[1]) if kind in ("pose", "fk", "mc") else None
+            _first(seen, kind, i)
             if kind == "pose":
-                poses[int(tok[1])] = pose_from_seven(numbers(path, lineno, tok[2:], 7))
+                poses[i] = pose_from_seven(numbers(path, lineno, tok[2:], 7))
             elif kind == "scale":
                 scale = ScaleVar.from_value(numbers(path, lineno, tok[1:], 1)[0])
             elif kind == "prior":
@@ -420,12 +430,10 @@ def load_graph(path) -> FactorGraph:
                                     scale_info=vals[14])
             elif kind == "fk":
                 vals = numbers(path, lineno, tok[2:], 13)
-                i = int(tok[1])
                 fks[i] = FkFactor(i, pose_from_seven(vals[0:7]),
                                   info=np.array(vals[7:13]))
             elif kind == "mc" and tok[-1] in ("aligned", "literal"):
                 vals = numbers(path, lineno, tok[2:-1], 13)
-                i = int(tok[1])
                 mcs[i] = McFactor(i, Rotation(np.array(vals[3:7])),
                                   np.array(vals[0:3]), info=np.array(vals[7:13]),
                                   frame_aligned=(tok[-1] == "aligned"))
@@ -461,19 +469,25 @@ def save_report(path, report: SolveReport) -> None:
 
 def load_report(path) -> SolveReport:
     """Read a report; the LM trace lines (rejected_steps, step_lambda,
-    step_grad) are optional, so reports written before them still load."""
+    step_grad) are optional, so reports written before them still load. An
+    unknown or repeated record is corrupt."""
+    seen: set = set()
     fields: dict[str, float | int | bool] = {}
     steps: dict[str, dict[int, float]] = {key: {} for key in STEP_RECORDS}
     for lineno, tok in read_records(path):
         with located(path, lineno):
             key, vals = tok[0], tok[1:]
+            k = int(vals[0]) if key in STEP_RECORDS else None
+            _first(seen, key, k)
             if key in STEP_RECORDS:
-                steps[key][int(vals[0])] = numbers(path, lineno, vals[1:], 1)[0]
+                steps[key][k] = numbers(path, lineno, vals[1:], 1)[0]
             elif key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
                 kind = float if key.endswith("cost") else int
                 fields[key] = numbers(path, lineno, vals, 1, kind)[0]
             elif key == "converged" and vals in (["true"], ["false"]):
                 fields[key] = vals == ["true"]
+            else:
+                raise ValueError(f"unrecognized {key!r} record")
     missing = {"initial_cost", "final_cost", "iterations", "converged"} - set(fields)
     if missing:
         raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")

@@ -108,8 +108,11 @@ def test_limb_text_is_the_default_limb(tmp_path):
     ("--limb", LIMB.replace("[0.05, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]",
                             "[0.05, 0.0, 0.0, 1.0, 0.0, 0.0]"), "joints[3].offset"),
     ("--limb", LIMB.replace("axis: [0.0, 0.0, 1.0], ", ""), "'axis'"),
+    ("--limb", LIMB.replace("axis: [0.0, 0.0, 1.0]", "axis: [0, 0, 0]"), "joints[0].axis"),
+    ("--limb", LIMB.replace("0.3, 1.0", "0.3, 0.0"), "base_pose"),
 ], ids=["terrain-not-a-mapping", "limb-bad-yaml", "limb-boolean", "limb-string",
-        "limb-nan", "limb-inf", "limb-short-offset", "limb-missing-axis"])
+        "limb-nan", "limb-inf", "limb-short-offset", "limb-missing-axis",
+        "limb-zero-axis", "limb-zero-quaternion"])
 def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text, what):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
@@ -469,8 +472,15 @@ def set_field(k, value, sep=","):
      "manifest.yaml", "solve"),
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
      "graph.txt:3", "solve"),
+    ("solve/graph.txt", on_line(3, lambda l: l.replace("pose 1 ", "pose 0 ")),
+     "pipeline-detect", "graph.txt:3", "solve"),
+    ("solve/graph.txt", lambda t: t + "scale 7\n", "pipeline-detect", "graph.txt:", "solve"),
     ("solve/report.txt", lambda t: re.sub(r"final_cost .*\n", "", t),
      "pipeline-detect", "report.txt", "solve"),
+    ("solve/report.txt", lambda t: "bogus 1 2 3\n" + t, "pipeline-detect", "report.txt:1",
+     "solve"),
+    ("solve/report.txt", on_line(3, lambda l: "final_cost 7\n" + l), "pipeline-detect",
+     "report.txt:3", "solve"),
     ("bundle/cloud.ply", on_line(9, set_field(1, "abc", " ")), "pipeline-solve",
      "cloud.ply:9", "simulate"),
     ("bundle/cloud.ply", on_line(11, set_field(2, "nan", " ")), "pipeline-solve",
@@ -478,7 +488,9 @@ def set_field(k, value, sep=","):
     ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}",
                                              f"comment units {METERS}"),
      "pipeline-solve", "cloud.ply", "simulate"),
-], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "manifest-no-config", "graph-bad-record", "report-no-final-cost",
+], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "manifest-no-config",
+        "graph-bad-record", "graph-repeated-pose", "graph-repeated-scale",
+        "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
         "ply-not-a-number", "ply-nan", "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):
