@@ -31,6 +31,10 @@ SMALL_ANGLE = 1e-8
 _SERIES_ANGLE = 1e-2
 # Logarithms are refused for rotation angles >= pi - CUT_LOCUS_MARGIN.
 CUT_LOCUS_MARGIN = 1e-6
+# A vector whose computed norm lies this close to 1 is unit length as far as
+# rounding can tell; dividing by that norm again would only move its last
+# digits, so a quaternion written at 17 digits would not read back as itself.
+_UNIT_NORM_TOL = 2 * np.finfo(float).eps
 
 
 def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
@@ -38,7 +42,7 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
     """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
     ``-1`` matches any length. A wrong shape raises ``error``. A float array
     must be finite, or ``ValueError`` is raised; with ``unit`` a vector is
-    scaled to unit norm and must also be nonzero. Messages name ``what``."""
+    scaled to unit norm, unless it already has it, and must also be nonzero. Messages name ``what``."""
     a = np.array(value, dtype=dtype)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
@@ -49,7 +53,8 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
         n = math.sqrt(a.dot(a))
         if not 0.0 < n < math.inf:
             raise ValueError(f"{what} must be finite and nonzero")
-        a /= n
+        if abs(n - 1.0) > _UNIT_NORM_TOL:
+            a /= n
     elif dtype is float and not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     a.flags.writeable = False

@@ -404,6 +404,17 @@ def test_quick_start_prints_the_readme_output(tmp_path, capsys):
         assert line in printed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_solve_of_the_written_bundle_matches_the_pipeline(tmp_path, seed):
+    """The bundle read back from disk solves to the bytes of the one in memory."""
+    cfg = tmp_path / "cfg.yaml"
+    write_config(cfg, seed=seed)
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["solve", str(run / "bundle"), "--out", str(tmp_path / "s")]) == 0
+    assert tree_bytes(tmp_path / "s") == tree_bytes(run / "solve")
+
+
 def test_solve_literal_residual_flag(quiet_bundle, tmp_path):
     """The raw tracker residual compares a world-frame position difference
     against a body-frame delta, so it stays biased even without noise."""

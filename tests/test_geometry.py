@@ -86,6 +86,15 @@ def test_rotation_constructors_unit_norm():
         assert abs(np.linalg.norm(r.quat) - 1.0) < 1e-12
 
 
+def test_normalizing_twice_equals_normalizing_once():
+    """A unit quaternion is kept bit for bit, so a rotation written at 17
+    digits reads back as itself."""
+    rng = np.random.default_rng(2)
+    for q in rng.normal(size=(100_000, 4)):
+        once = Rotation(q).quat
+        assert np.array_equal(Rotation(once).quat, once), q
+
+
 def test_rotation_apply_matches_matrix():
     rng = np.random.default_rng(3)
     for _ in range(30):

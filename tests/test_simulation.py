@@ -193,13 +193,12 @@ def test_bundle_round_trip(tmp_path):
     assert config_to_dict(back.config) == config_to_dict(bundle.config)
     for pa, pb in zip(bundle.truth_poses, back.truth_poses):
         assert np.array_equal(pa.translation, pb.translation)
-        # constructor re-normalization may move quat components by one ulp
-        assert rotation_gap(pa.rotation, pb.rotation) < 1e-15
+        assert np.array_equal(pa.rotation.quat, pb.rotation.quat)
     for ra, rb in zip(bundle.readings, back.readings):
         assert ra.timestamp == rb.timestamp
         assert np.array_equal(ra.angles, rb.angles)
     for (qa, ta), (qb, tb) in zip(bundle.vo_deltas, back.vo_deltas):
-        assert rotation_gap(qa, qb) < 1e-15
+        assert np.array_equal(qa.quat, qb.quat)
         assert np.array_equal(ta, tb)
     assert np.array_equal(bundle.cloud.points, back.cloud.points)
     assert back.cloud.units == UNSCALED_UNITS
