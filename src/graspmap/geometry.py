@@ -42,7 +42,8 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
     """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
     ``-1`` matches any length. A wrong shape raises ``error``. A float array
     must be finite, or ``ValueError`` is raised; with ``unit`` a vector is
-    scaled to unit norm, unless it already has it, and must also be nonzero. Messages name ``what``."""
+    scaled to unit norm, unless it already has it, and must also be nonzero.
+    Messages name ``what``."""
     a = np.array(value, dtype=dtype)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
