@@ -244,55 +244,92 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
     return [GraspablePoint(position=c, support_count=len(mask)) for c in centers]
 
 
-# --- ASCII PLY ---------------------------------------------------------------
+# --- PLY: binary little-endian written, ASCII also read -----------------------
+
+PLY_XYZ = [["double", "x"], ["double", "y"], ["double", "z"]]
 
 
 def write_ply(path, cloud: PointCloud) -> None:
-    """ASCII PLY with a units comment so round-trips preserve the tag."""
-    n = len(cloud)
-    header = ("ply\nformat ascii 1.0\n"
+    """Binary little-endian PLY of float64 x, y, z, with a units comment so
+    round-trips preserve the tag; the bytes do not depend on the platform."""
+    header = ("ply\nformat binary_little_endian 1.0\n"
               f"comment units {cloud.units}\n"
-              f"element vertex {n}\n"
+              f"element vertex {len(cloud)}\n"
               "property double x\nproperty double y\nproperty double z\n"
               "end_header\n")
-    body = "\n".join(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in cloud.points)
-    with open(path, "w") as fh:
-        fh.write(header + body + ("\n" if n else ""))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(cloud.points.astype("<f8", copy=False).tobytes())
+
+
+def _ply_header(data: bytes):
+    """The format, vertex count, units and property lines of a PLY header,
+    plus the byte offset and line count at which its body starts."""
+    fmt = n = units = None
+    props = []
+    start = lineno = 0
+    while True:
+        end = data.find(b"\n", start)
+        if end < 0:
+            raise ValueError("malformed PLY header" if lineno else "not a PLY file")
+        tok = data[start:end].decode("latin-1").split()
+        start, lineno = end + 1, lineno + 1
+        if lineno == 1:
+            if tok != ["ply"]:
+                raise ValueError("not a PLY file")
+        elif tok[:1] == ["format"]:
+            fmt = " ".join(tok[1:])
+        elif tok[:2] == ["comment", "units"] and len(tok) == 3:
+            units = units or tok[2]
+        elif tok[:2] == ["element", "vertex"]:
+            n = int(tok[2])
+        elif tok[:1] == ["property"]:
+            props.append(tok[1:])
+        elif tok[:1] == ["end_header"]:
+            break
+    if n is None:
+        raise ValueError("malformed PLY header")
+    if units is None:
+        raise ValueError("PLY lacks a units comment")
+    return fmt, n, units, props, start, lineno
 
 
 def read_ply(path) -> PointCloud:
-    """Read an ASCII PLY; the units tag comes from the file's units comment."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Read a binary little-endian or an ASCII PLY; the units tag comes from
+    the file's units comment. Errors name the file, and the line in an ASCII
+    body or the vertex in a binary one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     with located(path):
-        if not lines or lines[0].strip() != "ply":
-            raise ValueError("not a PLY file")
-        n = body_start = units = None
-        for k, line in enumerate(lines[1:], 1):
-            tok = line.split()
-            if tok[:2] == ["comment", "units"] and len(tok) == 3:
-                units = units or tok[2]
-            elif tok[:2] == ["element", "vertex"]:
-                n = int(tok[2])
-            elif tok[:1] == ["end_header"]:
-                body_start = k + 1
-                break
-        if n is None or body_start is None:
-            raise ValueError("malformed PLY header")
-        if units is None:
-            raise ValueError("PLY lacks a units comment")
-        body = lines[body_start:]
-        tokens = " ".join(body).split()
-        try:
-            values = np.array(tokens, dtype=float)
-        except ValueError:
-            values = None
-        if values is None or values.size != 3 * n or not np.all(np.isfinite(values)):
-            # name the first vertex line that is not three finite numbers
-            for lineno, line in enumerate(body, body_start + 1):
-                numbers(path, lineno, line.split(), 3)
-            raise ValueError(f"expected {3 * n} vertex values, found {len(tokens)}")
-        return PointCloud(values.reshape(n, 3) if n else np.zeros((0, 3)), units)
+        fmt, n, units, props, start, body_line = _ply_header(data)
+        if fmt == "binary_little_endian 1.0":
+            if props != PLY_XYZ:
+                raise ValueError("binary PLY vertices must be exactly "
+                                 "double x, double y, double z")
+            if len(data) - start != 24 * n:
+                raise ValueError(f"binary PLY body holds {len(data) - start} bytes, "
+                                 f"{n} vertices need {24 * n}")
+            points = np.frombuffer(data, "<f8", 3 * n, start).reshape(n, 3)
+            finite = np.isfinite(points)
+            if not finite.all():
+                raise ValueError(f"vertex {np.flatnonzero(~finite)[0] // 3} is not finite")
+        elif fmt == "ascii 1.0":
+            body = data[start:].decode("latin-1").splitlines()
+            tokens = " ".join(body).split()
+            try:
+                values = np.array(tokens, dtype=float)
+            except ValueError:
+                values = None
+            if values is None or values.size != 3 * n or not np.all(np.isfinite(values)):
+                # name the first vertex line that is not three finite numbers
+                for lineno, line in enumerate(body, body_line + 1):
+                    numbers(path, lineno, line.split(), 3)
+                raise ValueError(f"expected {3 * n} vertex values, found {len(tokens)}")
+            points = values.reshape(n, 3) if n else np.zeros((0, 3))
+        else:
+            raise ValueError(f"PLY format {fmt!r} is neither ascii 1.0 "
+                             "nor binary_little_endian 1.0")
+        return PointCloud(points, units)
 
 
 # --- voxel grid dump -----------------------------------------------------------

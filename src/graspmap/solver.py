@@ -470,17 +470,18 @@ def save_report(path, report: SolveReport) -> None:
 def load_report(path) -> SolveReport:
     """Read a report; the LM trace lines (rejected_steps, step_lambda,
     step_grad) are optional, so reports written before them still load. An
-    unknown or repeated record is corrupt."""
+    unknown or repeated record is corrupt, and so is a step record kind whose
+    indices are not exactly 0..iterations-1."""
     seen: set = set()
     fields: dict[str, float | int | bool] = {}
-    steps: dict[str, dict[int, float]] = {key: {} for key in STEP_RECORDS}
+    steps: dict[str, dict[int, tuple[int, float]]] = {key: {} for key in STEP_RECORDS}
     for lineno, tok in read_records(path):
         with located(path, lineno):
             key, vals = tok[0], tok[1:]
             k = int(vals[0]) if key in STEP_RECORDS else None
             _first(seen, key, k)
             if key in STEP_RECORDS:
-                steps[key][k] = numbers(path, lineno, vals[1:], 1)[0]
+                steps[key][k] = lineno, numbers(path, lineno, vals[1:], 1)[0]
             elif key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
                 kind = float if key.endswith("cost") else int
                 fields[key] = numbers(path, lineno, vals, 1, kind)[0]
@@ -491,5 +492,16 @@ def load_report(path) -> SolveReport:
     missing = {"initial_cost", "final_cost", "iterations", "converged"} - set(fields)
     if missing:
         raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")
-    return SolveReport(**fields, **{STEP_RECORDS[key]: [v[k] for k in sorted(v)]
+    n = fields["iterations"]
+    extra = [(lineno, key, k) for key, v in steps.items()
+             for k, (lineno, _) in v.items() if not 0 <= k < n]
+    if extra:
+        lineno, key, k = min(extra)
+        raise CorruptArtifact(f"{path}:{lineno}: {key} {k} is outside the "
+                              f"{n} iterations")
+    for key, v in steps.items():
+        if v and len(v) < n:
+            gap = min(set(range(n)) - set(v))
+            raise CorruptArtifact(f"{path}: report has no {key} {gap} line")
+    return SolveReport(**fields, **{STEP_RECORDS[key]: [v[k][1] for k in sorted(v)]
                                     for key, v in steps.items()})

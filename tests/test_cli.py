@@ -1,9 +1,11 @@
 """End-to-end command behaviour: files written, exit codes, reruns, reuse."""
 
 import dataclasses
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -456,11 +458,11 @@ def small_run(tmp_path_factory):
 
 
 def on_line(lineno, edit):
-    """Text edit that rewrites one line (1-based) of a file."""
-    def apply(text):
-        lines = text.splitlines(keepends=True)
+    """Byte edit that rewrites one text line (1-based) of a file."""
+    def apply(data):
+        lines = data.decode().splitlines(keepends=True)
         lines[lineno - 1] = edit(lines[lineno - 1].rstrip("\n")) + "\n"
-        return "".join(lines)
+        return "".join(lines).encode()
     return apply
 
 
@@ -472,6 +474,31 @@ def set_field(k, value, sep=","):
     return edit
 
 
+def then(*edits):
+    """The byte edits applied in order."""
+    def apply(data):
+        for edit in edits:
+            data = edit(data)
+        return data
+    return apply
+
+
+def ply_vertex(k, value):
+    """Byte edit that writes ``value`` over vertex ``k``'s x in a binary PLY."""
+    def apply(data):
+        at = data.index(b"end_header\n") + len(b"end_header\n") + 24 * k
+        return data[:at] + struct.pack("<d", value) + data[at + 8:]
+    return apply
+
+
+def ascii_ply(data):
+    """A binary PLY cloud written out by hand in the ASCII layout."""
+    head, body = data.split(b"end_header\n", 1)
+    points = np.frombuffer(body, "<f8").reshape(-1, 3)
+    text = head.decode().replace("binary_little_endian", "ascii") + "end_header\n"
+    return (text + "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in points)).encode()
+
+
 @pytest.mark.parametrize("rel, edit, command, where, label", [
     ("bundle/vo.csv", on_line(3, set_field(1, "abc")), "solve", "vo.csv:3",
      "solve"),
@@ -479,36 +506,48 @@ def set_field(k, value, sep=","):
      "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
      "solve", "trajectory.csv:4", "solve"),
-    ("bundle/manifest.yaml", lambda t: t[:t.index("config:")], "solve",
+    ("bundle/manifest.yaml", lambda t: t[:t.index(b"config:")], "solve",
      "manifest.yaml", "solve"),
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
      "graph.txt:3", "solve"),
     ("solve/graph.txt", on_line(3, lambda l: l.replace("pose 1 ", "pose 0 ")),
      "pipeline-detect", "graph.txt:3", "solve"),
-    ("solve/graph.txt", lambda t: t + "scale 7\n", "pipeline-detect", "graph.txt:", "solve"),
-    ("solve/report.txt", lambda t: re.sub(r"final_cost .*\n", "", t),
-     "pipeline-detect", "report.txt", "solve"),
-    ("solve/report.txt", lambda t: "bogus 1 2 3\n" + t, "pipeline-detect", "report.txt:1",
+    ("solve/graph.txt", lambda t: t + b"scale 7\n", "pipeline-detect", "graph.txt:",
      "solve"),
+    ("solve/report.txt", lambda t: re.sub(rb"final_cost .*\n", b"", t),
+     "pipeline-detect", "report.txt", "solve"),
+    ("solve/report.txt", lambda t: b"bogus 1 2 3\n" + t, "pipeline-detect",
+     "report.txt:1", "solve"),
     ("solve/report.txt", on_line(3, lambda l: "final_cost 7\n" + l), "pipeline-detect",
      "report.txt:3", "solve"),
-    ("bundle/cloud.ply", on_line(9, set_field(1, "abc", " ")), "pipeline-solve",
-     "cloud.ply:9", "simulate"),
-    ("bundle/cloud.ply", on_line(11, set_field(2, "nan", " ")), "pipeline-solve",
-     "cloud.ply:11", "simulate"),
-    ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}",
-                                             f"comment units {METERS}"),
+    ("solve/report.txt", lambda t: re.sub(rb"step_cost 1 .*\n", b"", t),
+     "pipeline-detect", "report.txt: report has no step_cost 1 line", "solve"),
+    ("solve/report.txt", on_line(6, lambda l: "step_grad 99 0.5\n" + l),
+     "pipeline-detect", "report.txt:6: step_grad 99", "solve"),
+    ("solve/report.txt", lambda t: t[:t.rindex(b"step_grad")], "pipeline-detect",
+     "report.txt: report has no step_grad", "solve"),
+    ("bundle/cloud.ply", then(ascii_ply, on_line(9, set_field(1, "abc", " "))),
+     "pipeline-solve", "cloud.ply:9", "simulate"),
+    ("bundle/cloud.ply", ply_vertex(2, math.nan), "pipeline-solve",
+     "cloud.ply: vertex 2 is not finite", "simulate"),
+    ("bundle/cloud.ply", then(ascii_ply, on_line(11, set_field(2, "nan", " "))),
+     "pipeline-solve", "cloud.ply:11", "simulate"),
+    ("bundle/cloud.ply", lambda t: t[:-8], "pipeline-solve", "cloud.ply", "simulate"),
+    ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}".encode(),
+                                             f"comment units {METERS}".encode()),
      "pipeline-solve", "cloud.ply", "simulate"),
 ], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "manifest-no-config",
         "graph-bad-record", "graph-repeated-pose", "graph-repeated-scale",
         "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
-        "ply-not-a-number", "ply-nan", "ply-metric-units"])
+        "report-step-gap", "report-step-extra-index", "report-step-short-trace",
+        "ply-not-a-number", "ply-nan", "ply-ascii-nan", "ply-short-body",
+        "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
     path = run / rel
-    path.write_text(edit(path.read_text()))
+    path.write_bytes(edit(path.read_bytes()))
     if command == "solve":
         argv = ["solve", str(run / "bundle"), "--out", str(tmp_path / "s")]
     else:

@@ -6,12 +6,13 @@ detect_graspable.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from graspmap.errors import (AlreadyScaled, DegenerateMask, DimensionMismatch,
-                             EmptyCloud)
+from graspmap.errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
+                             DimensionMismatch, EmptyCloud)
 from graspmap.factors import ScaleVar
 from graspmap.mapping import (DEFAULT_INNER_RADIUS, DEFAULT_OUTER_RADIUS,
                               DEFAULT_VOXEL_SIZE, METERS, UNSCALED_UNITS,
@@ -355,6 +356,86 @@ def test_ply_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         read_ply(path)
 
+
+
+def test_ply_is_binary_little_endian(tmp_path):
+    """A pinned header, then each vertex as three little-endian doubles."""
+    values = [1.0, -2.0, 0.5, 3.25, 0.0, -7.0]
+    path = tmp_path / "c.ply"
+    write_ply(path, PointCloud(np.reshape(values, (2, 3)), UNSCALED_UNITS))
+    assert path.read_bytes() == (
+        b"ply\nformat binary_little_endian 1.0\ncomment units unscaled-map-units\n"
+        b"element vertex 2\nproperty double x\nproperty double y\nproperty double z\n"
+        b"end_header\n" + struct.pack("<6d", *values))
+
+
+def test_ply_round_trips_extreme_doubles_exactly(tmp_path):
+    big = 1.7976931348623157e308
+    extremes = np.array([[-0.0, 5e-324, big], [-big, -5e-324, 0.0]])
+    random = np.random.default_rng(10).normal(scale=1e3, size=(500, 3))
+    for points in (extremes, random):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(points, METERS))
+        back = read_ply(path)
+        # compare bytes, so -0.0 must come back as -0.0
+        assert back.points.tobytes() == points.tobytes()
+
+
+def test_ply_writes_any_array_layout(tmp_path):
+    points = np.random.default_rng(11).normal(size=(9, 3))
+    for layout in (points.astype(">f8"), points[::2], np.asfortranarray(points)):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(layout, METERS))
+        assert np.array_equal(read_ply(path).points, layout)
+
+
+def test_ply_writes_are_byte_identical(tmp_path):
+    cloud = PointCloud(np.random.default_rng(12).normal(size=(300, 3)), UNSCALED_UNITS)
+    write_ply(tmp_path / "a.ply", cloud)
+    write_ply(tmp_path / "b.ply", PointCloud(cloud.points.copy(), cloud.units))
+    assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
+
+
+def test_ascii_ply_still_reads(tmp_path):
+    """Clouds written before the binary format, at 17 digits, read back exactly."""
+    points = np.random.default_rng(13).normal(size=(50, 3))
+    path = tmp_path / "old.ply"
+    path.write_text("ply\nformat ascii 1.0\ncomment units unscaled-map-units\n"
+                    f"element vertex {len(points)}\nproperty double x\nproperty double y\n"
+                    "property double z\nend_header\n"
+                    + "\n".join(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in points) + "\n")
+    back = read_ply(path)
+    assert back.units == UNSCALED_UNITS
+    assert np.array_equal(back.points, points)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.replace(b"binary_little_endian", b"binary_big_endian"),
+    lambda d: d.replace(b"format binary_little_endian 1.0\n", b""),
+    lambda d: d.replace(b"property double z\n", b"property double z\nproperty double w\n"),
+    lambda d: d.replace(b"double x\nproperty double y", b"double y\nproperty double x"),
+    lambda d: d.replace(b"property double x", b"property float x"),
+    lambda d: d + b"\0",
+    lambda d: d[:-1],
+    lambda d: d.replace(b"comment units meters\n", b""),
+], ids=["big-endian", "no-format", "extra-property", "reordered-properties",
+        "float-property", "one-byte-long", "one-byte-short", "no-units"])
+def test_binary_ply_rejects_a_bad_header_or_body(tmp_path, edit):
+    path = tmp_path / "bad.ply"
+    write_ply(path, PointCloud(np.random.default_rng(14).normal(size=(4, 3)), METERS))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CorruptArtifact, match="bad.ply: "):
+        read_ply(path)
+
+
+def test_binary_ply_names_the_first_non_finite_vertex(tmp_path):
+    path = tmp_path / "bad.ply"
+    write_ply(path, PointCloud(np.zeros((9, 3)), METERS))
+    body = np.zeros((9, 3))
+    body[7, 2], body[8, 0] = np.inf, np.nan
+    path.write_bytes(path.read_bytes()[:-body.nbytes] + body.astype("<f8").tobytes())
+    with pytest.raises(CorruptArtifact, match="bad.ply: vertex 7 is not finite"):
+        read_ply(path)
 
 def test_grid_round_trip(tmp_path):
     rng = np.random.default_rng(9)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import rand_pose, rand_twist_vector
 from graspmap import kinematics, solver
-from graspmap.errors import IndexMismatch, SingularNormalEquations
+from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_jacobians,
                               factor_residual)
@@ -490,6 +490,23 @@ def test_report_without_lm_trace_loads(tmp_path):
     assert load_report(path) == SolveReport(initial_cost=0.25, final_cost=0.125,
                                             iterations=1, converged=True,
                                             step_costs=[0.125])
+
+
+@pytest.mark.parametrize("iterations, steps, where", [
+    (1, "step_cost 0 0.7\nstep_cost 9 0.5\n", "report.txt:6: step_cost 9 "),
+    (1, "step_cost 0 0.7\nstep_lambda -1 0.1\n", "report.txt:6: step_lambda -1 "),
+    (3, "step_cost 0 0.7\nstep_cost 2 0.5\n", "report.txt: report has no step_cost 1 line"),
+    (2, "step_cost 0 0.7\nstep_cost 1 0.5\nstep_grad 0 0.1\n",
+     "report.txt: report has no step_grad 1 line"),
+], ids=["past-the-end", "negative", "gap", "short"])
+def test_report_step_indices_must_be_every_iteration(tmp_path, iterations, steps, where):
+    """A step record kind that is present holds exactly indices 0..iterations-1."""
+    path = tmp_path / "report.txt"
+    path.write_text(f"initial_cost 0.25\nfinal_cost 0.125\niterations {iterations}\n"
+                    f"converged true\n{steps}")
+    with pytest.raises(CorruptArtifact) as exc:
+        load_report(path)
+    assert where in str(exc.value)
 
 
 def test_solve_options_defaults():
