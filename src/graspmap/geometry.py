@@ -71,8 +71,7 @@ def _vec3(v, n: int = 3) -> np.ndarray:
 
 def hat(v) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector: ``hat(v) @ w == cross(v, w)``."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return hat_stacked(_vec3(v))
 
 
 @dataclass(frozen=True)
@@ -183,15 +182,7 @@ def inverse(p: Pose) -> Pose:
 
 def so3_exp(phi) -> Rotation:
     """Exponential map of so(3): rotation by angle ``norm(phi)`` about ``phi``."""
-    phi = _vec3(phi)
-    theta = np.linalg.norm(phi)
-    half = 0.5 * theta
-    if theta < SMALL_ANGLE:
-        # sin(theta/2)/theta expanded at zero
-        s = 0.5 - theta * theta / 48.0
-    else:
-        s = math.sin(half) / theta
-    return Rotation(np.concatenate([[math.cos(half)], s * phi]))
+    return Rotation(so3_exp_stacked(_vec3(phi)))
 
 
 def so3_log(r: Rotation) -> np.ndarray:
@@ -200,64 +191,16 @@ def so3_log(r: Rotation) -> np.ndarray:
     Raises ``CutLocusError`` within ``CUT_LOCUS_MARGIN`` of angle pi, where the
     axis is not continuously determined.
     """
-    q = r.quat if r.quat[0] >= 0.0 else -r.quat
-    w = q[0]
-    n = np.linalg.norm(q[1:])
-    theta = 2.0 * math.atan2(n, w)
-    if theta >= math.pi - CUT_LOCUS_MARGIN:
-        raise CutLocusError(f"rotation angle {theta:.9f} within {CUT_LOCUS_MARGIN} of pi")
-    if n < SMALL_ANGLE:
-        scale = (2.0 / w) * (1.0 - n * n / (3.0 * w * w))
-    else:
-        scale = theta / n
-    return scale * q[1:]
-
-
-# --- Jacobian coefficient helpers -------------------------------------------
-#
-# V(phi) below is the integral matrix coupling rotation and translation in the
-# SE(3) exponential (equal to the SO(3) left Jacobian):
-#   V = I + a*K + b*K^2,        a = (1-cos th)/th^2,  b = (th-sin th)/th^3
-#   V^-1 = I - K/2 + c*K^2,     c = 1/th^2 - (1+cos th)/(2 th sin th)
-# The closed forms cancel catastrophically for small th, so each coefficient
-# switches to a series well above machine-dominated territory.
-
-
-def _coeff_a(theta: float) -> float:
-    if theta < _SERIES_ANGLE:
-        t2 = theta * theta
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    s = math.sin(0.5 * theta)
-    return 2.0 * s * s / (theta * theta)
-
-
-def _coeff_b(theta: float) -> float:
-    if theta < _SERIES_ANGLE:
-        t2 = theta * theta
-        return 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    return (theta - math.sin(theta)) / theta ** 3
-
-
-def _coeff_c(theta: float) -> float:
-    if theta < _SERIES_ANGLE:
-        t2 = theta * theta
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    return 1.0 / (theta * theta) - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
+    return so3_log_stacked(r.quat)
 
 
 def so3_left_jacobian(phi) -> np.ndarray:
     """Left Jacobian of SO(3); also the V matrix of the SE(3) exponential."""
-    phi = _vec3(phi)
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    return np.eye(3) + _coeff_a(theta) * k + _coeff_b(theta) * (k @ k)
+    return so3_left_jacobian_stacked(_vec3(phi))
 
 
 def so3_left_jacobian_inv(phi) -> np.ndarray:
-    phi = _vec3(phi)
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    return np.eye(3) - 0.5 * k + _coeff_c(theta) * (k @ k)
+    return so3_left_jacobian_inv_stacked(_vec3(phi))
 
 
 def so3_right_jacobian_inv(phi) -> np.ndarray:
@@ -292,40 +235,9 @@ def se3_adjoint(p: Pose) -> np.ndarray:
     return out
 
 
-def _q_matrix(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    p = hat(rho)
-    kp = k @ p
-    pk = p @ k
-    kpk = kp @ k
-    if theta < _SERIES_ANGLE:
-        t2 = theta * theta
-        c1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        c2 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
-        c3 = 1.0 / 120.0 - t2 / 2520.0
-    else:
-        st, ct = math.sin(theta), math.cos(theta)
-        c1 = (theta - st) / theta ** 3
-        c2 = (theta * theta + 2.0 * ct - 2.0) / (2.0 * theta ** 4)
-        c3 = (2.0 * theta + theta * ct - 3.0 * st) / (2.0 * theta ** 5)
-    return (0.5 * p
-            + c1 * (kp + pk + kpk)
-            + c2 * (k @ kp + pk @ k - 3.0 * kpk)
-            + c3 * (kpk @ k + k @ kpk))
-
-
 def se3_left_jacobian_inv(x) -> np.ndarray:
     """Inverse left Jacobian of SE(3) at a twist ``[rho; phi]``."""
-    x = _vec3(x, 6)
-    jli = so3_left_jacobian_inv(x[3:])
-    q = _q_matrix(x[:3], x[3:])
-    out = np.zeros((6, 6))
-    out[:3, :3] = jli
-    out[:3, 3:] = -jli @ q @ jli
-    out[3:, 3:] = jli
-    return out
+    return se3_left_jacobian_inv_stacked(_vec3(x, 6))
 
 
 def se3_right_jacobian_inv(x) -> np.ndarray:
@@ -335,19 +247,26 @@ def se3_right_jacobian_inv(x) -> np.ndarray:
 
 # --- stacked maps --------------------------------------------------------------
 #
-# Array versions of the maps above, for evaluating many factors at once.
-# Quaternions are (..., 4) arrays, vectors (..., 3), twists (..., 6) in
-# (rho, phi) order, matrices (..., 3, 3) or (..., 6, 6); leading axes are kept.
-# Each follows its scalar counterpart formula for formula, including the
-# series branches, which the scalar functions remain the reference for.
+# The one implementation of the maps above, which check their input's shape and
+# call these. Quaternions are (..., 4) arrays, vectors (..., 3), twists (..., 6)
+# in (rho, phi) order, matrices (..., 3, 3) or (..., 6, 6); leading axes are
+# kept, so a bare (4,), (3,) or (6,) input works as is.
+#
+# V(phi), coupling rotation and translation in the SE(3) exponential, is the
+# SO(3) left Jacobian; with K = hat(phi) and th = norm(phi):
+#   V = I + a*K + b*K^2,        a = (1-cos th)/th^2,  b = (th-sin th)/th^3
+#   V^-1 = I - K/2 + c*K^2,     c = 1/th^2 - (1+cos th)/(2 th sin th)
+# The closed forms cancel catastrophically for small th, so each coefficient
+# switches to a series below _SERIES_ANGLE.
 
 
 def hat_stacked(v: np.ndarray) -> np.ndarray:
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([np.stack([zero, -z, y], axis=-1),
-                     np.stack([z, zero, -x], axis=-1),
-                     np.stack([-y, x, zero], axis=-1)], axis=-2)
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def _normalized(q: np.ndarray) -> np.ndarray:
@@ -396,12 +315,12 @@ def _by_angle(theta: np.ndarray, limit: float, series, closed) -> np.ndarray:
 
 
 def so3_exp_stacked(phi: np.ndarray) -> np.ndarray:
-    """Unit quaternions of ``so3_exp``."""
+    """Quaternions (w, x, y, z) of ``so3_exp``, unit to rounding and not
+    renormalized: the caller decides, as ``Rotation`` does."""
     theta = np.linalg.norm(phi, axis=-1)
     s = _by_angle(theta, SMALL_ANGLE, lambda t2: 0.5 - t2 / 48.0,
                   lambda t: np.sin(0.5 * t) / t)
-    return _normalized(np.concatenate([np.cos(0.5 * theta)[..., None],
-                                       s[..., None] * phi], axis=-1))
+    return np.concatenate([np.cos(0.5 * theta)[..., None], s[..., None] * phi], axis=-1)
 
 
 def so3_log_stacked(q: np.ndarray) -> np.ndarray:
@@ -421,31 +340,34 @@ def so3_log_stacked(q: np.ndarray) -> np.ndarray:
     return scale[..., None] * q[..., 1:]
 
 
-def _coeff_a_stacked(theta):
-    return _by_angle(theta, _SERIES_ANGLE,
-                     lambda t2: 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                     lambda t: 2.0 * np.sin(0.5 * t) ** 2 / (t * t))
-
-
 def _coeff_b_stacked(theta):
     return _by_angle(theta, _SERIES_ANGLE,
                      lambda t2: 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                      lambda t: (t - np.sin(t)) / t ** 3)
 
 
-def _coeff_c_stacked(theta):
-    return _by_angle(theta, _SERIES_ANGLE,
-                     lambda t2: 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                     lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+def so3_left_jacobian_stacked(phi: np.ndarray) -> np.ndarray:
+    """``so3_left_jacobian`` of (..., 3) vectors: V of ``se3_exp_stacked``."""
+    theta = np.linalg.norm(phi, axis=-1)
+    k = hat_stacked(phi)
+    a = _by_angle(theta, _SERIES_ANGLE,
+                  lambda t2: 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                  lambda t: 2.0 * np.sin(0.5 * t) ** 2 / (t * t))
+    return (np.eye(3) + a[..., None, None] * k
+            + _coeff_b_stacked(theta)[..., None, None] * (k @ k))
 
 
 def so3_left_jacobian_inv_stacked(phi: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(phi, axis=-1)
     k = hat_stacked(phi)
-    return np.eye(3) - 0.5 * k + _coeff_c_stacked(theta)[..., None, None] * (k @ k)
+    c = _by_angle(theta, _SERIES_ANGLE,
+                  lambda t2: 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                  lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+    return np.eye(3) - 0.5 * k + c[..., None, None] * (k @ k)
 
 
 def _q_matrix_stacked(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Translation-rotation coupling block of the SE(3) left Jacobian."""
     theta = np.linalg.norm(phi, axis=-1)
     k = hat_stacked(phi)
     p = hat_stacked(rho)
@@ -479,11 +401,8 @@ def se3_left_jacobian_inv_stacked(x: np.ndarray) -> np.ndarray:
 def se3_exp_stacked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``se3_exp`` of (..., 6) twists as (unit quaternions, translations)."""
     rho, phi = x[..., :3], x[..., 3:]
-    theta = np.linalg.norm(phi, axis=-1)
-    k = hat_stacked(phi)
-    v = (np.eye(3) + _coeff_a_stacked(theta)[..., None, None] * k
-         + _coeff_b_stacked(theta)[..., None, None] * (k @ k))
-    return so3_exp_stacked(phi), (v @ rho[..., None])[..., 0]
+    return (_normalized(so3_exp_stacked(phi)),
+            (so3_left_jacobian_stacked(phi) @ rho[..., None])[..., 0])
 
 
 # --- 7-number pose serialization ---------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .geometry import (Pose, Rotation, compose, frozen, inverse,
-                       pose_from_seven, pose_to_seven, se3_log)
+                       pose_from_seven, pose_to_seven, se3_log,
+                       so3_exp_stacked)
 from .records import config_number, read_yaml, write_yaml
 
 
@@ -77,9 +78,14 @@ def fk_pose(model: LimbModel, angles) -> Pose:
     if angles.shape != (model.dof,):
         raise DimensionMismatch(
             f"model has {model.dof} joints but got {angles.shape} angles")
+    axes = np.array([joint.axis for joint in model.joints])
+    # all joints in one call; sqrt of the dot product is np.linalg.norm of one
+    # vector, so each angle is scaled bit for bit as Rotation.from_axis_angle does
+    norms = np.sqrt([axis.dot(axis) for axis in axes])
+    quats = so3_exp_stacked(axes * (angles / norms)[:, None])
     p = model.base_pose
-    for joint, theta in zip(model.joints, angles):
-        p = compose(p, Pose(Rotation.from_axis_angle(joint.axis, theta), np.zeros(3)))
+    for joint, quat in zip(model.joints, quats):
+        p = compose(p, Pose(Rotation(quat), np.zeros(3)))
         p = compose(p, joint.offset)
     return compose(p, model.gripper_offset)
 

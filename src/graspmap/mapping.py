@@ -19,7 +19,7 @@ from .errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
                      DimensionMismatch, EmptyCloud)
 from .factors import ScaleVar
 from .geometry import frozen
-from .records import located, numbers, read_records, write_records
+from .records import first_record, located, numbers, read_records, write_records
 
 UNSCALED_UNITS = "unscaled-map-units"
 METERS = "meters"
@@ -59,7 +59,7 @@ class VoxelGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", frozen(self.origin, (3,), "origin"))
-        object.__setattr__(self, "voxel_size", float(self.voxel_size))
+        object.__setattr__(self, "voxel_size", _voxel_size(self.voxel_size))
         object.__setattr__(self, "occupancy",
                            frozen(self.occupancy, (-1, -1, -1), "occupancy", bool))
 
@@ -349,20 +349,35 @@ def save_grid(path, grid: VoxelGrid) -> None:
 
 
 def load_grid(path) -> VoxelGrid:
-    rec = {tok[0]: (lineno, tok[1:]) for lineno, tok in read_records(path)}
+    """Read a ``save_grid`` dump. A missing, repeated or malformed record, a
+    non-positive dim or voxel size, or a run value other than 0 or 1 is
+    ``CorruptArtifact`` at ``path:line``."""
+    seen: set = set()
+    rec = {}
+    for lineno, tok in read_records(path):
+        with located(path, lineno):
+            first_record(seen, tok[0])
+        rec[tok[0]] = lineno, tok[1:]
     if set(rec) != {"origin", "voxel_size", "dims", "rle"}:
         raise CorruptArtifact(f"{path}: grid dump needs origin, voxel_size, dims, rle lines")
     origin = numbers(path, *rec["origin"], 3)
     (voxel,) = numbers(path, *rec["voxel_size"], 1)
     dims = tuple(numbers(path, *rec["dims"], 3, int))
+    with located(path, rec["dims"][0]):
+        if min(dims) <= 0:
+            raise ValueError(f"dims must be positive, got {dims}")
     lineno, runs = rec["rle"]
     with located(path, lineno):
-        pieces = [np.full(int(length), val == "1", dtype=bool)
-                  for val, length in (run.split(":") for run in runs)]
+        pieces = []
+        for val, length in (run.split(":") for run in runs):
+            if val not in ("0", "1"):
+                raise ValueError(f"run value {val!r} is neither 0 nor 1")
+            pieces.append(np.full(int(length), val == "1", dtype=bool))
     occ = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
     if occ.size != int(np.prod(dims)):
         raise CorruptArtifact(f"{path}: RLE length {occ.size} does not match dims {dims}")
-    return VoxelGrid(origin=origin, voxel_size=voxel, occupancy=occ.reshape(dims))
+    with located(path, rec["voxel_size"][0]):  # the grid refuses a bad voxel size
+        return VoxelGrid(origin=origin, voxel_size=voxel, occupancy=occ.reshape(dims))
 
 
 # --- graspable-point records ------------------------------------------------------

@@ -39,6 +39,13 @@ def read_records(path, sep: str | None = None):
                 yield lineno, line.split(sep)
 
 
+def first_record(seen: set, kind: str, index: int | None = None) -> None:
+    """Note record ``kind [index]`` as read; an artifact that repeats one is corrupt."""
+    if (kind, index) in seen:
+        raise ValueError(f"repeated {kind}{'' if index is None else f' {index}'} record")
+    seen.add((kind, index))
+
+
 @contextmanager
 def located(path, lineno: int | None = None):
     """Report a ``ValueError`` or ``IndexError`` as ``CorruptArtifact`` at ``path:lineno``."""

@@ -44,7 +44,7 @@ from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
 from .geometry import (Pose, Rotation, compose, inverse, pose_from_seven,
                        pose_to_seven, quat_product, quat_rotate, se3_exp_stacked)
 from .kinematics import LimbModel, fk_pose
-from .records import located, numbers, read_records, write_records
+from .records import first_record, located, numbers, read_records, write_records
 from .simulation import SimBundle
 
 # GRAD_TOL sits near machine noise on purpose: the information values here
@@ -400,13 +400,6 @@ def save_graph(path, graph: FactorGraph) -> None:
     write_records(path, rows, comment="factor graph: poses, scale, factors")
 
 
-def _first(seen: set, kind: str, index: int | None = None) -> None:
-    """Note record ``kind [index]`` as read; an artifact that repeats one is corrupt."""
-    if (kind, index) in seen:
-        raise ValueError(f"repeated {kind}{'' if index is None else f' {index}'} record")
-    seen.add((kind, index))
-
-
 def load_graph(path) -> FactorGraph:
     seen: set = set()
     poses: dict[int, Pose] = {}
@@ -418,7 +411,7 @@ def load_graph(path) -> FactorGraph:
         with located(path, lineno):
             kind = tok[0]
             i = int(tok[1]) if kind in ("pose", "fk", "mc") else None
-            _first(seen, kind, i)
+            first_record(seen, kind, i)
             if kind == "pose":
                 poses[i] = pose_from_seven(numbers(path, lineno, tok[2:], 7))
             elif kind == "scale":
@@ -479,7 +472,7 @@ def load_report(path) -> SolveReport:
         with located(path, lineno):
             key, vals = tok[0], tok[1:]
             k = int(vals[0]) if key in STEP_RECORDS else None
-            _first(seen, key, k)
+            first_record(seen, key, k)
             if key in STEP_RECORDS:
                 steps[key][k] = lineno, numbers(path, lineno, vals[1:], 1)[0]
             elif key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):

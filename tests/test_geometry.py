@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from conftest import rand_pose, rand_rotation, rand_twist_vector, rotation_gap
+from conftest import (mat_exp_series, quat_exp, rand_pose, rand_rotation,
+                      rand_twist_vector, rotation_gap, se3_hat)
 from graspmap.errors import CutLocusError
 from graspmap.geometry import (Pose, Rotation, compose, hat, inverse,
                                pose_from_seven, pose_to_seven, se3_adjoint,
@@ -29,22 +30,6 @@ PI = math.pi
 # --- oracles -------------------------------------------------------------------
 
 
-def mat_exp_series(m: np.ndarray, terms: int = 80) -> np.ndarray:
-    out = np.eye(m.shape[0])
-    power = np.eye(m.shape[0])
-    for k in range(1, terms):
-        power = power @ m / k
-        out = out + power
-    return out
-
-
-def se3_hat(x: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[:3, :3] = hat(x[3:])
-    m[:3, 3] = x[:3]
-    return m
-
-
 def eigen_axis_log(r_mat: np.ndarray) -> np.ndarray:
     """Axis-angle from eigenstructure; valid for angles in (0, pi)."""
     angle = math.acos(np.clip((np.trace(r_mat) - 1.0) / 2.0, -1.0, 1.0))
@@ -56,14 +41,6 @@ def eigen_axis_log(r_mat: np.ndarray) -> np.ndarray:
     if sin_axis @ axis < 0.0:
         axis = -axis
     return axis * angle
-
-
-def quat_exp(phi: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(phi)
-    if angle == 0.0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    return np.concatenate([[math.cos(angle / 2.0)],
-                           math.sin(angle / 2.0) * phi / angle])
 
 
 # --- hat / basic types ------------------------------------------------------------

@@ -447,6 +447,21 @@ def test_grid_round_trip(tmp_path):
     assert np.array_equal(back.occupancy, grid.occupancy)
 
 
+@pytest.mark.parametrize("edit, line", [
+    (lambda d: d + "dims 1 2 1\n", 5),
+    (lambda d: d.replace("rle 0:1 1:1", "rle 7:2"), 4),
+    (lambda d: d.replace("dims 1 2 1", "dims -1 -2 1"), 3),
+    (lambda d: d.replace("voxel_size 0.0025", "voxel_size -0.0025"), 2),
+], ids=["repeated-record", "run-value", "non-positive-dims", "non-positive-voxel-size"])
+def test_grid_dump_refuses_a_malformed_record(tmp_path, edit, line):
+    path = tmp_path / "grid.txt"
+    save_grid(path, VoxelGrid(origin=np.zeros(3), voxel_size=0.0025,
+                              occupancy=np.array([False, True]).reshape(1, 2, 1)))
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(CorruptArtifact, match=f"grid.txt:{line}: "):
+        load_grid(path)
+
+
 def test_graspable_round_trip(tmp_path):
     pts = [GraspablePoint(position=np.array([0.1, -0.2, 0.31]),
                           support_count=117),

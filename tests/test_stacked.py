@@ -1,10 +1,15 @@
-"""Stacked (array) evaluation against the scalar functions it mirrors.
+"""The stacked (array) maps and factors against independent references.
 
-The solver linearizes through ``StackedFactors`` and the stacked maps in
-``geometry``; the scalar residuals, Jacobians and ``total_cost`` stay the
-reference. Every comparison runs over rotation angles on both sides of each
-series switch: below ``SMALL_ANGLE`` (quaternion Taylor branch), below
-``_SERIES_ANGLE`` (Jacobian coefficient series), and up to near pi.
+The stacked maps in ``geometry`` are the one implementation of the exp/log
+maps and their Jacobians; the scalar maps are thin wrappers over them. They
+are checked against oracles that share no code with them: the quaternion
+exponential in closed form, the truncated matrix-exponential series, and the
+matrix inverses of the Jacobian series sum_n ad^n/(n+1)! (``conftest``). The
+solver linearizes through ``StackedFactors``; the scalar residuals,
+Jacobians and ``total_cost`` stay its reference. Every comparison runs over
+rotation angles on both sides of each series switch: below ``SMALL_ANGLE``
+(quaternion Taylor branch), below ``_SERIES_ANGLE`` (Jacobian coefficient
+series), and up to 3.0 rad.
 """
 
 import math
@@ -12,18 +17,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_pose, rand_rotation
+from conftest import (jacobian_series, mat_exp_series, quat_exp, rand_pose,
+                      rand_rotation, se3_ad, se3_hat)
 from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual)
-from graspmap.geometry import (Rotation, compose, inverse,
-                               quat_matrix, quat_product, quat_rotate,
-                               se3_exp, se3_exp_stacked, se3_left_jacobian_inv,
-                               se3_left_jacobian_inv_stacked, so3_exp,
-                               so3_exp_stacked, so3_left_jacobian_inv,
-                               so3_left_jacobian_inv_stacked, so3_log,
-                               so3_log_stacked)
+from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose, hat, inverse,
+                               quat_matrix, quat_product, quat_rotate, se3_exp,
+                               se3_exp_stacked, se3_left_jacobian_inv_stacked,
+                               so3_exp_stacked, so3_left_jacobian_inv_stacked,
+                               so3_left_jacobian_stacked, so3_log, so3_log_stacked)
 from graspmap.solver import FactorGraph, normal_equations
 
 # rotation angles (rad) of the residuals and twists under test
@@ -60,19 +64,22 @@ def test_quaternion_helpers_match_rotation():
     close(quat_matrix(qa), [x.matrix() for x in a])
 
 
-def test_exp_log_and_jacobians_match_scalar():
-    rng = np.random.default_rng(1)
-    x = twists(rng)
-    close(so3_exp_stacked(x[:, 3:]), [so3_exp(t[3:]).quat for t in x])
+def test_exp_log_and_jacobians_match_oracles():
+    x = twists(np.random.default_rng(1))
+    phi = x[:, 3:]
+    want_quats = [quat_exp(p) for p in phi]
+    close(so3_exp_stacked(phi), want_quats)
     quats, trans = se3_exp_stacked(x)
-    want = [se3_exp(t) for t in x]
-    close(quats, [p.rotation.quat for p in want])
-    close(trans, [p.translation for p in want])
-    close(so3_log_stacked(quats), [so3_log(p.rotation) for p in want])
-    close(so3_left_jacobian_inv_stacked(x[:, 3:]),
-          [so3_left_jacobian_inv(t[3:]) for t in x])
+    close(quats, want_quats)
+    mats = [mat_exp_series(se3_hat(t)) for t in x]
+    close(quat_matrix(quats), [m[:3, :3] for m in mats])
+    close(trans, [m[:3, 3] for m in mats])
+    close(so3_log_stacked(np.array(want_quats)), phi)
+    jl = [jacobian_series(hat(p)) for p in phi]
+    close(so3_left_jacobian_stacked(phi), jl)
+    close(so3_left_jacobian_inv_stacked(phi), [np.linalg.inv(j) for j in jl])
     close(se3_left_jacobian_inv_stacked(x),
-          [se3_left_jacobian_inv(t) for t in x])
+          [np.linalg.inv(jacobian_series(se3_ad(t))) for t in x])
 
 
 def test_stacked_log_keeps_leading_axes():
@@ -84,19 +91,22 @@ def test_stacked_log_keeps_leading_axes():
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-7, 5e-7, 2e-6, 1e-3])
 def test_stacked_log_refuses_the_cut_locus_like_scalar(gap):
+    """The log raises exactly when pi - angle <= CUT_LOCUS_MARGIN, for a lone
+    rotation and for one stacked behind the identity alike; otherwise it
+    returns the axis times the angle."""
     rng = np.random.default_rng(3)
     axis = rng.normal(size=3)
-    half = 0.5 * (math.pi - gap)
-    near_pi = Rotation(np.concatenate([[math.cos(half)],
-                                       math.sin(half) * axis / np.linalg.norm(axis)]))
+    axis /= np.linalg.norm(axis)
+    near_pi = Rotation(quat_exp(axis * (math.pi - gap)))
     quats = np.array([Rotation.identity().quat, near_pi.quat])
-    try:
-        want = so3_log(near_pi)
-    except CutLocusError:
+    if gap <= CUT_LOCUS_MARGIN:
+        with pytest.raises(CutLocusError):
+            so3_log(near_pi)
         with pytest.raises(CutLocusError):
             so3_log_stacked(quats)
     else:
-        close(so3_log_stacked(quats)[1], want)
+        close(so3_log(near_pi), axis * (math.pi - gap))
+        close(so3_log_stacked(quats), [np.zeros(3), axis * (math.pi - gap)])
 
 
 # --- factors -------------------------------------------------------------------
