@@ -22,8 +22,8 @@ from .geometry import (Pose, Rotation, compose, hat, inverse, pose_from_seven,
                        so3_exp, so3_left_jacobian, so3_left_jacobian_inv,
                        so3_log, so3_right_jacobian_inv)
 from .kinematics import (Joint, JointReading, LimbModel, default_limb,
-                         fk_delta, fk_pose, jacobian_numeric, load_limb,
-                         save_limb)
+                         fk_delta, fk_pose, fk_poses, jacobian_numeric,
+                         load_limb, save_limb)
 from .mapping import (GraspablePoint, GripperMask, PointCloud, VoxelGrid,
                       build_mask, detect_graspable, fill_below, load_graspable,
                       load_grid, read_ply, save_graspable, save_grid,

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import (Pose, Rotation, compose, frozen, hat, hat_stacked,
-                       inverse, quat_conjugate, quat_matrix, quat_product,
-                       quat_rotate, se3_adjoint, se3_left_jacobian_inv,
+                       inverse, inverse_stacked, quat_conjugate, quat_matrix,
+                       quat_product, quat_rotate, quat_unit, se3_adjoint,
+                       se3_adjoint_stacked, se3_left_jacobian_inv,
                        se3_left_jacobian_inv_stacked, se3_log,
                        se3_right_jacobian_inv, so3_left_jacobian_inv,
                        so3_left_jacobian_inv_stacked, so3_log, so3_log_stacked,
@@ -322,14 +323,18 @@ class StackedFactors:
     def pack(fks, mcs) -> "StackedFactors":
         """Arrays of the chain's kinematic and tracker factors, each list in
         keyframe order."""
-        fk_inv = [inverse(f.delta) for f in fks]
+        fk_quat = _rows([f.delta.rotation.quat for f in fks], (4,))
+        fk_trans = _rows([f.delta.translation for f in fks], (3,))
+        fk_inv_quat, fk_inv_trans = inverse_stacked(fk_quat, fk_trans)
+        mc_quat = _rows([f.delta_rot.quat for f in mcs], (4,))
         return StackedFactors(
-            fk_inv_quat=_rows([p.rotation.quat for p in fk_inv], (4,)),
-            fk_inv_trans=_rows([p.translation for p in fk_inv], (3,)),
-            fk_adjoint=_rows([se3_adjoint(f.delta) for f in fks], (6, 6)),
+            fk_inv_quat=fk_inv_quat,
+            fk_inv_trans=fk_inv_trans,
+            fk_adjoint=se3_adjoint_stacked(fk_quat, fk_trans),
             fk_info=_rows([f.info for f in fks], (6,)),
-            mc_inv_quat=_rows([f.delta_rot.inverse().quat for f in mcs], (4,)),
-            mc_rot=_rows([f.delta_rot.matrix() for f in mcs], (3, 3)),
+            # Rotation.inverse, normalized as Rotation does
+            mc_inv_quat=quat_unit(quat_conjugate(mc_quat)),
+            mc_rot=quat_matrix(mc_quat),
             mc_trans=_rows([f.delta_trans for f in mcs], (3,)),
             mc_aligned=_rows([f.frame_aligned for f in mcs], (), bool),
             mc_info=_rows([f.info for f in mcs], (6,)))

@@ -74,6 +74,27 @@ def hat(v) -> np.ndarray:
     return hat_stacked(_vec3(v))
 
 
+# The quaternion formulas written once on components, which may be Python
+# floats (the scalar types) or arrays of any one shape (the stacked maps):
+# the same operations in the same order give the same bits either way.
+
+
+def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2) -> list:
+    """Components of the Hamilton product, not renormalized."""
+    return [w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2]
+
+
+def _rotated(w, x, y, z, vx, vy, vz) -> list:
+    """Components of q v q*, expanded as v + 2w (u x v) + 2 u x (u x v) with
+    u = (x, y, z); the cross products are written out (np.cross costs more)."""
+    ax, ay, az = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+    bx, by, bz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
+    return [vx + 2.0 * (w * ax + bx), vy + 2.0 * (w * ay + by), vz + 2.0 * (w * az + bz)]
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Rotation in SO(3) stored as a unit quaternion (w, x, y, z).
@@ -109,15 +130,8 @@ class Rotation:
 
     def apply(self, v) -> np.ndarray:
         """Rotate a 3-vector."""
-        vx, vy, vz = _vec3(v).tolist()
-        w, x, y, z = self.quat.tolist()
-        # q v q* expanded: v + 2w (u x v) + 2 u x (u x v) with u = (x, y, z),
-        # both cross products written out on floats (np.cross costs ~20x more)
-        ax, ay, az = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
-        bx, by, bz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
-        return np.array([vx + 2.0 * (w * ax + bx),
-                         vy + 2.0 * (w * ay + by),
-                         vz + 2.0 * (w * az + bz)])
+        # on Python floats: numpy scalars cost several times more per operation
+        return np.array(_rotated(*self.quat.tolist(), *_vec3(v).tolist()))
 
     def inverse(self) -> "Rotation":
         w, x, y, z = self.quat
@@ -129,15 +143,8 @@ class Rotation:
         return 2.0 * math.atan2(np.linalg.norm(q[1:]), q[0])
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.quat
-        w2, x2, y2, z2 = other.quat
-        # Hamilton product; constructor renormalizes.
-        return Rotation(np.array([
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]))
+        # the constructor renormalizes
+        return Rotation(np.array(_hamilton(*self.quat.tolist(), *other.quat.tolist())))
 
 
 @dataclass(frozen=True)
@@ -227,12 +234,7 @@ def se3_log(p: Pose) -> np.ndarray:
 
 def se3_adjoint(p: Pose) -> np.ndarray:
     """6x6 adjoint of a pose for (rho, phi)-ordered twists."""
-    r = p.rotation.matrix()
-    out = np.zeros((6, 6))
-    out[:3, :3] = r
-    out[:3, 3:] = hat(p.translation) @ r
-    out[3:, 3:] = r
-    return out
+    return se3_adjoint_stacked(p.rotation.quat, p.translation)
 
 
 def se3_left_jacobian_inv(x) -> np.ndarray:
@@ -278,23 +280,71 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def quat_unit(q: np.ndarray) -> np.ndarray:
+    """Quaternions normalized as ``Rotation`` stores them: each is divided by
+    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1."""
+    # vecdot gives ndarray.dot's bits, so each norm is the one Rotation takes
+    n = np.sqrt(np.vecdot(q, q))[..., None]
+    return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, q / n, q)
+
+
+# _components and _joined split the last axis off and put it back; on small
+# arrays they cost a fraction of np.moveaxis and np.stack
+
+
+def _components(a: np.ndarray) -> list:
+    return [a[..., k] for k in range(a.shape[-1])]
+
+
+def _joined(components: list) -> np.ndarray:
+    """Components of one shape, stacked along a new last axis."""
+    out = np.empty(np.shape(components[0]) + (len(components),))
+    for k, c in enumerate(components):
+        out[..., k] = c
+    return out
+
+
+def _hamilton_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _joined(_hamilton(*_components(a), *_components(b)))
+
+
 def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, renormalized as ``Rotation`` does."""
-    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
-    return _normalized(np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1))
+    """Hamilton product, renormalized by every norm (unlike ``Rotation``)."""
+    return _normalized(_hamilton_stacked(a, b))
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vectors by unit quaternions, as ``Rotation.apply``."""
-    w, u = q[..., :1], q[..., 1:]
-    uv = np.cross(u, v)
-    return v + 2.0 * (w * uv + np.cross(u, uv))
+    return _joined(_rotated(*_components(q), *_components(v)))
+
+
+def compose_stacked(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray,
+                    tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``compose`` of poses given as (quaternions, translations), bit for bit;
+    the leading axes broadcast."""
+    return quat_unit(_hamilton_stacked(qa, qb)), quat_rotate(qa, tb) + ta
+
+
+def inverse_stacked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``inverse`` of poses given as (quaternions, translations), bit for bit."""
+    q_inv = quat_unit(quat_conjugate(q))
+    return q_inv, -quat_rotate(q_inv, t)
+
+
+def compose_chain(q: np.ndarray, t: np.ndarray, step_q: np.ndarray,
+                  step_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pose (q, t) and its running products with the m steps, as (m + 1, 4)
+    quaternions and (m + 1, 3) translations: row k is ``compose`` of row k-1
+    with step k-1, bit for bit. Each product needs the one before, so this is
+    a loop, on Python floats, normalizing each product as ``Rotation`` does."""
+    quats, trans = [np.asarray(q, dtype=float)], [np.asarray(t, dtype=float)]
+    a, ta = quats[0].tolist(), trans[0].tolist()
+    for b, tb in zip(step_q.tolist(), step_t.tolist()):
+        ta = [m + c for m, c in zip(_rotated(*a, *tb), ta)]
+        quats.append(frozen(_hamilton(*a, *b), (4,), "quaternion", unit=True))
+        trans.append(ta)
+        a = quats[-1].tolist()
+    return np.array(quats), np.array(trans)
 
 
 def quat_matrix(q: np.ndarray) -> np.ndarray:
@@ -395,6 +445,16 @@ def se3_left_jacobian_inv_stacked(x: np.ndarray) -> np.ndarray:
     out[..., :3, :3] = jli
     out[..., :3, 3:] = -jli @ _q_matrix_stacked(rho, phi) @ jli
     out[..., 3:, 3:] = jli
+    return out
+
+
+def se3_adjoint_stacked(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``se3_adjoint`` of poses given as (unit quaternions, translations)."""
+    r = quat_matrix(q)
+    out = np.zeros(q.shape[:-1] + (6, 6))
+    out[..., :3, :3] = r
+    out[..., :3, 3:] = hat_stacked(t) @ r
+    out[..., 3:, 3:] = r
     return out
 
 

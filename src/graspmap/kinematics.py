@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .geometry import (Pose, Rotation, compose, frozen, inverse,
-                       pose_from_seven, pose_to_seven, se3_log,
-                       so3_exp_stacked)
+from .geometry import (Pose, Rotation, compose, compose_stacked, frozen,
+                       inverse, inverse_stacked, pose_from_seven,
+                       pose_to_seven, quat_unit, so3_exp_stacked,
+                       so3_left_jacobian_inv_stacked, so3_log_stacked)
 from .records import config_number, read_yaml, write_yaml
 
 
@@ -72,22 +73,36 @@ class JointReading:
         object.__setattr__(self, "timestamp", float(self.timestamp))
 
 
+def fk_poses(model: LimbModel, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Gripper poses in the base/world frame for an (n, dof) array of joint
+    angles, one reading per row, as (n, 4) unit quaternions and (n, 3)
+    translations. The chain runs once over all rows: one exponential for every
+    joint angle, then one stacked product per joint."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != model.dof:
+        raise DimensionMismatch(
+            f"model has {model.dof} joints but got angles of shape {angles.shape}")
+    axes = np.array([joint.axis for joint in model.joints])
+    # sqrt of the dot product is np.linalg.norm of one vector, so each angle
+    # is scaled bit for bit as Rotation.from_axis_angle does
+    norms = np.sqrt([axis.dot(axis) for axis in axes])
+    joint_quats = quat_unit(so3_exp_stacked(axes * (angles / norms)[..., None]))
+    q, t = model.base_pose.rotation.quat, model.base_pose.translation
+    for j, joint in enumerate(model.joints):
+        q, t = compose_stacked(q, t, joint_quats[:, j], np.zeros(3))
+        q, t = compose_stacked(q, t, joint.offset.rotation.quat, joint.offset.translation)
+    g = model.gripper_offset
+    return compose_stacked(q, t, g.rotation.quat, g.translation)
+
+
 def fk_pose(model: LimbModel, angles) -> Pose:
     """Gripper pose in the base/world frame for one vector of joint angles."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (model.dof,):
         raise DimensionMismatch(
             f"model has {model.dof} joints but got {angles.shape} angles")
-    axes = np.array([joint.axis for joint in model.joints])
-    # all joints in one call; sqrt of the dot product is np.linalg.norm of one
-    # vector, so each angle is scaled bit for bit as Rotation.from_axis_angle does
-    norms = np.sqrt([axis.dot(axis) for axis in axes])
-    quats = so3_exp_stacked(axes * (angles / norms)[:, None])
-    p = model.base_pose
-    for joint, quat in zip(model.joints, quats):
-        p = compose(p, Pose(Rotation(quat), np.zeros(3)))
-        p = compose(p, joint.offset)
-    return compose(p, model.gripper_offset)
+    q, t = fk_poses(model, angles[None])
+    return Pose(Rotation(q[0]), t[0])
 
 
 def fk_delta(model: LimbModel, prev: JointReading, curr: JointReading) -> Pose:
@@ -105,16 +120,17 @@ def jacobian_numeric(model: LimbModel, angles, step: float = 1e-6) -> np.ndarray
     if angles.shape != (model.dof,):
         raise DimensionMismatch(
             f"model has {model.dof} joints but got {angles.shape} angles")
-    base_inv = inverse(fk_pose(model, angles))
-    jac = np.zeros((6, model.dof))
-    for j in range(model.dof):
-        bumped = angles.copy()
-        bumped[j] = angles[j] + step
-        plus = se3_log(compose(base_inv, fk_pose(model, bumped)))
-        bumped[j] = angles[j] - step
-        minus = se3_log(compose(base_inv, fk_pose(model, bumped)))
-        jac[:, j] = (plus - minus) / (2.0 * step)
-    return jac
+    # row 0 is q itself, rows 1..dof bump joint j up, the next dof down
+    j = np.arange(model.dof)
+    rows = np.tile(angles, (2 * model.dof + 1, 1))
+    rows[1 + j, j] = angles + step
+    rows[1 + model.dof + j, j] = angles - step
+    q, t = fk_poses(model, rows)
+    rel_q, rel_t = compose_stacked(*inverse_stacked(q[0], t[0]), q[1:], t[1:])
+    phi = so3_log_stacked(rel_q)
+    twists = np.concatenate(
+        [(so3_left_jacobian_inv_stacked(phi) @ rel_t[..., None])[..., 0], phi], axis=-1)
+    return (twists[:model.dof] - twists[model.dof:]).T / (2.0 * step)
 
 
 def default_limb() -> LimbModel:

@@ -24,7 +24,8 @@ from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
 from .geometry import (Pose, Rotation, compose, frozen, inverse,
                        pose_from_seven, pose_to_seven, so3_exp)
-from .kinematics import JointReading, LimbModel, default_limb, fk_pose
+from .kinematics import JointReading, LimbModel, default_limb, fk_poses
+from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.py
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
 from .records import (config_number, located, numbers, read_records, read_yaml,
@@ -189,8 +190,8 @@ def generate_trajectory(model: LimbModel, config: SimConfig
     noisy = truth + rng.normal(0.0, config.joint_noise_stddev, truth.shape)
     timestamps = np.arange(config.keyframes) / config.camera.rate_hz
     readings = [JointReading(t, a) for t, a in zip(timestamps, noisy)]
-    truth_poses = [fk_pose(model, a) for a in truth]
-    return readings, truth_poses
+    quats, trans = fk_poses(model, truth)
+    return readings, [Pose(Rotation(q), t) for q, t in zip(quats, trans)]
 
 
 # --- tracker deltas ----------------------------------------------------------------
@@ -427,6 +428,9 @@ def read_bundle(directory) -> SimBundle:
     for lineno, tok in read_records(path, ","):
         vals = numbers(path, lineno, tok, 8)
         with located(path, lineno):
+            # step k ties keyframe k-1 to k: rows must run 1, 2, ... in order
+            if tok[0].strip() != str(len(vo) + 1):
+                raise ValueError(f"step {tok[0].strip()!r} where step {len(vo) + 1} belongs")
             vo.append((Rotation(np.array(vals[4:8])), np.array(vals[1:4])))
 
     if len(vo) != len(poses) - 1:

@@ -1,16 +1,18 @@
-"""Shared sampling helpers and Lie-group oracles.
+"""Shared sampling helpers, Lie-group oracles and the scalar FK loop.
 
 Rotations are sampled directly in quaternion space (normalized Gaussian
 4-vectors), so tests of the exp/log maps never use those maps to build their
 own inputs. The oracles compute the exp map and its Jacobians from their
 defining series or closed forms, sharing no code with ``geometry``'s maps.
+``fk_compose_loop`` is forward kinematics as a loop of scalar ``compose``
+calls, the reference ``fk_poses`` must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from graspmap.geometry import Pose, Rotation, hat
+from graspmap.geometry import Pose, Rotation, compose, hat, so3_exp_stacked
 
 
 def rand_rotation(rng) -> Rotation:
@@ -82,3 +84,16 @@ def quat_exp(phi: np.ndarray) -> np.ndarray:
         return np.array([1.0, 0.0, 0.0, 0.0])
     return np.concatenate([[math.cos(angle / 2.0)],
                            math.sin(angle / 2.0) * phi / angle])
+
+
+def fk_compose_loop(model, angles) -> Pose:
+    """Gripper pose for one vector of joint angles, one scalar ``compose`` per
+    joint rotation and per link."""
+    axes = np.array([joint.axis for joint in model.joints])
+    norms = np.sqrt([axis.dot(axis) for axis in axes])
+    quats = so3_exp_stacked(axes * (np.asarray(angles, dtype=float) / norms)[:, None])
+    p = model.base_pose
+    for joint, quat in zip(model.joints, quats):
+        p = compose(p, Pose(Rotation(quat), np.zeros(3)))
+        p = compose(p, joint.offset)
+    return compose(p, model.gripper_offset)

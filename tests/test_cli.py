@@ -474,6 +474,15 @@ def set_field(k, value, sep=","):
     return edit
 
 
+def swap_lines(a, b):
+    """Byte edit that swaps two text lines (1-based) of a file."""
+    def apply(data):
+        lines = data.decode().splitlines(keepends=True)
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        return "".join(lines).encode()
+    return apply
+
+
 def then(*edits):
     """The byte edits applied in order."""
     def apply(data):
@@ -504,6 +513,12 @@ def ascii_ply(data):
      "solve"),
     ("bundle/vo.csv", on_line(3, set_field(2, "nan")), "solve", "vo.csv:3",
      "solve"),
+    ("bundle/vo.csv", swap_lines(2, 3), "solve", "vo.csv:2: step '2' where step 1",
+     "solve"),
+    ("bundle/vo.csv", on_line(4, set_field(0, "1")), "solve",
+     "vo.csv:4: step '1' where step 3", "solve"),
+    ("bundle/vo.csv", on_line(3, set_field(0, "2.5")), "solve",
+     "vo.csv:3: step '2.5' where step 2", "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
      "solve", "trajectory.csv:4", "solve"),
     ("bundle/manifest.yaml", lambda t: t[:t.index(b"config:")], "solve",
@@ -536,7 +551,8 @@ def ascii_ply(data):
     ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}".encode(),
                                              f"comment units {METERS}".encode()),
      "pipeline-solve", "cloud.ply", "simulate"),
-], ids=["vo-not-a-number", "vo-nan", "trajectory-short-row", "manifest-no-config",
+], ids=["vo-not-a-number", "vo-nan", "vo-steps-swapped", "vo-step-relabelled",
+        "vo-step-not-integer", "trajectory-short-row", "manifest-no-config",
         "graph-bad-record", "graph-repeated-pose", "graph-repeated-scale",
         "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
         "report-step-gap", "report-step-extra-index", "report-step-short-trace",

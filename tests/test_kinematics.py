@@ -1,15 +1,17 @@
-"""Forward kinematics against hand-derived closed forms and the matrix oracle."""
+"""Forward kinematics against hand-derived closed forms, the scalar compose
+loop and the matrix oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import rand_pose, rotation_gap
+from conftest import fk_compose_loop, rand_pose, rotation_gap
 from graspmap.errors import DimensionMismatch
-from graspmap.geometry import Pose, Rotation, compose, inverse, se3_log
+from graspmap.geometry import Pose, Rotation, compose
 from graspmap.kinematics import (Joint, JointReading, LimbModel, default_limb,
-                                 fk_delta, fk_pose, jacobian_numeric,
+                                 fk_delta, fk_pose, fk_poses, jacobian_numeric,
                                  load_limb, save_limb)
 
 
@@ -57,6 +59,70 @@ def test_planar_two_link_closed_form():
     assert np.allclose(pose.translation, expected, atol=1e-15)
     assert rotation_gap(pose.rotation,
                         Rotation.from_axis_angle([0, 0, 1], th1 + th2)) < 1e-14
+
+
+def random_limb(seed: int = 11, dof: int = 5) -> LimbModel:
+    """Joints about non-unit axes, links with rotated offsets, a random base and
+    gripper offset."""
+    rng = np.random.default_rng(seed)
+    joints = tuple(Joint(axis=rng.normal(size=3) * rng.uniform(0.3, 3.0),
+                         offset=rand_pose(rng, span=0.2)) for _ in range(dof))
+    return LimbModel(joints=joints, base_pose=rand_pose(rng), gripper_offset=rand_pose(rng))
+
+
+def rodrigues(axis, angle) -> np.ndarray:
+    """4x4 homogeneous rotation by ``angle`` about ``axis``: I + sin K + (1 - cos) K^2."""
+    x, y, z = np.asarray(axis) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    m = np.eye(4)
+    m[:3, :3] = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return m
+
+
+@pytest.mark.parametrize("model", [default_limb(), random_limb()], ids=["default", "random"])
+def test_fk_poses_equals_the_compose_loop_bit_for_bit(model):
+    rng = np.random.default_rng(12)
+    angles = rng.uniform(-math.pi, math.pi, (10_000, model.dof))
+    quats, trans = fk_poses(model, angles)
+    want = [fk_compose_loop(model, a) for a in angles]
+    assert np.array_equal(quats, np.array([p.rotation.quat for p in want]))
+    assert np.array_equal(trans, np.array([p.translation for p in want]))
+    for a, p in zip(angles[:100], want):  # the one-reading wrapper keeps its bits
+        got = fk_pose(model, a)
+        assert np.array_equal(got.rotation.quat, p.rotation.quat)
+        assert np.array_equal(got.translation, p.translation)
+
+
+@pytest.mark.parametrize("model", [default_limb(), random_limb()], ids=["default", "random"])
+def test_fk_poses_matches_homogeneous_matrix_product(model):
+    rng = np.random.default_rng(13)
+    angles = rng.uniform(-math.pi, math.pi, (200, model.dof))
+    quats, trans = fk_poses(model, angles)
+    for a, q, t in zip(angles, quats, trans):
+        m = model.base_pose.matrix()
+        for joint, angle in zip(model.joints, a):
+            m = m @ rodrigues(joint.axis, angle) @ joint.offset.matrix()
+        m = m @ model.gripper_offset.matrix()
+        assert np.abs(Pose(Rotation(q), t).matrix() - m).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (4,)],
+                         ids=["dof-minus-1", "dof-plus-1", "one-dimensional"])
+def test_fk_poses_wrong_shape(shape):
+    with pytest.raises(DimensionMismatch):
+        fk_poses(default_limb(), np.zeros(shape))
+
+
+def test_fk_poses_zero_and_one_reading():
+    model = default_limb()
+    quats, trans = fk_poses(model, np.zeros((0, 4)))
+    assert quats.shape == (0, 4) and trans.shape == (0, 3)
+    angles = np.array([[0.3, 0.1, -0.2, 0.5]])
+    quats, trans = fk_poses(model, angles)
+    assert quats.shape == (1, 4) and trans.shape == (1, 3)
+    want = fk_compose_loop(model, angles[0])
+    assert np.array_equal(quats[0], want.rotation.quat)
+    assert np.array_equal(trans[0], want.translation)
 
 
 def test_fk_pose_wrong_angle_count():
@@ -143,6 +209,10 @@ def test_jacobian_step_halving_converged():
     coarse = jacobian_numeric(model, angles, step=1e-5)
     fine = jacobian_numeric(model, angles, step=1e-6)
     assert np.abs(coarse - fine).max() < 1e-6
+    # the bytes it had when each bumped pose came from its own scalar FK call
+    # (numpy 2.4, x86-64); all bumped readings now go through one fk_poses call
+    assert hashlib.sha256(fine.tobytes()).hexdigest() == (
+        "bad43cf20645edd8509cdabb9c1ffd0f1733471d00d2a7e036cfdea0265401fa")
 
 
 def test_default_limb_shape():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_pose, rand_twist_vector
-from graspmap import kinematics, solver
+from graspmap import geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_jacobians,
@@ -119,26 +119,33 @@ def test_keyframe_index_mismatch():
 
 
 def test_build_graph_runs_fk_once_per_reading(monkeypatch):
-    """Each kinematic delta joins the FK poses of two neighbouring readings,
-    so FK runs once per reading, and the deltas are fk_delta's bit for bit."""
+    """build_graph runs FK as one stacked call over all readings: no scalar
+    fk_pose and no compose call. Its deltas are fk_delta's bit for bit, and each
+    pose starts where compose dead-reckons it from the one before."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=0, keyframes=12, cloud_points_per_keyframe=1),
                       limb)
     calls = []
-    fk_pose = kinematics.fk_pose
 
-    def counted(model, angles):
-        calls.append(1)
-        return fk_pose(model, angles)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    for module in (solver, kinematics):
-        monkeypatch.setattr(module, "fk_pose", counted)
+    for module in (solver, kinematics, geometry):
+        for name in ("fk_pose", "compose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     graph = build_graph(bundle, limb)
     monkeypatch.undo()
-    assert len(calls) == len(bundle.readings)
+    assert calls == []
     for i, f in enumerate(graph.fks, start=1):
         want = fk_delta(limb, bundle.readings[i - 1], bundle.readings[i])
         assert np.array_equal(f.delta.matrix(), want.matrix())
+        dead_reckoned = compose(graph.poses[i - 1], f.delta)
+        assert np.array_equal(graph.poses[i].rotation.quat, dead_reckoned.rotation.quat)
+        assert np.array_equal(graph.poses[i].translation, dead_reckoned.translation)
 
 
 def test_total_cost_trivials():

@@ -23,8 +23,10 @@ from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual)
-from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose, hat, inverse,
-                               quat_matrix, quat_product, quat_rotate, se3_exp,
+from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose, compose_chain,
+                               compose_stacked, hat, inverse, inverse_stacked,
+                               quat_matrix, quat_product, quat_rotate, se3_adjoint,
+                               se3_adjoint_stacked, se3_exp,
                                se3_exp_stacked, se3_left_jacobian_inv_stacked,
                                so3_exp_stacked, so3_left_jacobian_inv_stacked,
                                so3_left_jacobian_stacked, so3_log, so3_log_stacked)
@@ -62,6 +64,32 @@ def test_quaternion_helpers_match_rotation():
     close(quat_product(qa, qb), [(x @ y).quat for x, y in zip(a, b)])
     close(quat_rotate(qa, v), [x.apply(u) for x, u in zip(a, v)])
     close(quat_matrix(qa), [x.matrix() for x in a])
+
+
+def test_pose_twins_match_scalar_bit_for_bit():
+    rng = np.random.default_rng(9)
+    a = [rand_pose(rng) for _ in range(2000)]
+    b = [rand_pose(rng) for _ in range(2000)]
+    (qa, ta), (qb, tb) = ((np.array([p.rotation.quat for p in ps]),
+                           np.array([p.translation for p in ps])) for ps in (a, b))
+
+    def same(got, want):
+        q, t = got
+        assert np.array_equal(q, [p.rotation.quat for p in want])
+        assert np.array_equal(t, [p.translation for p in want])
+
+    same(compose_stacked(qa, ta, qb, tb), [compose(x, y) for x, y in zip(a, b)])
+    same(compose_stacked(qa[0], ta[0], qb, tb), [compose(a[0], y) for y in b])
+    same(inverse_stacked(qa, ta), [inverse(x) for x in a])
+    assert np.array_equal(quat_rotate(qa, tb), [x.rotation.apply(t) for x, t in zip(a, tb)])
+    chain = [a[0]]
+    for step in b:
+        chain.append(compose(chain[-1], step))
+    same(compose_chain(qa[0], ta[0], qb, tb), chain)
+    same(compose_chain(qa[0], ta[0], qb[:0], tb[:0]), chain[:1])
+    adjoints = se3_adjoint_stacked(qa, ta)
+    assert np.array_equal(adjoints, [se3_adjoint(x) for x in a])
+    assert np.array_equal(adjoints[0, :3, 3:], hat(ta[0]) @ a[0].rotation.matrix())
 
 
 def test_exp_log_and_jacobians_match_oracles():
