@@ -77,7 +77,8 @@ def fk_poses(model: LimbModel, angles) -> tuple[np.ndarray, np.ndarray]:
     """Gripper poses in the base/world frame for an (n, dof) array of joint
     angles, one reading per row, as (n, 4) unit quaternions and (n, 3)
     translations. The chain runs once over all rows: one exponential for every
-    joint angle, then one stacked product per joint."""
+    joint angle, then stacked products down the chain, each giving what the
+    scalar ``compose`` gives row by row."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != model.dof:
         raise DimensionMismatch(
@@ -114,7 +115,8 @@ def jacobian_numeric(model: LimbModel, angles, step: float = 1e-6) -> np.ndarray
     """6 x dof geometric Jacobian by central differences.
 
     Column ``j`` is the local (body-frame) twist d log(fk(q)^-1 fk(q + e_j)) / dq_j,
-    rows ordered translation-then-rotation as in ``se3_log``.
+    rows ordered translation-then-rotation as in ``se3_log``. FK runs once, on
+    q and its 2 x dof bumped copies stacked.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (model.dof,):
