@@ -252,7 +252,11 @@ def se3_right_jacobian_inv(x) -> np.ndarray:
 # The one implementation of the maps above, which check their input's shape and
 # call these. Quaternions are (..., 4) arrays, vectors (..., 3), twists (..., 6)
 # in (rho, phi) order, matrices (..., 3, 3) or (..., 6, 6); leading axes are
-# kept, so a bare (4,), (3,) or (6,) input works as is.
+# kept, so a bare (4,), (3,) or (6,) input works as is. A pose is a pair
+# (quaternions, translations). ``compose`` and ``inverse`` stay scalar code for
+# speed on one pose, but share their formulas (``_hamilton``, ``_rotated``)
+# and ``Rotation``'s normalization rule (``quat_unit``) with their stacked
+# twins, which therefore give their bits.
 #
 # V(phi), coupling rotation and translation in the SE(3) exponential, is the
 # SO(3) left Jacobian; with K = hat(phi) and th = norm(phi):
