@@ -32,7 +32,7 @@ from .geometry import (Pose, Rotation, compose, frozen, hat, hat_stacked,
                        quat_product, quat_rotate, quat_unit, se3_adjoint,
                        se3_adjoint_stacked, se3_left_jacobian_inv,
                        se3_left_jacobian_inv_stacked, se3_log,
-                       se3_right_jacobian_inv, so3_left_jacobian_inv,
+                       se3_log_stacked, se3_right_jacobian_inv, so3_left_jacobian_inv,
                        so3_left_jacobian_inv_stacked, so3_log, so3_log_stacked,
                        so3_right_jacobian_inv)
 
@@ -346,10 +346,8 @@ class StackedFactors:
         # compose(compose(inverse(t_prev), t_curr), inverse(delta))
         rel_quat = quat_product(prev_inv, quats[1:])
         rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
-        phi = so3_log_stacked(quat_product(rel_quat, self.fk_inv_quat))
-        err_trans = quat_rotate(rel_quat, self.fk_inv_trans) + rel_trans
-        rho = (so3_left_jacobian_inv_stacked(phi) @ err_trans[..., None])[..., 0]
-        r = np.concatenate([rho, phi], axis=-1)
+        r = se3_log_stacked(quat_product(rel_quat, self.fk_inv_quat),
+                            quat_rotate(rel_quat, self.fk_inv_trans) + rel_trans)
         j_prev = -se3_left_jacobian_inv_stacked(r)
         j_curr = se3_left_jacobian_inv_stacked(-r) @ self.fk_adjoint
         return r, j_prev, j_curr

@@ -228,8 +228,7 @@ def se3_log(p: Pose) -> np.ndarray:
     there is no division by ``norm(phi)`` to blow up. Raises ``CutLocusError``
     within ``CUT_LOCUS_MARGIN`` of the pi cut locus.
     """
-    phi = so3_log(p.rotation)
-    return np.concatenate([so3_left_jacobian_inv(phi) @ p.translation, phi])
+    return se3_log_stacked(p.rotation.quat, p.translation)
 
 
 def se3_adjoint(p: Pose) -> np.ndarray:
@@ -287,8 +286,9 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 def quat_unit(q: np.ndarray) -> np.ndarray:
     """Quaternions normalized as ``Rotation`` stores them: each is divided by
     its norm only where that is more than ``_UNIT_NORM_TOL`` from 1."""
-    # vecdot gives ndarray.dot's bits, so each norm is the one Rotation takes
-    n = np.sqrt(np.vecdot(q, q))[..., None]
+    # a batched matmul gives ndarray.dot's bits (einsum and np.linalg.norm do
+    # not), so each norm is the one Rotation takes
+    n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
     return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, q / n, q)
 
 
@@ -335,22 +335,6 @@ def inverse_stacked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return q_inv, -quat_rotate(q_inv, t)
 
 
-def compose_chain(q: np.ndarray, t: np.ndarray, step_q: np.ndarray,
-                  step_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pose (q, t) and its running products with the m steps, as (m + 1, 4)
-    quaternions and (m + 1, 3) translations: row k is ``compose`` of row k-1
-    with step k-1, bit for bit. Each product needs the one before, so this is
-    a loop, on Python floats, normalizing each product as ``Rotation`` does."""
-    quats, trans = [np.asarray(q, dtype=float)], [np.asarray(t, dtype=float)]
-    a, ta = quats[0].tolist(), trans[0].tolist()
-    for b, tb in zip(step_q.tolist(), step_t.tolist()):
-        ta = [m + c for m, c in zip(_rotated(*a, *tb), ta)]
-        quats.append(frozen(_hamilton(*a, *b), (4,), "quaternion", unit=True))
-        trans.append(ta)
-        a = quats[-1].tolist()
-    return np.array(quats), np.array(trans)
-
-
 def quat_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of unit quaternions, as ``Rotation.matrix``."""
     w, x, y, z = np.moveaxis(q, -1, 0)
@@ -392,6 +376,13 @@ def so3_log_stacked(q: np.ndarray) -> np.ndarray:
     scale = np.where(small, (2.0 / w) * (1.0 - n * n / (3.0 * w * w)),
                      theta / np.where(small, 1.0, n))
     return scale[..., None] * q[..., 1:]
+
+
+def se3_log_stacked(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``se3_log`` of poses given as (unit quaternions, translations)."""
+    phi = so3_log_stacked(q)
+    return np.concatenate([(so3_left_jacobian_inv_stacked(phi) @ t[..., None])[..., 0], phi],
+                          axis=-1)
 
 
 def _coeff_b_stacked(theta):

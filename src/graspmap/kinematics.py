@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch
 from .geometry import (Pose, Rotation, compose, compose_stacked, frozen,
                        inverse, inverse_stacked, pose_from_seven,
-                       pose_to_seven, quat_unit, so3_exp_stacked,
-                       so3_left_jacobian_inv_stacked, so3_log_stacked)
+                       pose_to_seven, quat_unit, se3_log_stacked,
+                       so3_exp_stacked)
 from .records import config_number, read_yaml, write_yaml
 
 
@@ -128,10 +128,7 @@ def jacobian_numeric(model: LimbModel, angles, step: float = 1e-6) -> np.ndarray
     rows[1 + j, j] = angles + step
     rows[1 + model.dof + j, j] = angles - step
     q, t = fk_poses(model, rows)
-    rel_q, rel_t = compose_stacked(*inverse_stacked(q[0], t[0]), q[1:], t[1:])
-    phi = so3_log_stacked(rel_q)
-    twists = np.concatenate(
-        [(so3_left_jacobian_inv_stacked(phi) @ rel_t[..., None])[..., 0], phi], axis=-1)
+    twists = se3_log_stacked(*compose_stacked(*inverse_stacked(q[0], t[0]), q[1:], t[1:]))
     return (twists[:model.dof] - twists[model.dof:]).T / (2.0 * step)
 
 

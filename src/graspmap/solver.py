@@ -41,7 +41,7 @@ from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
                       StackedFactors, factor_cost, factor_info_diag,
                       factor_jacobians, factor_residual)
-from .geometry import (Pose, Rotation, compose, compose_chain, compose_stacked,
+from .geometry import (Pose, Rotation, compose, compose_stacked,
                        inverse_stacked, pose_from_seven, pose_to_seven,
                        quat_product, quat_rotate, se3_exp_stacked)
 from .kinematics import LimbModel, fk_poses
@@ -369,18 +369,15 @@ def build_graph(bundle: SimBundle, model: LimbModel,
                 literal: bool = False) -> FactorGraph:
     """Assemble the fusion graph from a bundle: prior at FK of the first
     reading, then one kinematic and one tracker factor per later keyframe.
-    FK runs once over all readings; each kinematic delta joins two neighbours,
-    and each pose starts where the deltas dead-reckon it from the prior."""
+    FK runs once over all readings; each kinematic delta joins two neighbours."""
     quats, trans = fk_poses(model, np.array([r.angles for r in bundle.readings]))
     delta_q, delta_t = compose_stacked(*inverse_stacked(quats[:-1], trans[:-1]),
                                        quats[1:], trans[1:])
-    init_q, init_t = compose_chain(quats[0], trans[0], delta_q, delta_t)
     graph = FactorGraph(PriorFactor(pose=Pose(Rotation(quats[0]), trans[0])))
     for i in range(1, len(quats)):
         rot, step = bundle.vo_deltas[i - 1]
         graph.add_keyframe(FkFactor(i, Pose(Rotation(delta_q[i - 1]), delta_t[i - 1])),
-                           McFactor(i, rot, step, frame_aligned=not literal),
-                           pose_init=Pose(Rotation(init_q[i]), init_t[i]))
+                           McFactor(i, rot, step, frame_aligned=not literal))
     return graph
 
 

@@ -23,11 +23,12 @@ from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual)
-from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose, compose_chain,
+from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
-                               quat_matrix, quat_product, quat_rotate, se3_adjoint,
+                               quat_matrix, quat_product, quat_rotate,
                                se3_adjoint_stacked, se3_exp,
                                se3_exp_stacked, se3_left_jacobian_inv_stacked,
+                               se3_log_stacked,
                                so3_exp_stacked, so3_left_jacobian_inv_stacked,
                                so3_left_jacobian_stacked, so3_log, so3_log_stacked)
 from graspmap.solver import FactorGraph, normal_equations
@@ -82,14 +83,13 @@ def test_pose_twins_match_scalar_bit_for_bit():
     same(compose_stacked(qa[0], ta[0], qb, tb), [compose(a[0], y) for y in b])
     same(inverse_stacked(qa, ta), [inverse(x) for x in a])
     assert np.array_equal(quat_rotate(qa, tb), [x.rotation.apply(t) for x, t in zip(a, tb)])
-    chain = [a[0]]
-    for step in b:
-        chain.append(compose(chain[-1], step))
-    same(compose_chain(qa[0], ta[0], qb, tb), chain)
-    same(compose_chain(qa[0], ta[0], qb[:0], tb[:0]), chain[:1])
-    adjoints = se3_adjoint_stacked(qa, ta)
-    assert np.array_equal(adjoints, [se3_adjoint(x) for x in a])
-    assert np.array_equal(adjoints[0, :3, 3:], hat(ta[0]) @ a[0].rotation.matrix())
+    # the adjoint [[R, hat(t) R], [0, R]], built from Rotation.matrix
+    want = np.zeros((len(a), 6, 6))
+    for w, x in zip(want, a):
+        r = x.rotation.matrix()
+        w[:3, :3] = w[3:, 3:] = r
+        w[:3, 3:] = hat(x.translation) @ r
+    assert np.array_equal(se3_adjoint_stacked(qa, ta), want)
 
 
 def test_exp_log_and_jacobians_match_oracles():
@@ -103,6 +103,7 @@ def test_exp_log_and_jacobians_match_oracles():
     close(quat_matrix(quats), [m[:3, :3] for m in mats])
     close(trans, [m[:3, 3] for m in mats])
     close(so3_log_stacked(np.array(want_quats)), phi)
+    close(se3_log_stacked(np.array(want_quats), np.array([m[:3, 3] for m in mats])), x)
     jl = [jacobian_series(hat(p)) for p in phi]
     close(so3_left_jacobian_stacked(phi), jl)
     close(so3_left_jacobian_inv_stacked(phi), [np.linalg.inv(j) for j in jl])
