@@ -16,10 +16,13 @@ poses [:-1] with [1:]; only the prior goes through the scalar factor
 functions. The Gauss-Newton Hessian is therefore block-tridiagonal in 6x6
 pose blocks plus one dense border row for log s, and each pair's terms add
 into those blocks by slices. ``NormalEquations`` holds just the blocks, and
-``block_cholesky`` factors the system block by block, carrying the border
-through to a last pivot l_ss: the dense Cholesky factor of the same matrix
-without its fill, in O(n) time and memory. No dense Hessian is ever formed.
-The marginal standard deviation of log s is 1 / l_ss.
+``block_cholesky`` factors the system by odd-even (cyclic) block reduction
+(Heller, SIAM J. Numer. Anal. 1976): each level eliminates every other pose
+block of the chain in one batched NumPy step, so n blocks take
+floor(log2 n) + 1 levels, in O(n) time and memory, carrying the border through
+to a last pivot l_ss, the Schur complement of the poses on log s. No dense
+Hessian is ever formed, and the solver needs no LAPACK beyond NumPy's. The
+marginal standard deviation of log s is 1 / l_ss.
 
 Damping follows the classic Marquardt schedule: the diagonal is scaled by
 1 + lambda, lambda is multiplied by 10 when a step increases the cost or the
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy  # noqa: F401 -- read only by perfbench/tracer.py
 
 from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
@@ -162,62 +165,113 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
     return system
 
 
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[k] @ vecs[k] for every k."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _t(mats: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mats, -1, -2)
+
+
+def _cholesky_blocks(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of pivots; raises naming the first
+    that is not finite or not positive-definite by its pose index.
+    ``np.linalg.cholesky`` returns NaN for a NaN input instead of raising,
+    so finiteness is checked first."""
+    if np.isfinite(blocks).all():
+        try:
+            return np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            pass
+    for k, block in zip(poses, blocks):
+        if not np.isfinite(block).all():
+            raise np.linalg.LinAlgError(f"pose block {k} is not finite")
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(f"pose block {k} is not positive-definite") from None
+    return np.linalg.cholesky(blocks)
+
+
 @dataclass
 class BlockCholesky:
-    """Lower Cholesky factor L of a bordered block-tridiagonal H = L L^T.
+    """Cholesky factor L of a bordered block-tridiagonal H = L L^T, taken in
+    odd-even order: each level's eliminated blocks, level by level, then log s.
 
-    L has the sparsity of H's lower half: diag[k] = L[k, k] (lower
-    triangular), sub_t[k] = L[k, k-1]^T for 0 < k < n (sub_t[0] and sub_t[n]
-    are zero), border[k] = L[s, k] and the last pivot l_ss = L[s, s].
+    Level i holds, for each block e it eliminates, the inverse Cholesky
+    factor L_e^-1 of its pivot, (m_e, 6, 6), and w = L_e^-1 [H[e, e-1]
+    H[e, e+1] H[e, s]], (m_e, 6, 13): its couplings to the kept blocks left
+    and right of it (zero where it has none) and to log s. l_ss = L[s, s].
     """
 
-    diag: np.ndarray    # (n, 6, 6)
-    sub_t: np.ndarray   # (n + 1, 6, 6)
-    border: np.ndarray  # (n, 6)
+    levels: list[tuple[np.ndarray, np.ndarray]]
     l_ss: float
 
     def solve(self, b: np.ndarray, b_s: float) -> tuple[np.ndarray, float]:
-        """x, x_s with H [x; x_s] = [b; b_s], by forward then back substitution."""
-        trtrs = scipy.linalg.lapack.dtrtrs
-        n = len(self.diag)
-        y = np.zeros((n + 1, 6))  # y[-1] stays zero: the block before pose 0
-        for k in range(n):
-            y[k] = trtrs(self.diag[k], b[k] - self.sub_t[k].T @ y[k - 1], lower=1)[0]
-        x_s = (b_s - float(np.einsum("ki,ki->", self.border, y[:n]))) / self.l_ss / self.l_ss
-        x = np.zeros((n + 1, 6))  # x[n] stays zero: the block after the last pose
-        for k in range(n - 1, -1, -1):
-            x[k] = trtrs(self.diag[k], y[k] - self.sub_t[k + 1] @ x[k + 1]
-                         - self.border[k] * x_s, lower=1, trans=1)[0]
-        return x[:n], x_s
+        """x, x_s with H [x; x_s] = [b; b_s]: forward through the levels,
+        then back out."""
+        ys = []
+        for inv_l, w in self.levels:
+            y = _mv(inv_l, b[0::2])
+            wy = _mv(_t(w), y)
+            kept = b[1::2] - wy[:len(b) // 2, 6:12]
+            kept[:len(y) - 1] -= wy[1:, :6]
+            b_s = b_s - float(np.sum(wy[:, 12]))
+            ys.append(y)
+            b = kept
+        x_s = b_s / self.l_ss / self.l_ss
+        x = b  # the last level keeps no blocks, so b is empty here
+        for (inv_l, w), y in zip(reversed(self.levels), reversed(ys)):
+            # side[i] and side[i + 1] are the kept blocks left and right of
+            # eliminated block i, zero where it has none
+            side = np.zeros((len(y) + 1, 6))
+            side[1:len(x) + 1] = x
+            known = np.concatenate([side[:-1], side[1:], np.full((len(y), 1), x_s)], axis=1)
+            chain = np.empty((len(y) + len(x), 6))
+            chain[0::2], chain[1::2] = _mv(_t(inv_l), y - _mv(w, known)), x
+            x = chain
+        return x, x_s
 
 
 def block_cholesky(diag: np.ndarray, sub: np.ndarray, border: np.ndarray,
                    h_ss: float) -> BlockCholesky:
-    """Factor H given by the blocks of ``NormalEquations``, one pose at a time.
+    """Factor H given by the blocks of ``NormalEquations`` by odd-even
+    (cyclic) reduction.
 
-    With L[k, k-1] = sub[k] L[k-1, k-1]^-T, each pose block factors
-    diag[k] - L[k, k-1] L[k, k-1]^T, the border row solves L w = border, and
-    l_ss = sqrt(h_ss - w.w) is the Schur complement of the poses on log s.
-    Raises ``np.linalg.LinAlgError`` when a block or the last pivot is not
-    positive-definite (or not finite).
+    Each level eliminates the even-indexed blocks of the chain at once. They
+    touch only the odd blocks either side and log s, so each pivot is its
+    block as it stands. With w = L_e^-1 times its couplings, the Gram matrix
+    w^T w holds every update: the kept blocks' diagonals lose their share,
+    each pair of kept blocks gains the coupling -w_right^T w_left, and the
+    border and h_ss lose theirs. The odd blocks form the next level's chain,
+    and once none are left h_ss is the Schur complement of the poses on
+    log s, l_ss^2. Raises ``np.linalg.LinAlgError`` naming the pose when a
+    pivot is not finite or not positive-definite, and when the last pivot
+    is not positive.
     """
-    potrf, trtrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtrs
-    n = len(diag)
-    l_diag = np.empty((n, 6, 6))
-    sub_t = np.zeros((n + 1, 6, 6))
-    w = np.zeros((n + 1, 6))  # w[-1] stays zero: the block before pose 0
-    for k in range(n):
-        l_k, info = potrf(diag[k] - sub_t[k].T @ sub_t[k], lower=1, clean=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"pose block {k} is not positive-definite")
-        w[k] = trtrs(l_k, border[k] - sub_t[k].T @ w[k - 1], lower=1)[0]
-        if k + 1 < n:
-            sub_t[k + 1] = trtrs(l_k, sub[k + 1].T, lower=1)[0]
-        l_diag[k] = l_k
-    pivot = h_ss - float(np.einsum("ki,ki->", w[:n], w[:n]))
-    if not (np.isfinite(pivot) and pivot > 0.0):
-        raise np.linalg.LinAlgError(f"scale pivot {pivot!r} is not positive")
-    return BlockCholesky(l_diag, sub_t, w[:n], float(np.sqrt(pivot)))
+    poses = np.arange(len(diag))
+    coupling = np.zeros((len(diag) + 1, 6, 6))  # H[j, j-1]; rows 0 and m stay zero
+    coupling[1:-1] = sub[1:]
+    levels = []
+    while len(diag):
+        m_e, m_o = (len(diag) + 1) // 2, len(diag) // 2
+        inv_l = np.linalg.inv(_cholesky_blocks(diag[0::2], poses[0::2]))
+        w = inv_l @ np.concatenate([coupling[0:-1:2], _t(coupling[1::2]),
+                                    border[0::2, :, None]], axis=2)
+        levels.append((inv_l, w))
+        gram = _t(w) @ w
+        diag = diag[1::2] - gram[:m_o, 6:12, 6:12]
+        diag[:m_e - 1] -= gram[1:, :6, :6]
+        border = border[1::2] - gram[:m_o, 6:12, 12]
+        border[:m_e - 1] -= gram[1:, :6, 12]
+        h_ss = h_ss - float(np.sum(gram[:, 12, 12]))
+        coupling = np.zeros((m_o + 1, 6, 6))
+        coupling[:m_o] = -gram[:m_o, 6:12, :6]
+        poses = poses[1::2]
+    if not (np.isfinite(h_ss) and h_ss > 0.0):
+        raise np.linalg.LinAlgError(f"scale pivot {h_ss!r} is not positive")
+    return BlockCholesky(levels, float(np.sqrt(h_ss)))
 
 
 def damped_step(system: NormalEquations, lam: float) -> tuple[np.ndarray, float]:

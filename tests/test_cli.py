@@ -623,14 +623,28 @@ def test_yaml_syntax_error_names_path_line_once(small_run, tmp_path, capsys,
 # --- wiring -----------------------------------------------------------------------
 
 
-def test_module_entry_point_help():
-    # the child imports the same graspmap as this process, installed or not
+def child_env() -> dict:
+    """Environment in which a child imports the same graspmap as this
+    process, installed or not."""
     src = str(Path(graspmap.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_help():
     done = subprocess.run([sys.executable, "-m", "graspmap.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert done.returncode == 0
     assert "RuntimeWarning" not in done.stderr
     for word in ("simulate", "solve", "detect", "pipeline"):
         assert word in done.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """The solver needs only NumPy; scipy.linalg would double the start-up."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, graspmap, graspmap.cli; "
+         "print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
