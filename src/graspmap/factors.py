@@ -22,7 +22,8 @@ as arrays; the solver linearizes through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,8 @@ def default_mc_info() -> np.ndarray:
     return np.full(6, MC_INFO_VALUE)
 
 
-def _check_info_diag(info, length: int) -> np.ndarray:
-    a = frozen(info, (length,), "information diagonal", error=DimensionMismatch)
+def _check_info_diag(info, shape: tuple) -> np.ndarray:
+    a = frozen(info, shape, "information diagonal", error=DimensionMismatch)
     if np.any(a <= 0.0):
         raise ValueError("information diagonal must be positive")
     return a
@@ -102,7 +103,7 @@ class FkFactor:
             raise ValueError("FkFactor index must be >= 1")
         object.__setattr__(self, "i", int(self.i))
         info = default_fk_info() if self.info is None else self.info
-        object.__setattr__(self, "info", _check_info_diag(info, 6))
+        object.__setattr__(self, "info", _check_info_diag(info, (6,)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class McFactor:
         object.__setattr__(self, "delta_trans", frozen(self.delta_trans, (3,), "delta_trans",
                                                        error=DimensionMismatch))
         info = default_mc_info() if self.info is None else self.info
-        object.__setattr__(self, "info", _check_info_diag(info, 6))
+        object.__setattr__(self, "info", _check_info_diag(info, (6,)))
         object.__setattr__(self, "frame_aligned", bool(self.frame_aligned))
 
 
@@ -149,7 +150,7 @@ class PriorFactor:
 
     def __post_init__(self):
         info = np.full(6, POSE_PRIOR_INFO_VALUE) if self.pose_info is None else self.pose_info
-        object.__setattr__(self, "pose_info", _check_info_diag(info, 6))
+        object.__setattr__(self, "pose_info", _check_info_diag(info, (6,)))
         s = float(self.scale)
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError("prior scale must be positive")
@@ -293,63 +294,96 @@ def factor_jacobians(factor: Factor, poses, scale: ScaleVar) -> dict:
 # --- stacked evaluation used by the solver ---------------------------------------
 
 
-def _rows(values, shape: tuple, dtype=float) -> np.ndarray:
-    return np.array(values, dtype=dtype).reshape((-1, *shape))
-
-
 @dataclass(frozen=True)
 class StackedFactors:
-    """The kinematic and tracker factors of a chain packed into arrays.
+    """The kinematic and tracker factors of a chain as rows of arrays.
 
     Row k of each ``fk_*`` and ``mc_*`` array is the factor that ties pose k
-    to pose k+1. The measurement-only terms (inverse deltas, adjoints, rotation
-    matrices) are computed once here. The evaluation methods take the state as
-    arrays, (n, 4) unit quaternions, (n, 3) translations and log s, with
-    n = m + 1, and return for every row what the scalar residual and Jacobian
-    functions return.
+    to pose k+1: the measured deltas and information diagonals as a graph
+    file stores them, each checked once as the factor types check one value.
+    The measurement-only terms the evaluation methods need (inverse deltas,
+    adjoints, rotation matrices) are computed on first use. The evaluation
+    methods take the state as arrays, (n, 4) unit quaternions,
+    (n, 3) translations and log s, with n = m + 1, and return for every row
+    what the scalar residual and Jacobian functions return.
     """
 
-    fk_inv_quat: np.ndarray   # (m, 4) rotation of inverse(delta)
-    fk_inv_trans: np.ndarray  # (m, 3) translation of inverse(delta)
-    fk_adjoint: np.ndarray    # (m, 6, 6) se3_adjoint(delta)
-    fk_info: np.ndarray       # (m, 6)
-    mc_inv_quat: np.ndarray   # (m, 4) delta_rot.inverse()
-    mc_rot: np.ndarray        # (m, 3, 3) delta_rot.matrix()
-    mc_trans: np.ndarray      # (m, 3) delta_trans
-    mc_aligned: np.ndarray    # (m,) frame_aligned
-    mc_info: np.ndarray       # (m, 6)
+    fk_quat: np.ndarray     # (m, 4) rotation of the kinematic delta
+    fk_trans: np.ndarray    # (m, 3) translation of the kinematic delta
+    fk_info: np.ndarray     # (m, 6)
+    mc_quat: np.ndarray     # (m, 4) delta_rot
+    mc_trans: np.ndarray    # (m, 3) delta_trans, map units
+    mc_info: np.ndarray     # (m, 6)
+    mc_aligned: np.ndarray  # (m,) frame_aligned
+
+    def __post_init__(self):
+        m = len(np.asarray(self.fk_quat))
+        for name, width in (("fk_quat", 4), ("fk_trans", 3), ("mc_quat", 4), ("mc_trans", 3)):
+            object.__setattr__(self, name, frozen(getattr(self, name), (m, width), name,
+                                                  error=DimensionMismatch, unit=width == 4))
+        for name in ("fk_info", "mc_info"):
+            object.__setattr__(self, name, _check_info_diag(getattr(self, name), (m, 6)))
+        object.__setattr__(self, "mc_aligned", frozen(self.mc_aligned, (m,), "mc_aligned",
+                                                      bool, DimensionMismatch))
+
+    def __len__(self) -> int:
+        return len(self.fk_quat)
 
     @staticmethod
     def pack(fks, mcs) -> "StackedFactors":
-        """Arrays of the chain's kinematic and tracker factors, each list in
+        """The rows of lists of ``FkFactor`` and ``McFactor`` values, each in
         keyframe order."""
-        fk_quat = _rows([f.delta.rotation.quat for f in fks], (4,))
-        fk_trans = _rows([f.delta.translation for f in fks], (3,))
-        fk_inv_quat, fk_inv_trans = inverse_stacked(fk_quat, fk_trans)
-        mc_quat = _rows([f.delta_rot.quat for f in mcs], (4,))
+        def rows(values, width):
+            return np.reshape(values, (-1, width))
         return StackedFactors(
-            fk_inv_quat=fk_inv_quat,
-            fk_inv_trans=fk_inv_trans,
-            fk_adjoint=se3_adjoint_stacked(fk_quat, fk_trans),
-            fk_info=_rows([f.info for f in fks], (6,)),
-            # Rotation.inverse, normalized as Rotation does
-            mc_inv_quat=quat_unit(quat_conjugate(mc_quat)),
-            mc_rot=quat_matrix(mc_quat),
-            mc_trans=_rows([f.delta_trans for f in mcs], (3,)),
-            mc_aligned=_rows([f.frame_aligned for f in mcs], (), bool),
-            mc_info=_rows([f.info for f in mcs], (6,)))
+            fk_quat=rows([f.delta.rotation.quat for f in fks], 4),
+            fk_trans=rows([f.delta.translation for f in fks], 3),
+            fk_info=rows([f.info for f in fks], 6),
+            mc_quat=rows([f.delta_rot.quat for f in mcs], 4),
+            mc_trans=rows([f.delta_trans for f in mcs], 3),
+            mc_info=rows([f.info for f in mcs], 6),
+            mc_aligned=np.array([f.frame_aligned for f in mcs], dtype=bool))
+
+    def extended(self, other: "StackedFactors") -> "StackedFactors":
+        """This chain's rows followed by ``other``'s."""
+        return StackedFactors(**{f.name: np.concatenate([getattr(self, f.name),
+                                                         getattr(other, f.name)])
+                                 for f in fields(self)})
+
+    def fk_factors(self) -> list[FkFactor]:
+        """The kinematic rows as ``FkFactor`` values, indices 1..m."""
+        return [FkFactor(i, Pose(Rotation(q), t), info) for i, (q, t, info)
+                in enumerate(zip(self.fk_quat, self.fk_trans, self.fk_info), 1)]
+
+    def mc_factors(self) -> list[McFactor]:
+        """The tracker rows as ``McFactor`` values, indices 1..m."""
+        return [McFactor(i, Rotation(q), t, info, bool(aligned)) for i, (q, t, info, aligned)
+                in enumerate(zip(self.mc_quat, self.mc_trans, self.mc_info,
+                                 self.mc_aligned), 1)]
+
+    @cached_property
+    def _fk_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """inverse(delta) as (quats, trans), and se3_adjoint(delta)."""
+        return (*inverse_stacked(self.fk_quat, self.fk_trans),
+                se3_adjoint_stacked(self.fk_quat, self.fk_trans))
+
+    @cached_property
+    def _mc_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """delta_rot.inverse(), normalized as Rotation does, and delta_rot.matrix()."""
+        return quat_unit(quat_conjugate(self.mc_quat)), quat_matrix(self.mc_quat)
 
     def fk(self, quats, trans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals (m, 6) and Jacobians (m, 6, 6) wrt poses k and k+1, as
         ``fk_residual`` and ``fk_jacobians``."""
+        inv_quat, inv_trans, adjoint = self._fk_terms
         prev_inv = quat_conjugate(quats[:-1])
         # compose(compose(inverse(t_prev), t_curr), inverse(delta))
         rel_quat = quat_product(prev_inv, quats[1:])
         rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
-        r = se3_log_stacked(quat_product(rel_quat, self.fk_inv_quat),
-                            quat_rotate(rel_quat, self.fk_inv_trans) + rel_trans)
+        r = se3_log_stacked(quat_product(rel_quat, inv_quat),
+                            quat_rotate(rel_quat, inv_trans) + rel_trans)
         j_prev = -se3_left_jacobian_inv_stacked(r)
-        j_curr = se3_left_jacobian_inv_stacked(-r) @ self.fk_adjoint
+        j_curr = se3_left_jacobian_inv_stacked(-r) @ adjoint
         return r, j_prev, j_curr
 
     def mc(self, quats, trans, log_s: float
@@ -357,11 +391,12 @@ class StackedFactors:
         """Residuals (m, 6), Jacobians (m, 6, 6) wrt poses k and k+1, and
         (m, 6) wrt log s, as ``mc_residual`` and ``mc_jacobians``."""
         s = np.exp(log_s)  # inf, not OverflowError, for a wild trial state
+        inv_quat, rot = self._mc_terms
         aligned = self.mc_aligned[:, None]
         r_prev = quat_matrix(quats[:-1])
         moved = np.where(aligned, quat_rotate(quats[:-1], self.mc_trans), self.mc_trans)
         r_rot = so3_log_stacked(quat_product(
-            quat_product(quat_conjugate(quats[:-1]), quats[1:]), self.mc_inv_quat))
+            quat_product(quat_conjugate(quats[:-1]), quats[1:]), inv_quat))
         r = np.concatenate([(trans[1:] - trans[:-1]) - s * moved, r_rot], axis=-1)
 
         m = len(r)
@@ -375,5 +410,5 @@ class StackedFactors:
         j_scale[:, :3] = -s * np.where(aligned, (r_prev @ self.mc_trans[..., None])[..., 0],
                                        self.mc_trans)
         j_prev[:, 3:, 3:] = -so3_left_jacobian_inv_stacked(r_rot)
-        j_curr[:, 3:, 3:] = so3_left_jacobian_inv_stacked(-r_rot) @ self.mc_rot
+        j_curr[:, 3:, 3:] = so3_left_jacobian_inv_stacked(-r_rot) @ rot
         return r, j_prev, j_curr, j_scale

@@ -41,15 +41,19 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
            unit: bool = False) -> np.ndarray:
     """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
     ``-1`` matches any length. A wrong shape raises ``error``. A float array
-    must be finite, or ``ValueError`` is raised; with ``unit`` a vector is
-    scaled to unit norm, unless it already has it, and must also be nonzero.
-    Messages name ``what``."""
+    must be finite, or ``ValueError`` is raised; with ``unit`` each vector
+    along the last axis is scaled to unit norm, unless it already has it, and
+    must also be nonzero. Messages name ``what``."""
     a = np.array(value, dtype=dtype)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
         raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "
                     f"got {a.shape}")
-    if unit:
+    if unit and a.ndim > 1:
+        if not unit_norms_ok(a).all():
+            raise ValueError(f"{what} must be finite and nonzero")
+        a = quat_unit(a)
+    elif unit:
         # the norm as np.linalg.norm takes it; a finite one means finite entries
         n = math.sqrt(a.dot(a))
         if not 0.0 < n < math.inf:
@@ -187,6 +191,27 @@ def inverse(p: Pose) -> Pose:
     return Pose(rinv, -rinv.apply(p.translation))
 
 
+def compose_chain(q0: np.ndarray, t0: np.ndarray, quats: np.ndarray,
+                  trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running products T_0, T_0 D_1, T_0 D_1 D_2, ... of a pose (q0, t0)
+    and m deltas given as (m, 4) unit quaternions and (m, 3) translations, as
+    (m + 1, 4) and (m + 1, 3) arrays. Each step is the one ``compose`` takes,
+    bit for bit, run on Python floats: every product depends on the one
+    before, so the chain cannot be stacked."""
+    q, t = q0.tolist(), t0.tolist()
+    out_q, out_t = [q], [t]
+    for dq, dt in zip(quats.tolist(), trans.tolist()):
+        t = [a + b for a, b in zip(_rotated(*q, *dt), t)]
+        # Rotation's rule: the norm ndarray.dot takes, divided out only
+        # when it is more than _UNIT_NORM_TOL from 1
+        a = np.array(_hamilton(*q, *dq))
+        n = math.sqrt(a.dot(a))
+        q = (a / n).tolist() if abs(n - 1.0) > _UNIT_NORM_TOL else a.tolist()
+        out_q.append(q)
+        out_t.append(t)
+    return np.array(out_q), np.array(out_t)
+
+
 def so3_exp(phi) -> Rotation:
     """Exponential map of so(3): rotation by angle ``norm(phi)`` about ``phi``."""
     return Rotation(so3_exp_stacked(_vec3(phi)))
@@ -283,12 +308,25 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Norms of the vectors along the last axis, (..., 1), each the one
+    ``Rotation`` takes: a batched matmul gives ndarray.dot's bits (einsum and
+    np.linalg.norm do not)."""
+    return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
+
+
+def unit_norms_ok(a: np.ndarray) -> np.ndarray:
+    """Which vectors along the last axis can be scaled to unit norm: those
+    whose norm is finite and nonzero, which also means finite entries."""
+    n = _norms(a)[..., 0]
+    return (n > 0.0) & (n < math.inf)
+
+
 def quat_unit(q: np.ndarray) -> np.ndarray:
     """Quaternions normalized as ``Rotation`` stores them: each is divided by
-    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1."""
-    # a batched matmul gives ndarray.dot's bits (einsum and np.linalg.norm do
-    # not), so each norm is the one Rotation takes
-    n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1. A zero
+    quaternion gives NaN without raising; ``frozen(unit=True)`` checks."""
+    n = _norms(q)
     return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, q / n, q)
 
 

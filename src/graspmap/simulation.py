@@ -22,14 +22,13 @@ import numpy as np
 
 from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
-from .geometry import (Pose, Rotation, compose, frozen, inverse,
-                       pose_from_seven, pose_to_seven, so3_exp)
+from .geometry import Pose, Rotation, compose, frozen, inverse, so3_exp
 from .kinematics import JointReading, LimbModel, default_limb, fk_poses
 from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.py
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
-from .records import (config_number, located, numbers, read_records, read_yaml,
-                      write_records, write_yaml)
+from .records import (check_quaternions, config_number, float_fields, read_records,
+                      read_table, read_yaml, write_records, write_yaml)
 
 _STREAMS = {"joints": 0, "vo_rot": 1, "vo_trans": 2, "cloud": 3}
 
@@ -136,21 +135,31 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimBundle:
-    """Everything one synthetic run produces, truth included; the true
-    graspable apexes are ``config.terrain.apexes()``."""
+    """Everything one synthetic run produces, truth included, as arrays: row k
+    of the keyframe fields is keyframe k, and row k of the ``vo_*`` fields the
+    tracker step from keyframe k to k+1. The true graspable apexes are
+    ``config.terrain.apexes()``."""
 
     config: SimConfig
-    truth_poses: tuple[Pose, ...]
-    readings: tuple[JointReading, ...]
-    vo_deltas: tuple[tuple[Rotation, np.ndarray], ...]
-    cloud: PointCloud                  # unscaled map units
+    timestamps: np.ndarray   # (n,) seconds
+    angles: np.ndarray       # (n, dof) noisy joint readings
+    truth_quats: np.ndarray  # (n, 4) true gripper rotations
+    truth_trans: np.ndarray  # (n, 3) true gripper translations, meters
+    vo_quats: np.ndarray     # (n - 1, 4) tracker step rotations
+    vo_trans: np.ndarray     # (n - 1, 3) tracker step translations, map units
+    cloud: PointCloud        # unscaled map units
 
     def __post_init__(self):
-        object.__setattr__(self, "truth_poses", tuple(self.truth_poses))
-        object.__setattr__(self, "readings", tuple(self.readings))
-        object.__setattr__(self, "vo_deltas",
-                           tuple((r, frozen(t, (3,), "vo_deltas translation"))
-                                 for r, t in self.vo_deltas))
+        timestamps = frozen(self.timestamps, (-1,), "timestamps")
+        n = len(timestamps)
+        for name, shape, unit in (("timestamps", (n,), False),
+                                  ("angles", (n, -1), False),
+                                  ("truth_quats", (n, 4), True),
+                                  ("truth_trans", (n, 3), False),
+                                  ("vo_quats", (n - 1, 4), True),
+                                  ("vo_trans", (n - 1, 3), False)):
+            object.__setattr__(self, name, frozen(getattr(self, name), shape, name,
+                                                  unit=unit))
 
 
 # --- trajectory ------------------------------------------------------------------
@@ -311,8 +320,13 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
     model = model or default_limb()
     readings, truth_poses = generate_trajectory(model, config)
     vo = generate_vo(truth_poses, config)
-    return SimBundle(config=config, truth_poses=tuple(truth_poses),
-                     readings=tuple(readings), vo_deltas=tuple(vo),
+    return SimBundle(config=config,
+                     timestamps=[r.timestamp for r in readings],
+                     angles=[r.angles for r in readings],
+                     truth_quats=[p.rotation.quat for p in truth_poses],
+                     truth_trans=[p.translation for p in truth_poses],
+                     vo_quats=[rot.quat for rot, _ in vo],
+                     vo_trans=[trans for _, trans in vo],
                      cloud=generate_cloud(truth_poses, config))
 
 
@@ -394,19 +408,23 @@ def write_bundle(directory, bundle: SimBundle) -> list[str]:
     """Write the three data files plus the manifest; returns the file names."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    write_records(d / TRAJECTORY_FILE,
-                  ([r.timestamp, *pose_to_seven(p), *r.angles]
-                   for r, p in zip(bundle.readings, bundle.truth_poses)),
-                  ",", "timestamp,tx,ty,tz,qw,qx,qy,qz,angles...")
-    write_records(d / VO_FILE,
-                  ([i + 1, *t, *r.quat] for i, (r, t) in enumerate(bundle.vo_deltas)),
-                  ",", "step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)")
+    trajectory = np.column_stack([bundle.timestamps, bundle.truth_trans, bundle.truth_quats,
+                                  bundle.angles])
+    row = float_fields(trajectory.shape[1], ",")
+    write_records(d / TRAJECTORY_FILE, (row % tuple(r) for r in trajectory.tolist()),
+                  comment="timestamp,tx,ty,tz,qw,qx,qy,qz,angles...")
+    row = "%d," + float_fields(7, ",")
+    write_records(d / VO_FILE, (row % (k, *r) for k, r in enumerate(
+                      np.hstack([bundle.vo_trans, bundle.vo_quats]).tolist(), 1)),
+                  comment="step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)")
     mapping.write_ply(d / CLOUD_FILE, bundle.cloud)
     write_yaml(d / MANIFEST_FILE, {"config": config_to_dict(bundle.config)})
     return list(BUNDLE_FILES)
 
 
 def read_bundle(directory) -> SimBundle:
+    """The bundle in ``directory``. Each data file is read as one table; an
+    error names the file and, where it has one, the line."""
     d = Path(directory)
     path = d / MANIFEST_FILE
     try:
@@ -415,31 +433,33 @@ def read_bundle(directory) -> SimBundle:
         raise CorruptArtifact(f"{path}: bad manifest: {type(exc).__name__}: {exc}") from exc
 
     path = d / TRAJECTORY_FILE
-    readings, poses, width = [], [], None
-    for lineno, tok in read_records(path, ","):
-        # timestamp, pose (7), one angle per joint: every row as wide as the first
-        width = width or max(len(tok), 9)
-        vals = numbers(path, lineno, tok, width)
-        with located(path, lineno):
-            poses.append(pose_from_seven(vals[1:8]))
-        readings.append(JointReading(vals[0], np.array(vals[8:])))
+    rows = list(read_records(path, ","))
+    if len(rows) != config.keyframes:
+        raise CorruptArtifact(f"{path}: {len(rows)} keyframes where the manifest's "
+                              f"config has {config.keyframes}")
+    # timestamp, pose (7), one angle per joint: every row as wide as the first
+    trajectory = read_table(path, rows, max(len(rows[0][1]), 9))
+    check_quaternions(path, rows, trajectory[:, 4:8])
 
-    path, vo = d / VO_FILE, []
-    for lineno, tok in read_records(path, ","):
-        vals = numbers(path, lineno, tok, 8)
-        with located(path, lineno):
-            # step k ties keyframe k-1 to k: rows must run 1, 2, ... in order
-            if tok[0].strip() != str(len(vo) + 1):
-                raise ValueError(f"step {tok[0].strip()!r} where step {len(vo) + 1} belongs")
-            vo.append((Rotation(np.array(vals[4:8])), np.array(vals[1:4])))
-
-    if len(vo) != len(poses) - 1:
-        raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(poses)} keyframes")
+    path = d / VO_FILE
+    rows = list(read_records(path, ","))
+    # step k ties keyframe k-1 to k: rows must run 1, 2, ... in order; a
+    # bad number on or before the first misplaced step is named first
+    steps = [tokens[0].strip() for _, tokens in rows]
+    bad = next((k for k, step in enumerate(steps) if step != str(k + 1)), len(rows))
+    vo = read_table(path, rows[:bad + 1], 8)
+    if bad < len(rows):
+        raise CorruptArtifact(f"{path}:{rows[bad][0]}: step {steps[bad]!r} "
+                              f"where step {bad + 1} belongs")
+    check_quaternions(path, rows, vo[:, 4:8])
+    if len(vo) != len(trajectory) - 1:
+        raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(trajectory)} keyframes")
 
     path = d / CLOUD_FILE
     cloud = mapping.read_ply(path)
     if cloud.units != UNSCALED_UNITS:
         raise CorruptArtifact(f"{path}: bundle cloud must be in {UNSCALED_UNITS}, "
                               f"got {cloud.units}")
-    return SimBundle(config=config, truth_poses=poses, readings=readings, vo_deltas=vo,
-                     cloud=cloud)
+    return SimBundle(config=config, timestamps=trajectory[:, 0], angles=trajectory[:, 8:],
+                     truth_quats=trajectory[:, 4:8], truth_trans=trajectory[:, 1:4],
+                     vo_quats=vo[:, 4:8], vo_trans=vo[:, 1:4], cloud=cloud)

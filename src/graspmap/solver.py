@@ -7,15 +7,17 @@ the retraction
 
     T_k <- T_k @ exp(delta_k),      log s <- log s + delta_s.
 
-The graph is a chain, and ``FactorGraph`` stores it as one: a prior on pose 0
-and the scale, then for each keyframe k >= 1 one kinematic and one tracker
-factor tying pose k-1 to pose k, held in two lists in keyframe order.
-Linearization is stacked: the two lists are packed into arrays once per call
-(``StackedFactors``) and evaluated for all keyframe pairs at once, pairing
-poses [:-1] with [1:]; only the prior goes through the scalar factor
-functions. The Gauss-Newton Hessian is therefore block-tridiagonal in 6x6
-pose blocks plus one dense border row for log s, and each pair's terms add
-into those blocks by slices. ``NormalEquations`` holds just the blocks, and
+The graph is a chain, and ``FactorGraph`` stores it as one, in arrays: the
+state (quaternions, translations, log s), a prior on pose 0 and the scale,
+and one ``StackedFactors`` whose row k holds the kinematic and the tracker
+factor tying pose k to pose k+1. ``build_graph`` and ``load_graph`` fill
+those arrays directly; the poses, scale and factors as values (``poses``,
+``fks``, ``mcs``, ``factors``) are views built on demand. Linearization
+evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
+[1:]; only the prior goes through the scalar factor functions. The
+Gauss-Newton Hessian is therefore block-tridiagonal in 6x6 pose blocks plus
+one dense border row for log s, and each pair's terms add into those blocks
+by slices. ``NormalEquations`` holds just the blocks, and
 ``block_cholesky`` factors the system by odd-even (cyclic) block reduction
 (Heller, SIAM J. Numer. Anal. 1976): each level eliminates every other pose
 block of the chain in one batched NumPy step, so n blocks take
@@ -41,14 +43,18 @@ import numpy as np
 import scipy  # noqa: F401 -- read only by perfbench/tracer.py
 
 from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
-from .factors import (Factor, FkFactor, McFactor, PriorFactor, ScaleVar,
-                      StackedFactors, factor_cost, factor_info_diag,
-                      factor_jacobians, factor_residual)
-from .geometry import (Pose, Rotation, compose, compose_stacked,
+from .factors import (FK_INFO_VALUE, MC_INFO_VALUE, Factor, FkFactor,
+                      McFactor, PriorFactor, ScaleVar, StackedFactors,
+                      factor_cost, factor_info_diag, factor_jacobians,
+                      factor_residual)
+from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
                        inverse_stacked, pose_from_seven, pose_to_seven,
-                       quat_product, quat_rotate, se3_exp_stacked)
+                       quat_product, quat_rotate, quat_unit, se3_exp_stacked)
+from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
-from .records import first_record, located, numbers, read_records, write_records
+from .records import (check_quaternions, check_rows, first_record, float_fields,
+                      indexed_records, located, numbers, read_records, read_table,
+                      write_records)
 from .simulation import SimBundle
 
 # GRAD_TOL sits near machine noise on purpose: the information values here
@@ -295,21 +301,57 @@ def _retract(quats, trans, log_s, step, step_s):
 
 
 class FactorGraph:
-    """Poses, scale, and a chain of factors: the one prior anchors pose 0 and
-    the scale, and fks[k-1], mcs[k-1] tie pose k-1 to pose k."""
+    """Poses, scale, and a chain of factors, held as arrays: the state
+    ``quats`` (n, 4), ``trans`` (n, 3) and ``log_s``, the one ``prior`` on
+    pose 0 and the scale, and ``stacked``, whose row k ties pose k to pose
+    k+1. ``poses``, ``scale``, ``fks``, ``mcs`` and ``factors`` are value views
+    of them, built on each access."""
 
     def __init__(self, prior: PriorFactor, t0: Pose | None = None,
                  scale: ScaleVar | None = None):
-        self.poses: list[Pose] = [prior.pose if t0 is None else t0]
-        self.scale: ScaleVar = (ScaleVar.from_value(prior.scale)
-                                if scale is None else scale)
+        t0 = prior.pose if t0 is None else t0
         self.prior = prior
-        self.fks: list[FkFactor] = []
-        self.mcs: list[McFactor] = []
+        self.quats, self.trans = t0.rotation.quat[None], t0.translation[None]
+        self.log_s = (ScaleVar.from_value(prior.scale) if scale is None else scale).log_value
+        self.stacked = StackedFactors.pack([], [])
+
+    @classmethod
+    def from_arrays(cls, prior: PriorFactor, quats: np.ndarray, trans: np.ndarray,
+                    log_s: float, stacked: StackedFactors) -> "FactorGraph":
+        """A graph of n = len(stacked) + 1 poses with its state given as arrays."""
+        if len(quats) != len(stacked) + 1 or len(trans) != len(quats):
+            raise IndexMismatch(f"{len(quats)} rotations and {len(trans)} translations "
+                                f"for a chain of {len(stacked)} factor pairs")
+        graph = cls(prior)
+        graph.quats, graph.trans, graph.log_s, graph.stacked = quats, trans, log_s, stacked
+        return graph
 
     @property
     def num_poses(self) -> int:
-        return len(self.poses)
+        return len(self.quats)
+
+    @property
+    def poses(self) -> list[Pose]:
+        return [Pose(Rotation(q), t) for q, t in zip(self.quats, self.trans)]
+
+    @poses.setter
+    def poses(self, poses) -> None:
+        if len(poses) != self.num_poses:
+            raise IndexMismatch(f"graph has {self.num_poses} poses, got {len(poses)}")
+        self.quats = np.array([p.rotation.quat for p in poses])
+        self.trans = np.array([p.translation for p in poses])
+
+    @property
+    def scale(self) -> ScaleVar:
+        return ScaleVar(self.log_s)
+
+    @property
+    def fks(self) -> list[FkFactor]:
+        return self.stacked.fk_factors()
+
+    @property
+    def mcs(self) -> list[McFactor]:
+        return self.stacked.mc_factors()
 
     def add_keyframe(self, fk: FkFactor, mc: McFactor,
                      pose_init: Pose | None = None) -> None:
@@ -318,16 +360,21 @@ class FactorGraph:
         The new pose starts at the previous estimate composed with the FK
         delta (dead reckoning) unless an explicit initial value is given.
         """
-        i = len(self.poses)
+        i = self.num_poses
         if fk.i != i or mc.i != i:
             raise IndexMismatch(
                 f"graph has poses 0..{i - 1}; next factors must use index {i}, "
                 f"got fk.i={fk.i}, mc.i={mc.i}")
+        row = StackedFactors.pack([fk], [mc])
         if pose_init is None:
-            pose_init = compose(self.poses[-1], fk.delta)
-        self.poses.append(pose_init)
-        self.fks.append(fk)
-        self.mcs.append(mc)
+            quat, trans = compose_chain(self.quats[-1], self.trans[-1], row.fk_quat,
+                                        row.fk_trans)
+            quat, trans = quat[1:], trans[1:]
+        else:
+            quat, trans = pose_init.rotation.quat[None], pose_init.translation[None]
+        self.quats = np.concatenate([self.quats, quat])
+        self.trans = np.concatenate([self.trans, trans])
+        self.stacked = self.stacked.extended(row)
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -336,24 +383,20 @@ class FactorGraph:
 
     def total_cost(self) -> float:
         """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor)."""
-        return sum(factor_cost(factor_residual(f, self.poses, self.scale), factor_info_diag(f))
+        poses, scale = self.poses, self.scale
+        return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
                    for f in self.factors)
 
-    def _packed(self):
-        """The chain's factors as arrays, the prior, and the estimate as a
-        state (quats, trans, log_s) for ``normal_equations``."""
-        state = (np.array([p.rotation.quat for p in self.poses]),
-                 np.array([p.translation for p in self.poses]),
-                 self.scale.log_value)
-        return StackedFactors.pack(self.fks, self.mcs), self.prior, state
+    def _system(self) -> NormalEquations:
+        return normal_equations(self.stacked, self.prior, self.quats, self.trans, self.log_s)
 
     # -- optimization ----------------------------------------------------------
 
     def optimize(self, options: SolveOptions | None = None) -> SolveReport:
         """Minimize the total cost in place; returns the iteration report."""
         opts = options or SolveOptions()
-        stacked, prior, state = self._packed()
-        system = normal_equations(stacked, prior, *state)
+        state = self.quats, self.trans, self.log_s
+        system = self._system()
         report = SolveReport(initial_cost=system.cost, final_cost=system.cost,
                              iterations=0, converged=False)
         lam = INITIAL_LAMBDA
@@ -374,7 +417,7 @@ class FactorGraph:
             # a step too long to evaluate (say, log s past exp's range) gives
             # a non-finite cost, which the comparison below rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = normal_equations(stacked, prior, *cand_state)
+                cand = normal_equations(self.stacked, self.prior, *cand_state)
             if cand.cost <= system.cost:
                 rel_decrease = ((system.cost - cand.cost) / system.cost
                                 if system.cost > 0.0 else 0.0)
@@ -397,8 +440,9 @@ class FactorGraph:
 
         if report.step_costs:
             quats, trans, log_s = state
-            self.poses = [Pose(Rotation(q), t) for q, t in zip(quats, trans)]
-            self.scale = ScaleVar(log_s)
+            # each quaternion normalized as a Rotation would store it
+            self.quats, self.trans = quat_unit(quats), trans
+            self.log_s = ScaleVar(log_s).log_value
         report.final_cost = system.cost
         report.iterations = len(report.step_costs)
         return report
@@ -409,8 +453,7 @@ class FactorGraph:
         Large values flag trajectories whose translations do not constrain the
         map scale (the estimate then just reproduces the prior).
         """
-        stacked, prior, state = self._packed()
-        system = normal_equations(stacked, prior, *state)
+        system = self._system()
         try:
             factor = block_cholesky(system.diag, system.sub, system.border, system.h_ss)
         except np.linalg.LinAlgError as exc:
@@ -422,17 +465,24 @@ class FactorGraph:
 def build_graph(bundle: SimBundle, model: LimbModel,
                 literal: bool = False) -> FactorGraph:
     """Assemble the fusion graph from a bundle: prior at FK of the first
-    reading, then one kinematic and one tracker factor per later keyframe.
-    FK runs once over all readings; each kinematic delta joins two neighbours."""
-    quats, trans = fk_poses(model, np.array([r.angles for r in bundle.readings]))
+    reading, then one kinematic and one tracker factor per later keyframe,
+    as rows. FK runs once over all readings; each kinematic delta joins two
+    neighbours, and the poses start dead-reckoned along the deltas."""
+    quats, trans = fk_poses(model, bundle.angles)
     delta_q, delta_t = compose_stacked(*inverse_stacked(quats[:-1], trans[:-1]),
                                        quats[1:], trans[1:])
-    graph = FactorGraph(PriorFactor(pose=Pose(Rotation(quats[0]), trans[0])))
-    for i in range(1, len(quats)):
-        rot, step = bundle.vo_deltas[i - 1]
-        graph.add_keyframe(FkFactor(i, Pose(Rotation(delta_q[i - 1]), delta_t[i - 1])),
-                           McFactor(i, rot, step, frame_aligned=not literal))
-    return graph
+    m = len(delta_q)
+    stacked = StackedFactors(fk_quat=delta_q, fk_trans=delta_t,
+                             fk_info=np.full((m, 6), FK_INFO_VALUE),
+                             mc_quat=bundle.vo_quats, mc_trans=bundle.vo_trans,
+                             mc_info=np.full((m, 6), MC_INFO_VALUE),
+                             mc_aligned=np.full(m, not literal))
+    prior = PriorFactor(pose=Pose(Rotation(quats[0]), trans[0]))
+    start = prior.pose
+    return FactorGraph.from_arrays(
+        prior, *compose_chain(start.rotation.quat, start.translation,
+                              stacked.fk_quat, stacked.fk_trans),
+        ScaleVar.from_value(prior.scale).log_value, stacked)
 
 
 # --- graph file format ----------------------------------------------------------
@@ -445,59 +495,79 @@ def build_graph(bundle: SimBundle, model: LimbModel,
 #   fk <i> tx ty tz qw qx qy qz <info x6>
 #   mc <i> dtx dty dtz qw qx qy qz <info x6> aligned|literal
 
+def _info_texts(info: np.ndarray) -> list[str]:
+    """The rows of an (m, 6) information array as text. A graph's factors of
+    one kind mostly share their diagonal, so each distinct row is formatted
+    once: 17-digit formatting is most of the cost of writing a graph."""
+    rows = list(map(tuple, info.tolist()))
+    text = {row: float_fields(6) % row for row in set(rows)}
+    return [text[row] for row in rows]
+
+
 def save_graph(path, graph: FactorGraph) -> None:
-    rows = [["pose", i, *pose_to_seven(p)] for i, p in enumerate(graph.poses)]
+    f, p = graph.stacked, graph.prior
+    pose_row = "pose %d " + float_fields(7)
+    rows = [pose_row % (i, *row)
+            for i, row in enumerate(np.hstack([graph.trans, graph.quats]).tolist())]
     rows.append(["scale", graph.scale.value])
-    p = graph.prior
     rows.append(["prior", *pose_to_seven(p.pose), p.scale, *p.pose_info, p.scale_info])
-    for fk, mc in zip(graph.fks, graph.mcs):
-        rows.append(["fk", fk.i, *pose_to_seven(fk.delta), *fk.info])
-        rows.append(["mc", mc.i, *mc.delta_trans, *mc.delta_rot.quat, *mc.info,
-                     "aligned" if mc.frame_aligned else "literal"])
+    fk_row, mc_row = "fk %d " + float_fields(7) + " %s", "mc %d " + float_fields(7) + " %s %s"
+    for i, (fk, fk_info, mc, mc_info, aligned) in enumerate(zip(
+            np.hstack([f.fk_trans, f.fk_quat]).tolist(), _info_texts(f.fk_info),
+            np.hstack([f.mc_trans, f.mc_quat]).tolist(), _info_texts(f.mc_info),
+            f.mc_aligned.tolist()), 1):
+        rows.append(fk_row % (i, *fk, fk_info))
+        rows.append(mc_row % (i, *mc, mc_info, "aligned" if aligned else "literal"))
     write_records(path, rows, comment="factor graph: poses, scale, factors")
 
 
 def load_graph(path) -> FactorGraph:
+    """The graph in ``path``. The records of each indexed kind are read as one
+    table in index order and checked as the value types check one value;
+    errors name ``path:line``."""
+    records: dict[str, list] = {"pose": [], "fk": [], "mc": [], "scale": [], "prior": []}
+    for lineno, tok in read_records(path):
+        if tok[0] not in records:
+            raise CorruptArtifact(f"{path}:{lineno}: unrecognized {tok[0]!r} record")
+        records[tok[0]].append((lineno, tok))
     seen: set = set()
-    poses: dict[int, Pose] = {}
     scale: ScaleVar | None = None
     prior: PriorFactor | None = None
-    fks: dict[int, FkFactor] = {}
-    mcs: dict[int, McFactor] = {}
-    for lineno, tok in read_records(path):
+    for lineno, tok in records["scale"] + records["prior"]:
         with located(path, lineno):
-            kind = tok[0]
-            i = int(tok[1]) if kind in ("pose", "fk", "mc") else None
-            first_record(seen, kind, i)
-            if kind == "pose":
-                poses[i] = pose_from_seven(numbers(path, lineno, tok[2:], 7))
-            elif kind == "scale":
+            first_record(seen, tok[0])
+            if tok[0] == "scale":
                 scale = ScaleVar.from_value(numbers(path, lineno, tok[1:], 1)[0])
-            elif kind == "prior":
+            else:
                 vals = numbers(path, lineno, tok[1:], 15)
                 prior = PriorFactor(pose=pose_from_seven(vals[0:7]), scale=vals[7],
                                     pose_info=np.array(vals[8:14]),
                                     scale_info=vals[14])
-            elif kind == "fk":
-                vals = numbers(path, lineno, tok[2:], 13)
-                fks[i] = FkFactor(i, pose_from_seven(vals[0:7]),
-                                  info=np.array(vals[7:13]))
-            elif kind == "mc" and tok[-1] in ("aligned", "literal"):
-                vals = numbers(path, lineno, tok[2:-1], 13)
-                mcs[i] = McFactor(i, Rotation(np.array(vals[3:7])),
-                                  np.array(vals[0:3]), info=np.array(vals[7:13]),
-                                  frame_aligned=(tok[-1] == "aligned"))
-            else:
-                raise ValueError(f"unrecognized {kind!r} record")
-    n = len(poses)
-    if prior is None or scale is None or n == 0 or sorted(poses) != list(range(n)) \
-            or sorted(fks) != list(range(1, n)) or sorted(mcs) != list(range(1, n)):
+    # an mc record ends in its aligned|literal flag, after the numbers
+    check_rows(path, records["mc"],
+               np.array([tok[-1] in ("aligned", "literal") for _, tok in records["mc"]]),
+               "unrecognized 'mc' record")
+    indices, tables = {}, {}
+    for kind, end in (("pose", None), ("fk", None), ("mc", -1)):
+        indices[kind], rows = indexed_records(path, kind, records[kind])
+        records[kind] = rows  # in index order, which the mc flags below follow
+        tables[kind] = table = read_table(path, [(lineno, tok[2:end]) for lineno, tok in rows],
+                                          7 if kind == "pose" else 13)
+        check_quaternions(path, rows, table[:, 3:7])
+        if kind != "pose":
+            check_rows(path, rows, (table[:, 7:] > 0.0).all(axis=1),
+                       "information diagonal must be positive")
+    n = len(indices["pose"])
+    if prior is None or scale is None or n == 0 or indices["pose"] != list(range(n)) \
+            or indices["fk"] != list(range(1, n)) or indices["mc"] != list(range(1, n)):
         raise CorruptArtifact(f"{path}: graph file needs a prior, a scale, and "
                               f"poses/factors covering indices 0..{n - 1} contiguously")
-    graph = FactorGraph(prior, t0=poses[0], scale=scale)
-    for i in range(1, n):
-        graph.add_keyframe(fks[i], mcs[i], pose_init=poses[i])
-    return graph
+    poses, fk, mc = tables["pose"], tables["fk"], tables["mc"]
+    stacked = StackedFactors(fk_quat=fk[:, 3:7], fk_trans=fk[:, :3], fk_info=fk[:, 7:],
+                             mc_quat=mc[:, 3:7], mc_trans=mc[:, :3], mc_info=mc[:, 7:],
+                             mc_aligned=[tok[-1] == "aligned" for _, tok in records["mc"]])
+    quats = frozen(poses[:, 3:7], (n, 4), "quaternion", unit=True)
+    return FactorGraph.from_arrays(prior, quats, poses[:, :3], scale.log_value, stacked)
 
 
 # --- solve report file -----------------------------------------------------------

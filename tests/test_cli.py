@@ -492,6 +492,22 @@ def then(*edits):
     return apply
 
 
+def zero_quaternion(first, sep=","):
+    """Line edit that writes 0 over the four quaternion fields from ``first`` on."""
+    def edit(line):
+        tok = line.split(sep)
+        tok[first:first + 4] = ["0"] * 4
+        return sep.join(tok)
+    return edit
+
+
+def drop_last_lines(count):
+    """Byte edit that removes a file's last ``count`` lines."""
+    def apply(data):
+        return b"".join(data.splitlines(keepends=True)[:-count])
+    return apply
+
+
 def ply_vertex(k, value):
     """Byte edit that writes ``value`` over vertex ``k``'s x in a binary PLY."""
     def apply(data):
@@ -521,6 +537,12 @@ def ascii_ply(data):
      "vo.csv:3: step '2.5' where step 2", "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
      "solve", "trajectory.csv:4", "solve"),
+    ("bundle/trajectory.csv", on_line(4, set_field(9, "inf")), "solve",
+     "trajectory.csv:4: non-finite value 'inf'", "solve"),
+    ("bundle/vo.csv", on_line(3, zero_quaternion(4)), "solve",
+     "vo.csv:3: quaternion must be finite and nonzero", "solve"),
+    (("bundle/trajectory.csv", "bundle/vo.csv"), drop_last_lines(5), "solve",
+     "trajectory.csv: 15 keyframes where the manifest's config has 20", "solve"),
     ("bundle/manifest.yaml", lambda t: t[:t.index(b"config:")], "solve",
      "manifest.yaml", "solve"),
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
@@ -529,6 +551,12 @@ def ascii_ply(data):
      "pipeline-detect", "graph.txt:3", "solve"),
     ("solve/graph.txt", lambda t: t + b"scale 7\n", "pipeline-detect", "graph.txt:",
      "solve"),
+    ("solve/graph.txt", on_line(3, zero_quaternion(5, " ")), "pipeline-detect",
+     "graph.txt:3: quaternion must be finite and nonzero", "solve"),
+    ("solve/graph.txt", on_line(24, zero_quaternion(5, " ")), "pipeline-detect",
+     "graph.txt:24: quaternion must be finite and nonzero", "solve"),
+    ("solve/graph.txt", on_line(25, set_field(11, "-0.001", " ")), "pipeline-detect",
+     "graph.txt:25: information diagonal must be positive", "solve"),
     ("solve/report.txt", lambda t: re.sub(rb"final_cost .*\n", b"", t),
      "pipeline-detect", "report.txt", "solve"),
     ("solve/report.txt", lambda t: b"bogus 1 2 3\n" + t, "pipeline-detect",
@@ -552,8 +580,10 @@ def ascii_ply(data):
                                              f"comment units {METERS}".encode()),
      "pipeline-solve", "cloud.ply", "simulate"),
 ], ids=["vo-not-a-number", "vo-nan", "vo-steps-swapped", "vo-step-relabelled",
-        "vo-step-not-integer", "trajectory-short-row", "manifest-no-config",
+        "vo-step-not-integer", "trajectory-short-row", "trajectory-inf-angle",
+        "vo-zero-quaternion", "bundle-truncated", "manifest-no-config",
         "graph-bad-record", "graph-repeated-pose", "graph-repeated-scale",
+        "graph-pose-zero-quaternion", "graph-fk-zero-quaternion", "graph-mc-negative-info",
         "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
         "report-step-gap", "report-step-extra-index", "report-step-short-trace",
         "ply-not-a-number", "ply-nan", "ply-ascii-nan", "ply-short-body",
@@ -562,8 +592,9 @@ def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, 
                                               command, where, label):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
-    path = run / rel
-    path.write_bytes(edit(path.read_bytes()))
+    for name in [rel] if isinstance(rel, str) else rel:
+        path = run / name
+        path.write_bytes(edit(path.read_bytes()))
     if command == "solve":
         argv = ["solve", str(run / "bundle"), "--out", str(tmp_path / "s")]
     else:

@@ -167,22 +167,22 @@ def test_no_visible_terrain():
 # --- whole-bundle behaviour -----------------------------------------------------------
 
 
+BUNDLE_ARRAYS = ("timestamps", "angles", "truth_quats", "truth_trans", "vo_quats", "vo_trans")
+
+
 def test_same_seed_is_bit_identical():
     config = SimConfig(seed=12, cloud_points_per_keyframe=150)
     a = simulate(config)
     b = simulate(config)
-    for ra, rb in zip(a.readings, b.readings):
-        assert np.array_equal(ra.angles, rb.angles)
-    for (qa, ta), (qb, tb) in zip(a.vo_deltas, b.vo_deltas):
-        assert np.array_equal(qa.quat, qb.quat)
-        assert np.array_equal(ta, tb)
+    for name in BUNDLE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert np.array_equal(a.cloud.points, b.cloud.points)
 
 
 def test_different_seeds_differ():
     a = simulate(SimConfig(seed=0, cloud_points_per_keyframe=150))
     b = simulate(SimConfig(seed=1, cloud_points_per_keyframe=150))
-    assert not np.array_equal(a.readings[1].angles, b.readings[1].angles)
+    assert not np.array_equal(a.angles[1], b.angles[1])
     assert not np.array_equal(a.cloud.points, b.cloud.points)
 
 
@@ -191,17 +191,26 @@ def test_bundle_round_trip(tmp_path):
     write_bundle(tmp_path, bundle)
     back = read_bundle(tmp_path)
     assert config_to_dict(back.config) == config_to_dict(bundle.config)
-    for pa, pb in zip(bundle.truth_poses, back.truth_poses):
-        assert np.array_equal(pa.translation, pb.translation)
-        assert np.array_equal(pa.rotation.quat, pb.rotation.quat)
-    for ra, rb in zip(bundle.readings, back.readings):
-        assert ra.timestamp == rb.timestamp
-        assert np.array_equal(ra.angles, rb.angles)
-    for (qa, ta), (qb, tb) in zip(bundle.vo_deltas, back.vo_deltas):
-        assert np.array_equal(qa.quat, qb.quat)
-        assert np.array_equal(ta, tb)
+    for name in BUNDLE_ARRAYS:
+        assert getattr(back, name).shape == getattr(bundle, name).shape, name
+        assert np.array_equal(getattr(back, name), getattr(bundle, name)), name
     assert np.array_equal(bundle.cloud.points, back.cloud.points)
     assert back.cloud.units == UNSCALED_UNITS
+
+
+def test_simulate_packs_the_generators_output():
+    """The bundle's arrays are the rows of generate_trajectory's readings and
+    poses and of generate_vo's deltas, bit for bit."""
+    config = SimConfig(seed=5, keyframes=9, cloud_points_per_keyframe=1)
+    bundle = simulate(config)
+    readings, truth_poses = generate_trajectory(default_limb(), config)
+    deltas = generate_vo(truth_poses, config)
+    assert np.array_equal(bundle.timestamps, [r.timestamp for r in readings])
+    assert np.array_equal(bundle.angles, [r.angles for r in readings])
+    assert np.array_equal(bundle.truth_quats, [p.rotation.quat for p in truth_poses])
+    assert np.array_equal(bundle.truth_trans, [p.translation for p in truth_poses])
+    assert np.array_equal(bundle.vo_quats, [rot.quat for rot, _ in deltas])
+    assert np.array_equal(bundle.vo_trans, [trans for _, trans in deltas])
 
 
 def test_manifest_that_is_not_utf8_is_corrupt(tmp_path):

@@ -8,6 +8,7 @@ the solver machinery under test.
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from conftest import rand_pose, rand_twist_vector
 from graspmap import geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                              factor_cost, factor_info_diag, factor_jacobians,
+                              StackedFactors, factor_cost, factor_info_diag, factor_jacobians,
                               factor_residual)
 from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_exp, se3_log, so3_exp)
-from graspmap.kinematics import default_limb, fk_delta
+from graspmap.kinematics import JointReading, default_limb, fk_delta, fk_pose
 from graspmap.simulation import SimConfig, simulate
 from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
                              damped_step, load_graph, load_report,
@@ -119,9 +120,9 @@ def test_keyframe_index_mismatch():
 
 
 def test_build_graph_runs_fk_once_per_reading(monkeypatch):
-    """build_graph runs FK as one stacked call over all readings: no scalar
-    fk_pose call, and compose only to dead-reckon each new pose from the one
-    before. Its deltas are fk_delta's bit for bit."""
+    """build_graph runs FK as one stacked call over all readings and
+    dead-reckons the starting poses on floats: no scalar fk_pose or compose
+    call. Its deltas are fk_delta's bit for bit."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=0, keyframes=12, cloud_points_per_keyframe=1),
                       limb)
@@ -139,10 +140,56 @@ def test_build_graph_runs_fk_once_per_reading(monkeypatch):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
     graph = build_graph(bundle, limb)
     monkeypatch.undo()
-    assert calls == ["compose"] * (len(bundle.readings) - 1)
+    assert calls == []
+    readings = bundle_readings(bundle)
     for i, f in enumerate(graph.fks, start=1):
-        want = fk_delta(limb, bundle.readings[i - 1], bundle.readings[i])
+        want = fk_delta(limb, readings[i - 1], readings[i])
         assert np.array_equal(f.delta.matrix(), want.matrix())
+
+
+def bundle_readings(bundle) -> list[JointReading]:
+    return [JointReading(t, a) for t, a in zip(bundle.timestamps, bundle.angles)]
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_build_graph_equals_the_value_path(tmp_path, literal):
+    """build_graph's rows equal those of a graph built one keyframe at a time
+    from fk_delta values and the bundle's tracker deltas, bit for bit, and
+    its starting poses equal a loop of scalar compose calls; both graphs save
+    the same bytes, and load_graph gives the saved rows back bit for bit."""
+    limb = default_limb()
+    bundle = simulate(SimConfig(seed=4, keyframes=40, cloud_points_per_keyframe=1), limb)
+    graph = build_graph(bundle, limb, literal)
+
+    readings = bundle_readings(bundle)
+    values = FactorGraph(PriorFactor(pose=fk_pose(limb, readings[0].angles)))
+    for i in range(1, len(readings)):
+        values.add_keyframe(FkFactor(i, fk_delta(limb, readings[i - 1], readings[i])),
+                            McFactor(i, Rotation(bundle.vo_quats[i - 1]),
+                                     bundle.vo_trans[i - 1], frame_aligned=not literal))
+    dead_reckoned = [values.prior.pose]
+    for fk in values.fks:
+        dead_reckoned.append(compose(dead_reckoned[-1], fk.delta))
+
+    def rows(g):
+        return {"quats": g.quats, "trans": g.trans,
+                **{f.name: getattr(g.stacked, f.name) for f in fields(StackedFactors)}}
+
+    want = rows(values)
+    assert np.array_equal(want["quats"], [p.rotation.quat for p in dead_reckoned])
+    assert np.array_equal(want["trans"], [p.translation for p in dead_reckoned])
+    for name, got in rows(graph).items():
+        assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
+    assert graph.log_s == values.log_s
+
+    save_graph(tmp_path / "rows.txt", graph)
+    save_graph(tmp_path / "values.txt", values)
+    assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
+    back = load_graph(tmp_path / "rows.txt")
+    for name, got in rows(back).items():
+        assert np.array_equal(got, want[name]), name
+    # graph.txt holds s, and exp(log s) is not always s: compare s
+    assert back.scale.value == graph.scale.value
 
 
 def test_total_cost_trivials():
@@ -410,8 +457,8 @@ def test_damped_step_matches_dense_solve(lam):
     h[np.diag_indices_from(h)] += lam * np.diag(h)
     want = np.linalg.solve(h, -g)
 
-    stacked, prior, state = graph._packed()
-    step, step_s = damped_step(normal_equations(stacked, prior, *state), lam)
+    step, step_s = damped_step(normal_equations(graph.stacked, graph.prior, graph.quats,
+                                                graph.trans, graph.log_s), lam)
     got = np.append(step.ravel(), step_s)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 

@@ -206,8 +206,8 @@ def chain_graph(rng) -> FactorGraph:
 
 def test_stacked_cost_matches_total_cost():
     graph = chain_graph(np.random.default_rng(6))
-    stacked, prior, state = graph._packed()
-    system = normal_equations(stacked, prior, *state)
+    system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
+                              graph.log_s)
     assert system.cost == pytest.approx(graph.total_cost(), rel=1e-12)
 
 
@@ -218,8 +218,8 @@ def test_one_pose_graph():
     prior = PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0)
     start = compose(prior.pose, se3_exp(twist_at_angle(rng, 0.1, 0.1)))
     graph = FactorGraph(prior, t0=start)
-    stacked, prior, state = graph._packed()
-    system = normal_equations(stacked, prior, *state)
+    system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
+                              graph.log_s)
     assert system.diag.shape == (1, 6, 6)
     assert system.cost == pytest.approx(graph.total_cost(), rel=1e-12)
     report = graph.optimize()

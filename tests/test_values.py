@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graspmap.errors import DimensionMismatch
-from graspmap.factors import FkFactor, McFactor
+from graspmap.factors import FkFactor, McFactor, StackedFactors
 from graspmap.geometry import Pose, Rotation
 from graspmap.kinematics import Joint, JointReading
 from graspmap.mapping import (METERS, UNSCALED_UNITS, GraspablePoint,
@@ -16,9 +16,27 @@ from graspmap.mapping import (METERS, UNSCALED_UNITS, GraspablePoint,
 from graspmap.simulation import SimBundle, SimConfig
 
 
-def sim_bundle(vo_translation):
-    return SimBundle(SimConfig(), (), (), ((Rotation.identity(), vo_translation),),
-                     PointCloud(np.zeros((1, 3)), UNSCALED_UNITS))
+QUAT = [1.0, 0.0, 0.0, 0.0]
+
+
+def sim_bundle(**field):
+    """A two-keyframe ``SimBundle`` with one array field given."""
+    arrays = dict(timestamps=[0.0, 0.1], angles=np.zeros((2, 4)), truth_quats=[QUAT, QUAT],
+                  truth_trans=np.zeros((2, 3)), vo_quats=[QUAT], vo_trans=np.zeros((1, 3)))
+    return SimBundle(SimConfig(), cloud=PointCloud(np.zeros((1, 3)), UNSCALED_UNITS),
+                     **{**arrays, **field})
+
+
+def stacked(**field):
+    """A one-row ``StackedFactors`` with one array field given."""
+    rows = dict(fk_quat=[QUAT], fk_trans=np.zeros((1, 3)), fk_info=np.ones((1, 6)),
+                mc_quat=[QUAT], mc_trans=np.zeros((1, 3)), mc_info=np.ones((1, 6)),
+                mc_aligned=[True])
+    return StackedFactors(**{**rows, **field})
+
+
+def array_field(build, name):
+    return lambda v: getattr(build(**{name: v}), name)
 
 
 FIELDS = {
@@ -44,9 +62,37 @@ FIELDS = {
                             np.ones((2, 3), int), np.ones((2, 2), int), ValueError),
     "GraspablePoint.position": (lambda v: GraspablePoint(v, 1).position,
                                 [0.1, 0.2, 0.3], np.ones(2), ValueError),
-    "SimBundle.vo_deltas": (lambda v: sim_bundle(v).vo_deltas[0][1],
-                            [0.1, 0.2, 0.3], np.ones(4), ValueError),
+    "SimBundle.timestamps": (array_field(sim_bundle, "timestamps"),
+                             [0.0, 0.1], np.ones((2, 1)), ValueError),
+    "SimBundle.angles": (array_field(sim_bundle, "angles"),
+                         np.full((2, 4), 0.1), np.ones(8), ValueError),
+    "SimBundle.truth_quats": (array_field(sim_bundle, "truth_quats"),
+                              [[0.0, 1.0, 0.0, 0.0], QUAT], np.ones((2, 3)), ValueError),
+    "SimBundle.truth_trans": (array_field(sim_bundle, "truth_trans"),
+                              [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], np.ones((3, 3)),
+                              ValueError),
+    "SimBundle.vo_quats": (array_field(sim_bundle, "vo_quats"),
+                           [[0.0, 0.0, 0.0, 1.0]], np.ones((2, 4)), ValueError),
+    "SimBundle.vo_trans": (array_field(sim_bundle, "vo_trans"),
+                           [[0.1, 0.2, 0.3]], np.ones((1, 4)), ValueError),
+    "StackedFactors.fk_quat": (array_field(stacked, "fk_quat"),
+                               [[0.0, 1.0, 0.0, 0.0]], np.ones((1, 3)), DimensionMismatch),
+    "StackedFactors.fk_trans": (array_field(stacked, "fk_trans"),
+                                [[0.1, 0.2, 0.3]], np.ones((2, 3)), DimensionMismatch),
+    "StackedFactors.fk_info": (array_field(stacked, "fk_info"),
+                               np.full((1, 6), 2.0), np.ones((1, 5)), DimensionMismatch),
+    "StackedFactors.mc_quat": (array_field(stacked, "mc_quat"),
+                               [[0.0, 0.0, 1.0, 0.0]], np.ones((1, 5)), DimensionMismatch),
+    "StackedFactors.mc_trans": (array_field(stacked, "mc_trans"),
+                                [[0.1, 0.2, 0.3]], np.ones(3), DimensionMismatch),
+    "StackedFactors.mc_info": (array_field(stacked, "mc_info"),
+                               np.full((1, 6), 3.0), np.ones((2, 6)), DimensionMismatch),
+    "StackedFactors.mc_aligned": (array_field(stacked, "mc_aligned"),
+                                  [False], [True, False], DimensionMismatch),
 }
+# fields that hold unit vectors: a zero one has no direction
+UNIT_FIELDS = ["Rotation.quat", "Joint.axis", "SimBundle.truth_quats", "SimBundle.vo_quats",
+               "StackedFactors.fk_quat", "StackedFactors.mc_quat"]
 FLOAT_FIELDS = [name for name, (_, good, _, _) in FIELDS.items()
                 if np.asarray(good).dtype == float]
 
@@ -78,3 +124,19 @@ def test_stored_array_is_a_read_only_copy(name):
     assert not np.shares_memory(stored, value)
     with pytest.raises(ValueError):
         stored.flat[0] = 0
+
+
+@pytest.mark.parametrize("name", UNIT_FIELDS)
+def test_zero_unit_vector_raises_value_error(name):
+    build, good, _, _ = FIELDS[name]
+    with pytest.raises(ValueError, match="must be finite and nonzero"):
+        build(np.zeros_like(np.array(good, dtype=float)))
+
+
+@pytest.mark.parametrize("name", ["fk_info", "mc_info"])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_information_that_is_not_positive_raises_value_error(name, bad):
+    info = np.ones((1, 6))
+    info[0, 2] = bad
+    with pytest.raises(ValueError, match="information diagonal must be positive"):
+        stacked(**{name: info})
