@@ -14,15 +14,15 @@ The scale variable is optimized as ``log s`` so any iterate maps to a positive
 scale. Jacobians are analytic, taken with respect to right perturbations
 ``T <- T @ exp(delta)`` of each pose and additive perturbation of ``log s``.
 
-The per-factor functions are the reference. ``StackedFactors`` evaluates the
-same kinematic and tracker residuals and Jacobians for a whole chain at once,
-as arrays; the solver linearizes through it.
+The per-factor functions and their dispatch are the reference the tests use.
+``StackedFactors`` evaluates the same kinematic and tracker residuals and
+Jacobians for a whole chain at once, as arrays; the solver runs on it alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +66,12 @@ def _check_info_diag(info, shape: tuple) -> np.ndarray:
     return a
 
 
+def log_scale_ok(log_value: float) -> bool:
+    """Whether exp(log_value) is a finite positive float, as a scale must be."""
+    with np.errstate(over="ignore"):
+        return bool(0.0 < np.exp(log_value) < np.inf)
+
+
 @dataclass(frozen=True)
 class ScaleVar:
     """Global metric scale of the monocular map, stored as log(s)."""
@@ -74,8 +80,8 @@ class ScaleVar:
 
     def __post_init__(self):
         v = float(self.log_value)
-        if not math.isfinite(v):
-            raise ValueError("log scale must be finite")
+        if not log_scale_ok(v):
+            raise ValueError(f"log scale {v!r} gives no finite positive scale")
         object.__setattr__(self, "log_value", v)
 
     @staticmethod
@@ -255,7 +261,7 @@ def prior_jacobians(t0: Pose, scale: ScaleVar,
     return j_pose, j_scale
 
 
-# --- uniform dispatch used by the solver ---------------------------------------
+# --- uniform dispatch: the reference the tests use -----------------------------
 
 
 def factor_info_diag(factor: Factor) -> np.ndarray:
@@ -328,27 +334,6 @@ class StackedFactors:
 
     def __len__(self) -> int:
         return len(self.fk_quat)
-
-    @staticmethod
-    def pack(fks, mcs) -> "StackedFactors":
-        """The rows of lists of ``FkFactor`` and ``McFactor`` values, each in
-        keyframe order."""
-        def rows(values, width):
-            return np.reshape(values, (-1, width))
-        return StackedFactors(
-            fk_quat=rows([f.delta.rotation.quat for f in fks], 4),
-            fk_trans=rows([f.delta.translation for f in fks], 3),
-            fk_info=rows([f.info for f in fks], 6),
-            mc_quat=rows([f.delta_rot.quat for f in mcs], 4),
-            mc_trans=rows([f.delta_trans for f in mcs], 3),
-            mc_info=rows([f.info for f in mcs], 6),
-            mc_aligned=np.array([f.frame_aligned for f in mcs], dtype=bool))
-
-    def extended(self, other: "StackedFactors") -> "StackedFactors":
-        """This chain's rows followed by ``other``'s."""
-        return StackedFactors(**{f.name: np.concatenate([getattr(self, f.name),
-                                                         getattr(other, f.name)])
-                                 for f in fields(self)})
 
     def fk_factors(self) -> list[FkFactor]:
         """The kinematic rows as ``FkFactor`` values, indices 1..m."""

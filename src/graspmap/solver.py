@@ -14,12 +14,13 @@ factor tying pose k to pose k+1. ``build_graph`` and ``load_graph`` fill
 those arrays directly; the poses, scale and factors as values (``poses``,
 ``fks``, ``mcs``, ``factors``) are views built on demand. Linearization
 evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
-[1:]; only the prior goes through the scalar factor functions. The
-Gauss-Newton Hessian is therefore block-tridiagonal in 6x6 pose blocks plus
-one dense border row for log s, and each pair's terms add into those blocks
-by slices. ``NormalEquations`` holds just the blocks, and
-``block_cholesky`` factors the system by odd-even (cyclic) block reduction
-(Heller, SIAM J. Numer. Anal. 1976): each level eliminates every other pose
+[1:], and the prior on the same arrays; no graph method calls a scalar factor
+function, and ``total_cost`` is the cost it sums. The Gauss-Newton Hessian is
+therefore block-tridiagonal in 6x6 pose blocks plus one dense border row for
+log s, and each pair's terms add into those blocks by slices.
+``NormalEquations`` holds just the blocks, and ``block_cholesky`` factors
+the system by odd-even (cyclic) block reduction (Heller, SIAM J. Numer.
+Anal. 1976): each level eliminates every other pose
 block of the chain in one batched NumPy step, so n blocks take
 floor(log2 n) + 1 levels, in O(n) time and memory, carrying the border through
 to a last pivot l_ss, the Schur complement of the poses on log s. No dense
@@ -37,6 +38,7 @@ bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +46,12 @@ import scipy  # noqa: F401 -- read only by perfbench/tracer.py
 
 from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (FK_INFO_VALUE, MC_INFO_VALUE, Factor, FkFactor,
-                      McFactor, PriorFactor, ScaleVar, StackedFactors,
-                      factor_cost, factor_info_diag, factor_jacobians,
-                      factor_residual)
+                      McFactor, PriorFactor, ScaleVar, StackedFactors, log_scale_ok)
+from .factors import factor_jacobians, factor_residual  # noqa: F401 -- read only by perfbench/tracer.py
 from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
                        inverse_stacked, pose_from_seven, pose_to_seven,
-                       quat_product, quat_rotate, quat_unit, se3_exp_stacked)
+                       quat_product, quat_rotate, quat_unit, se3_exp_stacked,
+                       se3_left_jacobian_inv_stacked, se3_log_stacked)
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
 from .records import (check_quaternions, check_rows, first_record, float_fields,
@@ -144,21 +146,20 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
                      log_s: float) -> NormalEquations:
     """Gauss-Newton system of a chain graph at the state (quats, trans, log_s)."""
     n = len(quats)
-    scale = ScaleVar(log_s)
-    pose0 = [Pose(Rotation(quats[0]), trans[0])]
-    r = factor_residual(prior, pose0, scale)
-    info = factor_info_diag(prior)
-    jac = factor_jacobians(prior, pose0, scale)
-    j_pose, j_s = jac[("pose", 0)], jac[("scale",)]
-    wr = info * r
-    wj_s = info * j_s
+    # the prior: the twist log(anchor^-1 T_0), with T_0 normalized as a Rotation
+    # holds it, and the log-scale gap; d/d pose 0 is Jr^-1(twist), d/d log s is 1
+    r_pose = se3_log_stacked(*compose_stacked(
+        *inverse_stacked(prior.pose.rotation.quat, prior.pose.translation),
+        quat_unit(quats[0]), trans[0]))
+    j_pose = se3_left_jacobian_inv_stacked(-r_pose)
+    r = np.append(r_pose, log_s - math.log(prior.scale))
+    wr = np.append(prior.pose_info, prior.scale_info) * r
     system = NormalEquations(diag=np.zeros((n, 6, 6)), sub=np.zeros((n, 6, 6)),
-                             border=np.zeros((n, 6)), h_ss=float(j_s @ wj_s),
-                             grad=np.zeros((n, 6)), grad_s=float(j_s @ wr),
+                             border=np.zeros((n, 6)), h_ss=prior.scale_info,
+                             grad=np.zeros((n, 6)), grad_s=float(wr[6]),
                              cost=float(r @ wr))
-    system.diag[0] += j_pose.T @ (info[:, None] * j_pose)
-    system.border[0] += j_pose.T @ wj_s
-    system.grad[0] += j_pose.T @ wr
+    system.diag[0] += j_pose.T @ (prior.pose_info[:, None] * j_pose)
+    system.grad[0] += j_pose.T @ wr[:6]
 
     _add_pairs(system, stacked.fk_info, *stacked.fk(quats, trans))
     r, j_prev, j_curr, j_s = stacked.mc(quats, trans, log_s)
@@ -313,7 +314,7 @@ class FactorGraph:
         self.prior = prior
         self.quats, self.trans = t0.rotation.quat[None], t0.translation[None]
         self.log_s = (ScaleVar.from_value(prior.scale) if scale is None else scale).log_value
-        self.stacked = StackedFactors.pack([], [])
+        self.stacked = StackedFactors(*(np.empty((0, w)) for w in (4, 3, 6, 4, 3, 6)), ())
 
     @classmethod
     def from_arrays(cls, prior: PriorFactor, quats: np.ndarray, trans: np.ndarray,
@@ -323,7 +324,8 @@ class FactorGraph:
             raise IndexMismatch(f"{len(quats)} rotations and {len(trans)} translations "
                                 f"for a chain of {len(stacked)} factor pairs")
         graph = cls(prior)
-        graph.quats, graph.trans, graph.log_s, graph.stacked = quats, trans, log_s, stacked
+        graph.quats, graph.trans, graph.stacked = quats, trans, stacked
+        graph.log_s = ScaleVar(log_s).log_value
         return graph
 
     @property
@@ -355,7 +357,7 @@ class FactorGraph:
 
     def add_keyframe(self, fk: FkFactor, mc: McFactor,
                      pose_init: Pose | None = None) -> None:
-        """Append pose i with its two measurement factors.
+        """Append pose i with its two measurement factors as row i - 1.
 
         The new pose starts at the previous estimate composed with the FK
         delta (dead reckoning) unless an explicit initial value is given.
@@ -365,16 +367,18 @@ class FactorGraph:
             raise IndexMismatch(
                 f"graph has poses 0..{i - 1}; next factors must use index {i}, "
                 f"got fk.i={fk.i}, mc.i={mc.i}")
-        row = StackedFactors.pack([fk], [mc])
+        f = self.stacked
+        self.stacked = StackedFactors(*(np.append(rows, [row], axis=0) for rows, row in zip(
+            (f.fk_quat, f.fk_trans, f.fk_info, f.mc_quat, f.mc_trans, f.mc_info, f.mc_aligned),
+            (fk.delta.rotation.quat, fk.delta.translation, fk.info, mc.delta_rot.quat,
+             mc.delta_trans, mc.info, mc.frame_aligned))))
         if pose_init is None:
-            quat, trans = compose_chain(self.quats[-1], self.trans[-1], row.fk_quat,
-                                        row.fk_trans)
-            quat, trans = quat[1:], trans[1:]
+            quat, trans = compose_stacked(self.quats[-1], self.trans[-1],
+                                          fk.delta.rotation.quat, fk.delta.translation)
         else:
-            quat, trans = pose_init.rotation.quat[None], pose_init.translation[None]
-        self.quats = np.concatenate([self.quats, quat])
-        self.trans = np.concatenate([self.trans, trans])
-        self.stacked = self.stacked.extended(row)
+            quat, trans = pose_init.rotation.quat, pose_init.translation
+        self.quats = np.append(self.quats, [quat], axis=0)
+        self.trans = np.append(self.trans, [trans], axis=0)
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -382,10 +386,9 @@ class FactorGraph:
         return (self.prior, *(f for pair in zip(self.fks, self.mcs) for f in pair))
 
     def total_cost(self) -> float:
-        """Sum of squared Mahalanobis residuals over all factors (no 1/2 prefactor)."""
-        poses, scale = self.poses, self.scale
-        return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
-                   for f in self.factors)
+        """Sum of squared Mahalanobis residuals over all factors (no 1/2
+        prefactor), as the normal equations at the current state sum it."""
+        return self._system().cost
 
     def _system(self) -> NormalEquations:
         return normal_equations(self.stacked, self.prior, self.quats, self.trans, self.log_s)
@@ -414,11 +417,11 @@ class FactorGraph:
                         f"normal equations not positive-definite at lambda={lam:.1e}")
                 continue
             cand_state = _retract(*state, *step)
-            # a step too long to evaluate (say, log s past exp's range) gives
-            # a non-finite cost, which the comparison below rejects
+            # a trial past exp's range in log s has a non-finite cost, and one
+            # whose scale underflows to 0 has no scale; both are rejected
             with np.errstate(over="ignore", invalid="ignore"):
                 cand = normal_equations(self.stacked, self.prior, *cand_state)
-            if cand.cost <= system.cost:
+            if cand.cost <= system.cost and log_scale_ok(cand_state[2]):
                 rel_decrease = ((system.cost - cand.cost) / system.cost
                                 if system.cost > 0.0 else 0.0)
                 state, system = cand_state, cand

@@ -16,8 +16,8 @@ from graspmap.factors import (FK_INFO_VALUE, MC_INFO_VALUE, FkFactor, McFactor,
                               PriorFactor, ScaleVar, default_fk_info,
                               default_mc_info, factor_cost, factor_jacobians,
                               factor_residual, fk_jacobians, fk_residual,
-                              mc_jacobians, mc_residual, prior_jacobians,
-                              prior_residual)
+                              log_scale_ok, mc_jacobians, mc_residual,
+                              prior_jacobians, prior_residual)
 from graspmap.geometry import Pose, Rotation, compose, inverse, se3_exp
 
 FD_STEP = 1e-7
@@ -142,6 +142,19 @@ def test_scale_var_validation():
         ScaleVar.from_value(0.0)
     with pytest.raises(ValueError):
         ScaleVar.from_value(-1.0)
+
+
+@pytest.mark.parametrize("log_value", [800.0, -800.0, math.inf, -math.inf, math.nan])
+def test_scale_var_refuses_a_log_without_a_finite_positive_scale(log_value):
+    """exp(800) overflows and exp(-800) is 0.0: neither is a scale."""
+    with pytest.raises(ValueError, match="no finite positive scale"):
+        ScaleVar(log_value)
+    assert not log_scale_ok(log_value)
+
+
+def test_scale_var_accepts_the_ends_of_exp_range():
+    for log_value in (709.0, -745.0):
+        assert 0.0 < ScaleVar(log_value).value < math.inf
 
 
 # --- cost --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_pose, rand_twist_vector
-from graspmap import geometry, kinematics, solver
+from graspmap import factors, geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, factor_cost, factor_info_diag, factor_jacobians,
@@ -562,6 +562,69 @@ def test_trial_past_exp_range_is_rejected(monkeypatch):
     report = graph.optimize()
     assert report.converged and report.rejected_steps > 0
     assert graph.total_cost() == pytest.approx(report.final_cost, rel=1e-9)
+
+
+def test_trial_whose_scale_underflows_is_rejected(monkeypatch):
+    """exp(-2000) is 0.0, which lowers this graph's cost (the poses stand
+    still, the tracker says they move) but is no scale. Every trial step
+    here lands there; each is rejected like a cost increase until lambda
+    runs out, and the graph keeps the scale it had."""
+    graph = FactorGraph(PriorFactor(pose=Pose.identity()))
+    for i in (1, 2, 3):
+        graph.add_keyframe(FkFactor(i, Pose.identity()),
+                           McFactor(i, Rotation.identity(), [1.0, 0.0, 0.0]))
+    start = graph.log_s
+    trials = []
+
+    def to_zero_scale(system, lam):
+        trials.append(lam)
+        return np.zeros((graph.num_poses, 6)), -2000.0 - start
+
+    monkeypatch.setattr(solver, "damped_step", to_zero_scale)
+    assert graph.total_cost() > 1e-3 > solver.normal_equations(
+        graph.stacked, graph.prior, graph.quats, graph.trans, -2000.0).cost
+    report = graph.optimize()
+    assert report.iterations == 0 and report.rejected_steps == len(trials) > 1
+    assert graph.log_s == start
+
+
+@pytest.mark.parametrize("log_s", [800.0, -800.0])
+def test_graph_refuses_a_log_scale_without_a_scale(log_s):
+    """At log s = 800 the total cost would be NaN, at -800 the scale 0."""
+    graph, _ = synthetic_graph(np.random.default_rng(16), n=3)
+    with pytest.raises(ValueError, match="no finite positive scale"):
+        FactorGraph.from_arrays(graph.prior, graph.quats, graph.trans, log_s, graph.stacked)
+
+
+SCALAR_FACTOR_FUNCTIONS = [
+    (solver, "factor_residual"), (solver, "factor_jacobians"),
+    *((factors, name) for name in ("factor_residual", "factor_jacobians", "factor_cost",
+                                   "fk_residual", "mc_residual", "prior_residual",
+                                   "fk_jacobians", "mc_jacobians", "prior_jacobians")),
+]
+
+
+@pytest.mark.parametrize("built_by", ["build_graph", "add_keyframe"])
+def test_no_graph_method_calls_a_scalar_factor_function(monkeypatch, built_by):
+    """The graph runs on its arrays alone: with every scalar residual,
+    Jacobian and cost function raising, a graph from build_graph and one
+    grown by add_keyframe still solve, report their cost and their scale
+    marginal."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar factor function was called")
+
+    for module, name in SCALAR_FACTOR_FUNCTIONS:
+        monkeypatch.setattr(module, name, refuse)
+    if built_by == "build_graph":
+        limb = default_limb()
+        graph = build_graph(simulate(SimConfig(seed=1, keyframes=12,
+                                               cloud_points_per_keyframe=1), limb), limb)
+    else:
+        graph, _ = synthetic_graph(np.random.default_rng(15), n=12, trans_noise=1e-4)
+    report = graph.optimize()
+    assert report.converged and report.iterations > 0
+    assert graph.total_cost() == report.final_cost
+    assert 0.0 < graph.marginal_scale_stddev() < math.inf
 
 
 def test_graph_file_round_trip(tmp_path):

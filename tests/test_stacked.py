@@ -6,7 +6,7 @@ are checked against oracles that share no code with them: the quaternion
 exponential in closed form, the truncated matrix-exponential series, and the
 matrix inverses of the Jacobian series sum_n ad^n/(n+1)! (``conftest``). The
 solver linearizes through ``StackedFactors``; the scalar residuals,
-Jacobians and ``total_cost`` stay its reference. Every comparison runs over
+Jacobians and their per-factor cost sum stay its reference. Every comparison runs over
 rotation angles on both sides of each series switch: below ``SMALL_ANGLE``
 (quaternion Taylor branch), below ``_SERIES_ANGLE`` (Jacobian coefficient
 series), and up to 3.0 rad.
@@ -21,8 +21,8 @@ from conftest import (jacobian_series, mat_exp_series, quat_exp, rand_pose,
                       rand_rotation, se3_ad, se3_hat)
 from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                              StackedFactors, fk_jacobians, fk_residual,
-                              mc_jacobians, mc_residual)
+                              factor_cost, factor_info_diag, factor_residual,
+                              fk_jacobians, fk_residual, mc_jacobians, mc_residual)
 from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
                                quat_matrix, quat_product, quat_rotate,
@@ -161,39 +161,6 @@ def chain(rng, literal_every: int = 3):
     return poses, fks, mcs
 
 
-def as_state(poses):
-    return (np.array([p.rotation.quat for p in poses]),
-            np.array([p.translation for p in poses]))
-
-
-def test_stacked_fk_matches_scalar():
-    rng = np.random.default_rng(4)
-    poses, fks, mcs = chain(rng)
-    r, j_prev, j_curr = StackedFactors.pack(fks, mcs).fk(*as_state(poses))
-    for k, f in enumerate(fks):
-        close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
-        want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
-        close(j_prev[k], want_prev)
-        close(j_curr[k], want_curr)
-
-
-@pytest.mark.parametrize("log_s", [0.0, math.log(2.5), -3.0])
-def test_stacked_mc_matches_scalar(log_s):
-    rng = np.random.default_rng(5)
-    poses, fks, mcs = chain(rng)
-    assert {f.frame_aligned for f in mcs} == {True, False}
-    scale = ScaleVar(log_s)
-    r, j_prev, j_curr, j_scale = StackedFactors.pack(fks, mcs).mc(
-        *as_state(poses), log_s)
-    for k, f in enumerate(mcs):
-        close(r[k], mc_residual(poses[f.i - 1], poses[f.i], scale, f))
-        want_prev, want_curr, want_scale = mc_jacobians(poses[f.i - 1], poses[f.i],
-                                                        scale, f)
-        close(j_prev[k], want_prev)
-        close(j_curr[k], want_curr)
-        close(j_scale[k], want_scale)
-
-
 def chain_graph(rng) -> FactorGraph:
     poses, fks, mcs = chain(rng)
     prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
@@ -204,11 +171,47 @@ def chain_graph(rng) -> FactorGraph:
     return graph
 
 
-def test_stacked_cost_matches_total_cost():
+def test_stacked_fk_matches_scalar():
+    rng = np.random.default_rng(4)
+    graph = chain_graph(rng)
+    poses, fks = graph.poses, graph.fks
+    r, j_prev, j_curr = graph.stacked.fk(graph.quats, graph.trans)
+    for k, f in enumerate(fks):
+        close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
+        want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
+        close(j_prev[k], want_prev)
+        close(j_curr[k], want_curr)
+
+
+@pytest.mark.parametrize("log_s", [0.0, math.log(2.5), -3.0])
+def test_stacked_mc_matches_scalar(log_s):
+    rng = np.random.default_rng(5)
+    graph = chain_graph(rng)
+    poses, mcs = graph.poses, graph.mcs
+    assert {f.frame_aligned for f in mcs} == {True, False}
+    scale = ScaleVar(log_s)
+    r, j_prev, j_curr, j_scale = graph.stacked.mc(graph.quats, graph.trans, log_s)
+    for k, f in enumerate(mcs):
+        close(r[k], mc_residual(poses[f.i - 1], poses[f.i], scale, f))
+        want_prev, want_curr, want_scale = mc_jacobians(poses[f.i - 1], poses[f.i],
+                                                        scale, f)
+        close(j_prev[k], want_prev)
+        close(j_curr[k], want_curr)
+        close(j_scale[k], want_scale)
+
+
+def scalar_cost(graph: FactorGraph) -> float:
+    """The total cost summed factor by factor through the scalar residuals."""
+    poses, scale = graph.poses, graph.scale
+    return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
+               for f in graph.factors)
+
+
+def test_stacked_cost_matches_scalar_cost():
     graph = chain_graph(np.random.default_rng(6))
     system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
                               graph.log_s)
-    assert system.cost == pytest.approx(graph.total_cost(), rel=1e-12)
+    assert system.cost == pytest.approx(scalar_cost(graph), rel=1e-12)
 
 
 def test_one_pose_graph():
@@ -221,7 +224,7 @@ def test_one_pose_graph():
     system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
                               graph.log_s)
     assert system.diag.shape == (1, 6, 6)
-    assert system.cost == pytest.approx(graph.total_cost(), rel=1e-12)
+    assert system.cost == pytest.approx(scalar_cost(graph), rel=1e-12)
     report = graph.optimize()
     assert report.converged and report.final_cost < 1e-20
     assert graph.scale.value == pytest.approx(2.0, rel=1e-12)
