@@ -6,10 +6,16 @@ downward (terrain is solid under its surface), and scanned with a bowl-shaped
 gripper mask. An anchor cell is graspable when every mask cell under it is
 occupied, i.e. the terrain fills the whole region the gripper's spines would
 envelop - which only convex bumps of roughly the bowl's curvature do.
+
+The detector has two paths with the same anchors. A solidified grid is a
+height map, and on it the search is a grayscale erosion of that map by the
+tops of the mask's columns (Serra 1982). Any other grid gets the whole mask
+slid over it cell by cell. ``detect_graspable`` says why the choice is exact.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -62,6 +68,8 @@ class VoxelGrid:
         object.__setattr__(self, "voxel_size", _voxel_size(self.voxel_size))
         object.__setattr__(self, "occupancy",
                            frozen(self.occupancy, (-1, -1, -1), "occupancy", bool))
+        if 0 in self.occupancy.shape:  # a dump of it would not read back
+            raise ValueError(f"occupancy dims must be positive, got {self.occupancy.shape}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -147,21 +155,27 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     if min_points < 1:
         raise ValueError("min_points must be >= 1")
 
-    pts = cloud.points
-    origin = pts.min(axis=0) - voxel_size
-    extent = pts.max(axis=0) + voxel_size - origin
+    # column by column: a reduction or a scalar operation over a strided
+    # column is many times faster than one over the (N, 3) rows
+    cols = [cloud.points[:, d] for d in range(3)]
+    origin = np.array([c.min() for c in cols]) - voxel_size
+    extent = np.array([c.max() for c in cols]) + voxel_size - origin
     shape = np.maximum(np.ceil(extent / voxel_size), 1.0)
     with _grid_alloc(float(np.prod(shape)), voxel_size):
-        dims = shape.astype(int)
-        occ = np.zeros(int(np.prod(dims)), dtype=bool)
-    idx = np.floor((pts - origin) / voxel_size).astype(int)
-    # guard the upper boundary against float round-up
-    idx = np.clip(idx, 0, dims - 1)
-    flat = np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), tuple(dims))
+        dims = tuple(int(n) for n in shape)
+        occ = np.zeros(math.prod(dims), dtype=bool)
+    flat = np.zeros(len(cloud), dtype=np.intp)  # C-order cell index
+    for d, c in enumerate(cols):
+        idx = c - origin[d]
+        idx /= voxel_size
+        np.floor(idx, out=idx)
+        # guard the upper boundary against float round-up
+        np.clip(idx, 0, dims[d] - 1, out=idx)
+        flat *= dims[d]
+        flat += idx.astype(np.intp)
     uniq, counts = np.unique(flat, return_counts=True)
     occ[uniq[counts >= min_points]] = True
-    return VoxelGrid(origin=origin, voxel_size=voxel_size,
-                     occupancy=occ.reshape(tuple(dims)))
+    return VoxelGrid(origin=origin, voxel_size=voxel_size, occupancy=occ.reshape(dims))
 
 
 def fill_below(grid: VoxelGrid) -> VoxelGrid:
@@ -210,6 +224,42 @@ def build_mask(outer_radius: float = DEFAULT_OUTER_RADIUS,
     return GripperMask(offsets=offsets, voxel_size=voxel_size)
 
 
+def _column_filled(occ: np.ndarray) -> bool:
+    """Whether every column of ``occ`` is occupied from z = 0 up to its
+    height and empty above, as ``fill_below`` leaves it."""
+    return not (occ[:, :, 1:] > occ[:, :, :-1]).any()
+
+
+def _slide_support(occ: np.ndarray, offs: np.ndarray, lo, window) -> np.ndarray:
+    """Over the anchor window starting at cell ``lo``: whether every mask
+    cell is occupied, by AND-ing the grid shifted by each offset."""
+    supported = np.ones(tuple(window), dtype=bool)
+    for o in offs:
+        sl = tuple(slice(int(lo[d] + o[d]), int(lo[d] + o[d] + window[d]))
+                   for d in range(3))
+        supported &= occ[sl]
+    return supported
+
+
+def _column_support(occ: np.ndarray, offs: np.ndarray, lo, window) -> np.ndarray:
+    """``_slide_support`` for a column-filled grid: z < ceiling(x, y), the
+    height map eroded by the mask's column tops (see ``detect_graspable``)."""
+    height = np.count_nonzero(occ, axis=2)
+    # one row per mask column, (dx, dy, top): the last offset of each
+    # column once sorted by dx, dy, dz
+    offs = offs[np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0]))]
+    last = np.append(np.any(offs[1:, :2] != offs[:-1, :2], axis=1), True)
+    wx, wy, wz = (int(w) for w in window)
+    # every z of the window lies below the grid's top: no bound yet
+    ceiling = np.full((wx, wy), occ.shape[2], dtype=height.dtype)
+    shifted = np.empty_like(ceiling)
+    for dx, dy, top in offs[last].tolist():
+        x, y = int(lo[0]) + dx, int(lo[1]) + dy
+        np.subtract(height[x:x + wx, y:y + wy], top, out=shifted)
+        np.minimum(ceiling, shifted, out=ceiling)
+    return np.arange(int(lo[2]), int(lo[2]) + wz) < ceiling[:, :, None]
+
+
 def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]:
     """Anchors whose entire mask lies on occupied cells, highest first.
 
@@ -217,6 +267,16 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
     close to the boundary never match. Ties in height are ordered by (x, y)
     cell index ascending. An empty result is a valid outcome (e.g. flat
     ground: nothing convex to envelop).
+
+    Two paths give the same anchors. On a column-filled grid, as
+    ``fill_below`` leaves it, cell (x, y, z) is occupied iff z < height(x, y).
+    The anchor window keeps every z + dz inside the grid, so mask cell
+    (dx, dy, dz) is occupied iff z + dz < height(x + dx, y + dy), and the top
+    cell of each mask column decides for the whole column: anchor (x, y, z)
+    is supported iff z < min over mask columns of height(x + dx, y + dy) -
+    top(dx, dy). That is exact, not an approximation. The property is tested
+    on the grid itself, so any other grid gets the mask slid over it cell by
+    cell.
     """
     if abs(grid.voxel_size - mask.voxel_size) > 1e-12:
         raise DimensionMismatch(
@@ -228,13 +288,8 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
     hi = dims - 1 - np.maximum(0, offs.max(axis=0))
     if np.any(hi < lo):
         return []
-    window = hi - lo + 1
-    supported = np.ones(tuple(window), dtype=bool)
-    for o in offs:
-        sl = tuple(slice(int(lo[d] + o[d]), int(lo[d] + o[d] + window[d]))
-                   for d in range(3))
-        supported &= occ[sl]
-    anchors = np.argwhere(supported)
+    support = _column_support if _column_filled(occ) else _slide_support
+    anchors = np.argwhere(support(occ, offs, lo, hi - lo + 1))
     if anchors.size == 0:
         return []
     anchors += lo
@@ -338,20 +393,20 @@ def read_ply(path) -> PointCloud:
 def save_grid(path, grid: VoxelGrid) -> None:
     """Text dump: origin, voxel size, dims, run-length-encoded occupancy (C order)."""
     flat = grid.occupancy.ravel()
-    runs = []
-    if flat.size:
-        change = np.flatnonzero(np.diff(flat.view(np.int8))) + 1
-        starts = np.concatenate([[0], change])
-        lengths = np.diff(np.concatenate([starts, [flat.size]]))
-        runs = [f"{int(flat[s])}:{int(l)}" for s, l in zip(starts, lengths)]
+    starts = np.append(0, np.flatnonzero(np.diff(flat.view(np.int8))) + 1)
+    lengths = np.diff(np.append(starts, flat.size))
+    # one format call over Python ints: value, length, value, length, ...
+    runs = (" %d:%d" * len(starts)) % tuple(
+        np.column_stack([flat[starts], lengths]).ravel().tolist())
     write_records(path, [["origin", *grid.origin], ["voxel_size", grid.voxel_size],
-                         ["dims", *grid.dims], ["rle", *runs]])
+                         ["dims", *grid.dims], "rle" + runs])
 
 
 def load_grid(path) -> VoxelGrid:
     """Read a ``save_grid`` dump. A missing, repeated or malformed record, a
-    non-positive dim or voxel size, or a run value other than 0 or 1 is
-    ``CorruptArtifact`` at ``path:line``."""
+    non-positive dim or voxel size, a run value other than 0 or 1, a run
+    length that is not a whole number >= 0, or runs that do not add up to the
+    dims is ``CorruptArtifact`` at ``path:line``."""
     seen: set = set()
     rec = {}
     for lineno, tok in read_records(path):
@@ -368,14 +423,18 @@ def load_grid(path) -> VoxelGrid:
             raise ValueError(f"dims must be positive, got {dims}")
     lineno, runs = rec["rle"]
     with located(path, lineno):
-        pieces = []
+        values, lengths = [], []
         for val, length in (run.split(":") for run in runs):
             if val not in ("0", "1"):
                 raise ValueError(f"run value {val!r} is neither 0 nor 1")
-            pieces.append(np.full(int(length), val == "1", dtype=bool))
-    occ = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
-    if occ.size != int(np.prod(dims)):
-        raise CorruptArtifact(f"{path}: RLE length {occ.size} does not match dims {dims}")
+            values.append(val == "1")
+            lengths.append(int(length))
+        # all lengths are checked before the first run is allocated
+        if any(n < 0 for n in lengths):
+            raise ValueError(f"run length {min(lengths)} is negative")
+        if sum(lengths) != math.prod(dims):
+            raise ValueError(f"RLE length {sum(lengths)} does not match dims {dims}")
+    occ = np.concatenate([np.full(n, v, dtype=bool) for v, n in zip(values, lengths)])
     with located(path, rec["voxel_size"][0]):  # the grid refuses a bad voxel size
         return VoxelGrid(origin=origin, voxel_size=voxel, occupancy=occ.reshape(dims))
 

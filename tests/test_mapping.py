@@ -11,6 +11,8 @@ import struct
 import numpy as np
 import pytest
 
+import graspmap.mapping
+from graspmap.cli import main
 from graspmap.errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
                              DimensionMismatch, EmptyCloud)
 from graspmap.factors import ScaleVar
@@ -57,17 +59,19 @@ def mask_offsets_oracle(outer: float, inner: float, depth: float,
 
 
 def detect_oracle(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]:
-    occ = grid.occupancy
-    nx, ny, nz = occ.shape
+    # nested lists: the same loop, an order of magnitude faster than on arrays
+    occ = grid.occupancy.tolist()
+    offsets = mask.offsets.tolist()
+    nx, ny, nz = grid.dims
     anchors = []
     for x in range(nx):
         for y in range(ny):
             for z in range(nz):
                 good = True
-                for dx, dy, dz in mask.offsets:
+                for dx, dy, dz in offsets:
                     xx, yy, zz = x + dx, y + dy, z + dz
                     if not (0 <= xx < nx and 0 <= yy < ny and 0 <= zz < nz) \
-                            or not occ[xx, yy, zz]:
+                            or not occ[xx][yy][zz]:
                         good = False
                         break
                 if good:
@@ -81,8 +85,8 @@ def detect_oracle(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]:
 def same_detections(a: list[GraspablePoint], b: list[GraspablePoint]) -> bool:
     if len(a) != len(b):
         return False
-    return all(np.allclose(p.position, q.position, atol=1e-12)
-               and p.support_count == q.support_count for p, q in zip(a, b))
+    return (np.allclose([p.position for p in a], [q.position for q in b], atol=1e-12)
+            and [p.support_count for p in a] == [q.support_count for q in b])
 
 
 def hemisphere_surface_cloud(radius: float = DEFAULT_OUTER_RADIUS,
@@ -162,17 +166,66 @@ def test_voxelize_matches_binning_oracle():
     pts = rng.uniform(-0.05, 0.05, size=(10_000, 3))
     c = PointCloud(pts, METERS)
     for min_points in (1, 3):
-        grid = voxelize(c, 0.004, min_points=min_points)
-        oracle = voxelize_oracle(pts, 0.004, min_points)
-        assert np.allclose(grid.origin, oracle.origin, atol=0)
-        assert grid.dims == oracle.dims
-        assert np.array_equal(grid.occupancy, oracle.occupancy)
+        assert same_grid(voxelize(c, 0.004, min_points=min_points),
+                         voxelize_oracle(pts, 0.004, min_points))
+
+
+def same_grid(a: VoxelGrid, b: VoxelGrid) -> bool:
+    return (np.array_equal(a.origin, b.origin) and a.dims == b.dims
+            and np.array_equal(a.occupancy, b.occupancy))
+
+
+def test_voxelize_matches_oracle_on_voxel_faces():
+    """Lattice points lie on cell faces, and a face belongs to the cell above
+    it. The voxel is a power of two, so every coordinate and quotient is
+    exact and the two binnings must agree."""
+    rng = np.random.default_rng(15)
+    voxel = 0.25
+    lattice = rng.integers(-8, 8, size=(60, 3)) * voxel
+    pts = np.repeat(lattice, rng.integers(1, 5, size=60), axis=0)
+    for min_points in (1, 2, 3, 4):
+        assert same_grid(voxelize(PointCloud(pts, METERS), voxel, min_points),
+                         voxelize_oracle(pts, voxel, min_points))
+
+
+def test_voxelize_clips_a_maximum_that_rounds_past_the_grid():
+    """Next to 1e6 the voxel is a quarter of a float's spacing, so the padding
+    rounds away: the grid is 4 cells long in x, yet the far point's unclipped
+    index is 4. It belongs in the last cell."""
+    voxel = 2.0 ** -35
+    pts = np.array([[1e6, 0.0, 0.0], [1e6 + 2.0 ** -33, 0.0, 0.0]])
+    grid = voxelize(PointCloud(pts, METERS), voxel, min_points=1)
+    assert grid.dims[0] == 4
+    assert np.floor((pts[1, 0] - grid.origin[0]) / voxel) == 4
+    assert np.argwhere(grid.occupancy)[:, 0].tolist() == [0, 3]
+    assert same_grid(grid, voxelize_oracle(pts, voxel, 1))
+
+
+@pytest.mark.parametrize("min_points", [1, 2, 3, 4])
+def test_voxelize_single_point_matches_oracle(min_points):
+    pts = np.array([[0.013, -0.021, 0.007]])
+    grid = voxelize(PointCloud(pts, METERS), 0.002, min_points)
+    assert same_grid(grid, voxelize_oracle(pts, 0.002, min_points))
+    assert grid.occupancy.sum() == (min_points == 1)
+
+
+def test_voxelize_too_fine_to_allocate_names_voxel_size():
+    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], METERS)
+    with pytest.raises(ValueError, match="voxel_size=1e-07"):
+        voxelize(cloud, 1e-7)
 
 
 def test_voxelize_min_points_threshold():
     c = PointCloud([[0.0, 0.0, 0.0], [0.0001, 0.0, 0.0]], METERS)
     assert voxelize(c, 0.002, min_points=3).occupancy.sum() == 0
     assert voxelize(c, 0.002, min_points=2).occupancy.sum() == 1
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (3, 3, 0)])
+def test_grid_refuses_a_zero_dim(shape):
+    """A grid with no cells would be dumped as a dims record the reader refuses."""
+    with pytest.raises(ValueError, match="dims must be positive"):
+        VoxelGrid(origin=np.zeros(3), voxel_size=0.002, occupancy=np.zeros(shape, bool))
 
 
 # --- fill_below --------------------------------------------------------------------
@@ -311,6 +364,80 @@ def test_detect_monotone_under_added_occupancy():
     assert before_set <= after_set
 
 
+def random_height_grids(rng, count: int, voxel: float):
+    """``fill_below`` of random occupancies: column-filled grids whose
+    heights vary from column to column."""
+    for _ in range(count):
+        dims = tuple(int(d) for d in rng.integers(6, 41, size=3))
+        occ = rng.uniform(size=dims) < rng.uniform(0.05, 0.6)
+        yield fill_below(VoxelGrid(rng.normal(size=3), voxel, occ))
+
+
+def no_slide(*_):
+    raise AssertionError("the general slide ran on a column-filled grid")
+
+
+def test_column_path_matches_oracle_on_column_filled_grids(monkeypatch):
+    monkeypatch.setattr(graspmap.mapping, "_slide_support", no_slide)
+    rng = np.random.default_rng(16)
+    mask = small_mask()
+    found = 0
+    for grid in random_height_grids(rng, 100, 0.003):
+        hits = detect_graspable(grid, mask)
+        assert same_detections(hits, detect_oracle(grid, mask))
+        found += bool(hits)
+    assert found > 10  # not only empty results
+    # the default mask spans 31 cells across: a grid wide enough to hold it
+    default = build_mask()
+    occ = rng.uniform(size=(40, 40, 24)) < 0.3
+    grid = fill_below(VoxelGrid(np.zeros(3), DEFAULT_VOXEL_SIZE, occ))
+    hits = detect_graspable(grid, default)
+    assert hits and same_detections(hits, detect_oracle(grid, default))
+
+
+def test_column_path_mask_with_gaps_and_a_cell_above_the_anchor(monkeypatch):
+    """Only the top of each mask column counts, wherever its other cells lie,
+    including above the anchor."""
+    monkeypatch.setattr(graspmap.mapping, "_slide_support", no_slide)
+    mask = GripperMask(offsets=[[0, 0, -3], [0, 0, -1], [1, 0, -4], [1, 0, 2],
+                                [-1, 1, -2], [-1, 1, -5], [0, -2, 0]],
+                       voxel_size=0.003)
+    rng = np.random.default_rng(17)
+    found = 0
+    for grid in random_height_grids(rng, 30, 0.003):
+        hits = detect_graspable(grid, mask)
+        assert same_detections(hits, detect_oracle(grid, mask))
+        found += len(hits)
+    assert found > 0
+
+
+def test_grid_smaller_than_the_mask_yields_nothing():
+    mask = build_mask()
+    for occ in (np.ones((20, 40, 40), bool), np.ones((40, 40, 5), bool),
+                np.zeros((20, 40, 40), bool)):
+        grid = VoxelGrid(np.zeros(3), DEFAULT_VOXEL_SIZE, occ)
+        assert detect_graspable(grid, mask) == []
+
+
+def test_pipeline_detects_on_the_column_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(graspmap.mapping, "_slide_support", no_slide)
+    assert main(["pipeline", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "detect" / "graspable.csv").stat().st_size > 0
+
+
+def test_other_grids_take_the_slide(monkeypatch):
+    def no_columns(*_):
+        raise AssertionError("the column path ran on a grid that is not column-filled")
+
+    monkeypatch.setattr(graspmap.mapping, "_column_support", no_columns)
+    rng = np.random.default_rng(18)
+    mask = small_mask()
+    for _ in range(10):
+        occ = rng.uniform(size=tuple(rng.integers(8, 20, size=3))) < 0.8
+        grid = VoxelGrid(rng.normal(size=3), 0.003, occ)
+        assert same_detections(detect_graspable(grid, mask), detect_oracle(grid, mask))
+
+
 def test_hemisphere_fixture_detection():
     cloud = hemisphere_surface_cloud()
     grid = fill_below(voxelize(cloud, DEFAULT_VOXEL_SIZE, min_points=1))
@@ -447,12 +574,48 @@ def test_grid_round_trip(tmp_path):
     assert np.array_equal(back.occupancy, grid.occupancy)
 
 
+def grid_dump_reference(grid: VoxelGrid) -> str:
+    """The dump format, one run at a time."""
+    flat = grid.occupancy.ravel().tolist()
+    runs, start = [], 0
+    for k in range(1, len(flat) + 1):
+        if k == len(flat) or flat[k] != flat[start]:
+            runs.append(f"{int(flat[start])}:{k - start}")
+            start = k
+    return (f"origin {' '.join('%.17g' % v for v in grid.origin)}\n"
+            f"voxel_size {'%.17g' % grid.voxel_size}\n"
+            f"dims {' '.join(map(str, grid.dims))}\n"
+            f"rle {' '.join(runs)}\n")
+
+
+def test_grid_dump_bytes_match_a_per_run_formatter(tmp_path):
+    rng = np.random.default_rng(19)
+    occupancies = [np.zeros((4, 3, 5), bool), np.ones((4, 3, 5), bool),
+                   np.zeros((1, 1, 1), bool), np.ones((1, 1, 1), bool),
+                   *(rng.uniform(size=tuple(rng.integers(1, 12, size=3))) < p
+                     for p in (0.05, 0.5, 0.95))]
+    path = tmp_path / "grid.txt"
+    for occ in occupancies:
+        grid = VoxelGrid(rng.normal(size=3), rng.uniform(1e-3, 1e-2), occ)
+        save_grid(path, grid)
+        assert path.read_text() == grid_dump_reference(grid)
+        assert np.array_equal(load_grid(path).occupancy, occ)
+
+
 @pytest.mark.parametrize("edit, line", [
     (lambda d: d + "dims 1 2 1\n", 5),
     (lambda d: d.replace("rle 0:1 1:1", "rle 7:2"), 4),
     (lambda d: d.replace("dims 1 2 1", "dims -1 -2 1"), 3),
     (lambda d: d.replace("voxel_size 0.0025", "voxel_size -0.0025"), 2),
-], ids=["repeated-record", "run-value", "non-positive-dims", "non-positive-voxel-size"])
+    (lambda d: d.replace("rle 0:1 1:1", "rle 0:-1 1:3"), 4),
+    (lambda d: d.replace("rle 0:1 1:1", "rle 0:1.5 1:0.5"), 4),
+    (lambda d: d.replace("rle 0:1 1:1", "rle 0:1 1"), 4),
+    (lambda d: d.replace("rle 0:1 1:1", "rle 0:1:1"), 4),
+    (lambda d: d.replace("rle 0:1 1:1", "rle 0:99999999999999999999"), 4),
+    (lambda d: d.replace("rle 0:1 1:1", "rle"), 4),
+], ids=["repeated-record", "run-value", "non-positive-dims", "non-positive-voxel-size",
+        "negative-run-length", "fractional-run-length", "run-without-length",
+        "two-colons", "huge-run-length", "no-runs"])
 def test_grid_dump_refuses_a_malformed_record(tmp_path, edit, line):
     path = tmp_path / "grid.txt"
     save_grid(path, VoxelGrid(origin=np.zeros(3), voxel_size=0.0025,
