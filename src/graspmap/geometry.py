@@ -43,8 +43,13 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
     ``-1`` matches any length. A wrong shape raises ``error``. A float array
     must be finite, or ``ValueError`` is raised; with ``unit`` each vector
     along the last axis is scaled to unit norm, unless it already has it, and
-    must also be nonzero. Messages name ``what``."""
-    a = np.array(value, dtype=dtype)
+    must also be nonzero. Messages name ``what``. An array that is already
+    such a copy (read-only, of ``dtype``, C-contiguous and owning its data)
+    is returned as it is, once its shape and values pass."""
+    owned = (isinstance(value, np.ndarray) and not value.flags.writeable
+             and value.base is None and value.dtype == dtype
+             and value.flags.c_contiguous and not unit)
+    a = value if owned else np.array(value, dtype=dtype)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
         raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "

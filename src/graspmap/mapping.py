@@ -135,7 +135,9 @@ def scale_cloud(cloud: PointCloud, scale) -> PointCloud:
     s = scale.value if isinstance(scale, ScaleVar) else float(scale)
     if not (np.isfinite(s) and s > 0.0):
         raise ValueError(f"scale must be positive, got {s}")
-    return PointCloud(cloud.points * s, METERS)
+    points = cloud.points * s
+    points.flags.writeable = False  # PointCloud keeps it without a copy
+    return PointCloud(points, METERS)
 
 
 def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
@@ -314,7 +316,7 @@ def write_ply(path, cloud: PointCloud) -> None:
               "end_header\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(cloud.points.astype("<f8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(cloud.points, dtype="<f8"))
 
 
 def _ply_header(data: bytes):

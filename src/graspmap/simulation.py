@@ -13,6 +13,7 @@ identical across runs that differ only in ``true_scale``.
 
 # no ``from __future__ import annotations``: config field types are read at run time
 
+import logging
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -29,6 +30,8 @@ from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there a
 from .mapping import UNSCALED_UNITS, PointCloud
 from .records import (check_quaternions, config_number, float_fields, read_records,
                       read_table, read_yaml, write_records, write_yaml)
+
+log = logging.getLogger(__name__)
 
 _STREAMS = {"joints": 0, "vo_rot": 1, "vo_trans": 2, "cloud": 3}
 
@@ -231,46 +234,77 @@ def generate_vo(truth_poses, config: SimConfig) -> list[tuple[Rotation, np.ndarr
 
 
 def _sample_surface(terrain: Terrain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-by-area samples of the terrain surface (plane + bump caps)."""
+    """Uniform-by-area samples of the terrain surface (plane + bump caps), in
+    the order of their surface draws."""
     areas = [float(np.prod(terrain.patch_size))]
     areas += [2.0 * math.pi * h.radius ** 2 for h in terrain.hemispheres]
     weights = np.array(areas) / sum(areas)
     which = rng.choice(len(areas), size=n, p=weights)
-    pts = np.zeros((n, 3))
+    counts = np.bincount(which, minlength=len(areas))
+    # grouped by surface, each group in draw order; one scatter at the end
+    # puts the rows in draw order
+    grouped = np.empty((n, 3))
 
-    plane_sel = which == 0
-    n_plane = int(plane_sel.sum())
+    n_plane = int(counts[0])
     if n_plane:
         lo = terrain.patch_center - 0.5 * terrain.patch_size
+
+        def plane_xy(m):
+            u = rng.uniform(0.0, 1.0, (m, 2))
+            u *= terrain.patch_size
+            u += lo
+            return u
 
         def under_bump(q):
             hit = np.zeros(q.shape[0], dtype=bool)
             for h in terrain.hemispheres:
                 (cx, cy), r = h.center, h.radius
-                hit |= (q[:, 0] - cx) ** 2 + (q[:, 1] - cy) ** 2 < r ** 2
+                d2 = q[:, 0] - cx
+                d2 *= d2
+                dy = q[:, 1] - cy
+                dy *= dy
+                d2 += dy
+                hit |= d2 < r ** 2
             return hit
 
-        # points under a bump belong to the bump surface, not the plane
-        xy = lo + rng.uniform(0.0, 1.0, (n_plane, 2)) * terrain.patch_size
-        bad = under_bump(xy)
-        while bad.any():
-            xy[bad] = lo + rng.uniform(0.0, 1.0, (int(bad.sum()), 2)) * terrain.patch_size
-            bad = under_bump(xy)
-        pts[plane_sel] = np.column_stack([xy, np.full(n_plane, terrain.plane_z)])
+        # points under a bump belong to the bump surface, not the plane;
+        # only a redrawn point can land under one again
+        xy = plane_xy(n_plane)
+        idx = np.flatnonzero(under_bump(xy))
+        while idx.size:
+            xy[idx] = plane_xy(idx.size)
+            idx = idx[under_bump(xy[idx])]
+        grouped[:n_plane, :2] = xy
+        grouped[:n_plane, 2] = terrain.plane_z
 
-    for k, h in enumerate(terrain.hemispheres, start=1):
-        sel = which == k
-        m = int(sel.sum())
+    start = n_plane
+    for h, m in zip(terrain.hemispheres, counts[1:].tolist()):
         if not m:
             continue
+        cap = grouped[start:start + m]
+        start += m
         zn = rng.uniform(0.0, 1.0, m)          # uniform area on a sphere: z uniform
         az = rng.uniform(0.0, 2.0 * math.pi, m)
-        rxy = np.sqrt(np.maximum(0.0, 1.0 - zn ** 2))
-        pts[sel] = np.column_stack([
-            h.center[0] + h.radius * rxy * np.cos(az),
-            h.center[1] + h.radius * rxy * np.sin(az),
-            terrain.plane_z + h.radius * zn,
-        ])
+        rxy = zn * zn
+        np.subtract(1.0, rxy, out=rxy)
+        np.maximum(0.0, rxy, out=rxy)
+        np.sqrt(rxy, out=rxy)
+        rxy *= h.radius
+        for axis, trig in ((0, np.cos), (1, np.sin)):
+            # into a fresh array, not the strided column: the ufunc's loop,
+            # and so the last bit of cos and sin, can depend on the layout
+            c = trig(az)
+            c *= rxy
+            c += h.center[axis]
+            cap[:, axis] = c
+        zn *= h.radius
+        zn += terrain.plane_z
+        cap[:, 2] = zn
+
+    # a stable sort of the narrowest integer type is a radix sort
+    order = np.argsort(which.astype(np.min_scalar_type(len(areas) - 1)), kind="stable")
+    pts = np.empty((n, 3))
+    pts[order] = grouped
     return pts
 
 
@@ -278,9 +312,15 @@ def _visible(points: np.ndarray, pose: Pose, fov_deg: float) -> np.ndarray:
     """Frustum test: within half the field of view of the camera's +z axis."""
     bore = pose.rotation.apply(np.array([0.0, 0.0, 1.0]))
     v = points - pose.translation
-    dist = np.linalg.norm(v, axis=1)
     along = v @ bore
-    return (along > 0.0) & (along >= dist * math.cos(math.radians(0.5 * fov_deg)))
+    # the distance as np.linalg.norm(v, axis=1) takes it, without its temporaries
+    v *= v
+    dist = np.add.reduce(v, axis=1)
+    np.sqrt(dist, out=dist)
+    dist *= math.cos(math.radians(0.5 * fov_deg))
+    seen = along >= dist
+    seen &= along > 0.0
+    return seen
 
 
 def generate_cloud(truth_poses, config: SimConfig) -> PointCloud:
@@ -288,31 +328,38 @@ def generate_cloud(truth_poses, config: SimConfig) -> PointCloud:
 
     Samples ``cloud_points_per_keyframe`` surface points seen from each
     keyframe, divides by the true scale, and adds isotropic noise with the
-    tracker's translation noise level (both in map units).
+    tracker's translation noise level (both in map units). A keyframe that
+    sees too little terrain in 200 batches keeps what it found; the shortfall
+    is logged at INFO.
     """
     rng = _rng(config.seed, "cloud")
     fov = config.camera.fov_deg
-    collected = []
+    want = config.cloud_points_per_keyframe
+    parts = []
+    short = missing = 0
     for pose in truth_poses:
-        want = config.cloud_points_per_keyframe
-        got = []
         remaining = want
         for _ in range(200):
             batch = _sample_surface(config.terrain, max(2 * remaining, 512), rng)
-            vis = batch[_visible(batch, pose, fov)]
-            if vis.shape[0]:
-                got.append(vis[:remaining])
-                remaining = want - sum(g.shape[0] for g in got)
+            rows = np.flatnonzero(_visible(batch, pose, fov))[:remaining]
+            if rows.size:
+                parts.append(batch[rows])
+                remaining -= rows.size
             if remaining <= 0:
                 break
-        if got:
-            collected.append(np.concatenate(got, axis=0))
-    if not collected:
+        if remaining > 0:
+            short += 1
+            missing += remaining
+    if not parts:
         raise NoVisibleTerrain("no terrain surface falls inside any keyframe frustum")
-    metric = np.concatenate(collected, axis=0)
-    unscaled = metric / config.true_scale
-    unscaled = unscaled + rng.normal(0.0, config.vo_trans_noise_stddev, unscaled.shape)
-    return PointCloud(unscaled, UNSCALED_UNITS)
+    if short:
+        log.info("%d of %d keyframes saw too little terrain: the cloud is %d points "
+                 "short of %d", short, len(truth_poses), missing, want * len(truth_poses))
+    cloud = np.concatenate(parts, axis=0)
+    cloud /= config.true_scale
+    cloud += rng.normal(0.0, config.vo_trans_noise_stddev, cloud.shape)
+    cloud.flags.writeable = False  # PointCloud keeps it without a copy
+    return PointCloud(cloud, UNSCALED_UNITS)
 
 
 def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:

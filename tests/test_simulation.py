@@ -1,7 +1,12 @@
 """Synthetic data generation: trajectory, tracker deltas, terrain cloud, I/O."""
 
 import dataclasses
+import hashlib
+import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,7 @@ from graspmap.geometry import Pose, compose, inverse
 from graspmap.kinematics import default_limb, fk_pose
 from graspmap.mapping import UNSCALED_UNITS
 from graspmap.simulation import (CameraModel, Hemisphere, SimConfig, Terrain,
-                                 config_from_dict, config_to_dict,
+                                 _sample_surface, config_from_dict, config_to_dict,
                                  default_terrain, generate_cloud,
                                  generate_trajectory, generate_vo, load_config,
                                  read_bundle, save_config, simulate,
@@ -156,12 +161,131 @@ def test_cloud_noise_level_on_open_plane():
     assert abs(np.sqrt(np.mean(z ** 2)) - expected) < 0.2 * expected
 
 
+def sample_surface_reference(terrain: Terrain, n: int, rng) -> np.ndarray:
+    """The sampler as a pass per surface and per rejection round over every
+    plane sample; ``_sample_surface`` must take the same draws to the bit."""
+    areas = [float(np.prod(terrain.patch_size))]
+    areas += [2.0 * math.pi * h.radius ** 2 for h in terrain.hemispheres]
+    which = rng.choice(len(areas), size=n, p=np.array(areas) / sum(areas))
+    pts = np.zeros((n, 3))
+    plane_sel = which == 0
+    n_plane = int(plane_sel.sum())
+    if n_plane:
+        lo = terrain.patch_center - 0.5 * terrain.patch_size
+
+        def under_bump(q):
+            hit = np.zeros(q.shape[0], dtype=bool)
+            for h in terrain.hemispheres:
+                (cx, cy), r = h.center, h.radius
+                hit |= (q[:, 0] - cx) ** 2 + (q[:, 1] - cy) ** 2 < r ** 2
+            return hit
+
+        xy = lo + rng.uniform(0.0, 1.0, (n_plane, 2)) * terrain.patch_size
+        bad = under_bump(xy)
+        while bad.any():
+            xy[bad] = lo + rng.uniform(0.0, 1.0, (int(bad.sum()), 2)) * terrain.patch_size
+            bad = under_bump(xy)
+        pts[plane_sel] = np.column_stack([xy, np.full(n_plane, terrain.plane_z)])
+    for k, h in enumerate(terrain.hemispheres, start=1):
+        sel = which == k
+        m = int(sel.sum())
+        if not m:
+            continue
+        zn = rng.uniform(0.0, 1.0, m)
+        az = rng.uniform(0.0, 2.0 * math.pi, m)
+        rxy = np.sqrt(np.maximum(0.0, 1.0 - zn ** 2))
+        pts[sel] = np.column_stack([h.center[0] + h.radius * rxy * np.cos(az),
+                                    h.center[1] + h.radius * rxy * np.sin(az),
+                                    terrain.plane_z + h.radius * zn])
+    return pts
+
+
+def many_bumps(count: int) -> Terrain:
+    """``count`` small bumps on a grid inside the default patch."""
+    side = math.ceil(math.sqrt(count))
+    step = 0.15 / side
+    centers = [(0.175 + step * (i % side + 0.5), -0.075 + step * (i // side + 0.5))
+               for i in range(count)]
+    return Terrain(plane_z=0.01, hemispheres=tuple(Hemisphere(c, 0.3 * step)
+                                                   for c in centers))
+
+
+@pytest.mark.parametrize("terrain", [default_terrain(), Terrain(), many_bumps(300)],
+                         ids=["default", "flat", "300-bumps"])
+def test_sampler_takes_the_reference_draws(terrain):
+    """Same points, in the same order, and the stream left in the same state;
+    300 bumps make more surfaces than a byte can number."""
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for n in (1, 512, 20000):
+        pts = _sample_surface(terrain, n, rng)
+        assert pts.tobytes() == sample_surface_reference(terrain, n, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_no_visible_terrain():
     config = SimConfig(camera=CameraModel(fov_deg=1e-3), keyframes=2,
                        cloud_points_per_keyframe=1)
     _, truth_poses = generate_trajectory(default_limb(), config)
     with pytest.raises(NoVisibleTerrain):
         generate_cloud(truth_poses, config)
+
+
+# Clouds of the sampler as it was before it moved to in-place passes: the
+# draws from the cloud stream, their order and every rounding stay the same.
+CLOUD_DIGESTS = [
+    ({}, "8e2bf002852aaf27a32102485674dc0fe01d5a6d6348072cb48801da536ffb39"),
+    (dict(seed=7), "822f98ebe04d5b6d2d8435a036a14f3defd7ee641c1074dced7fb1cb8256071f"),
+    (dict(seed=0, keyframes=320, cloud_points_per_keyframe=1),
+     "c1bd23e4458be1d239402f6a58ac43ec985cc296a9afb694e52daf132cdcfe4f"),
+    (dict(seed=12, cloud_points_per_keyframe=150),
+     "43e88624de70d6cf8d82b24f5a3684647f665749e7d4710bab5f0d3fb30da0af"),
+    # 9 of 300 points: every keyframe comes up short
+    (dict(seed=3, keyframes=6, cloud_points_per_keyframe=50,
+          camera=CameraModel(fov_deg=0.5)),
+     "58dcce9b6fa7b6816d4d9291829769068238f5c0d89162fa0d7dc8678e40e458"),
+]
+
+
+def cloud_digest(config: SimConfig) -> str:
+    return hashlib.sha256(simulate(config).cloud.points.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kw, digest", CLOUD_DIGESTS)
+def test_cloud_bytes_are_pinned(kw, digest):
+    assert cloud_digest(SimConfig(**kw)) == digest
+
+
+def test_cloud_bytes_do_not_depend_on_the_allocator():
+    """Array alignment follows the allocator, and the frustum test's dot
+    product goes through BLAS; a child process with every block above 128 KiB
+    mapped on its own must still draw the same cloud."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import hashlib; from graspmap.simulation import SimConfig, simulate; "
+            "print(hashlib.sha256(simulate(SimConfig(seed=12, cloud_points_per_keyframe=150))"
+            ".cloud.points.tobytes()).hexdigest())")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == cloud_digest(SimConfig(seed=12, cloud_points_per_keyframe=150))
+
+
+def test_short_keyframes_are_logged_once(caplog):
+    config = SimConfig(seed=3, keyframes=6, cloud_points_per_keyframe=50,
+                       camera=CameraModel(fov_deg=0.5))
+    with caplog.at_level(logging.INFO, logger="graspmap.simulation"):
+        bundle = simulate(config)
+    assert len(bundle.cloud) == 9
+    records = [r for r in caplog.records if r.name == "graspmap.simulation"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert records[0].getMessage() == ("6 of 6 keyframes saw too little terrain: "
+                                       "the cloud is 291 points short of 300")
+
+
+def test_full_keyframes_log_nothing(caplog):
+    with caplog.at_level(logging.INFO, logger="graspmap.simulation"):
+        simulate(SimConfig(seed=12, cloud_points_per_keyframe=150))
+    assert not [r for r in caplog.records if r.name == "graspmap.simulation"]
 
 
 # --- whole-bundle behaviour -----------------------------------------------------------

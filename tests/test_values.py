@@ -126,6 +126,32 @@ def test_stored_array_is_a_read_only_copy(name):
         stored.flat[0] = 0
 
 
+@pytest.mark.parametrize("name", [name for name in FIELDS if name not in UNIT_FIELDS])
+def test_stored_array_is_kept_as_the_field(name):
+    """A stored array (read-only, owning its data) builds a value without a copy."""
+    build, good, _, _ = FIELDS[name]
+    stored = build(np.array(good))
+    assert build(stored) is stored
+
+
+def test_only_a_read_only_owned_array_is_shared():
+    points = np.ones((4, 3))
+    cloud = PointCloud(points, METERS)
+    points[0, 0] = 9.0  # a writeable source was copied
+    assert cloud.points[0, 0] == 1.0
+    points.flags.writeable = False
+    assert PointCloud(points, METERS).points is points
+    view = points[1:]  # read-only, but another array owns its data
+    assert not np.shares_memory(PointCloud(view, METERS).points, points)
+    single = points.astype(np.float32)
+    single.flags.writeable = False
+    assert PointCloud(single, METERS).points.dtype == float
+    bad = np.full((1, 3), np.nan)
+    bad.flags.writeable = False  # a shared array is checked all the same
+    with pytest.raises(ValueError, match="must be finite"):
+        PointCloud(bad, METERS)
+
+
 @pytest.mark.parametrize("name", UNIT_FIELDS)
 def test_zero_unit_vector_raises_value_error(name):
     build, good, _, _ = FIELDS[name]
