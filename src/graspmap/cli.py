@@ -244,13 +244,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic data bundle")
     _add_sim_flags(p)
-    p.add_argument("--limb", help="limb model YAML (default: built-in 4-joint limb)")
+    p.add_argument("--limb", help="limb model YAML (default: built-in limb, configs/limb.yaml)")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="estimate poses and metric scale from a bundle")
     p.add_argument("bundle", help="bundle directory from 'simulate'")
-    p.add_argument("--limb", help="limb model YAML (default: built-in 4-joint limb)")
+    p.add_argument("--limb", help="limb model YAML (default: built-in limb, configs/limb.yaml)")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="directory for graph and report")
     p.set_defaults(func=cmd_solve)
@@ -263,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="simulate, solve, scale, and detect in one run")
     _add_sim_flags(p)
-    p.add_argument("--limb", help="limb model YAML (default: built-in 4-joint limb)")
+    p.add_argument("--limb", help="limb model YAML (default: built-in limb, configs/limb.yaml)")
     _add_solver_flags(p)
     _add_detect_flags(p)
     p.add_argument("--stage", choices=("simulate", "solve", "detect"),

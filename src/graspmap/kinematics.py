@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import DimensionMismatch
 from .geometry import (Pose, Rotation, compose, compose_stacked, frozen,
-                       inverse, inverse_stacked, pose_from_seven,
-                       pose_to_seven, quat_unit, se3_log_stacked,
+                       inverse, inverse_stacked, quat_unit, se3_log_stacked,
                        so3_exp_stacked)
-from .records import config_number, read_yaml, write_yaml
+from .records import load_mapping, to_mapping, write_yaml
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class Joint:
     offset: Pose
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", frozen(self.axis, (3,), "joint axis", unit=True))
+        object.__setattr__(self, "axis", frozen(self.axis, (3,), "axis", unit=True))
 
 
 @dataclass(frozen=True)
@@ -155,51 +154,14 @@ def default_limb() -> LimbModel:
     return LimbModel(joints=joints, base_pose=trans(0.0, 0.0, 0.30), gripper_offset=gripper)
 
 
-# --- model file format --------------------------------------------------------
-#
-# YAML document:
-#   base_pose: [tx, ty, tz, qw, qx, qy, qz]
-#   gripper_offset: [tx, ty, tz, qw, qx, qy, qz]
-#   joints:
-#     - axis: [x, y, z]
-#       offset: [tx, ty, tz, qw, qx, qy, qz]
+# --- model file: LimbModel's fields are its schema (records.from_mapping) ----------
 
 
 def save_limb(path, model: LimbModel) -> None:
-    write_yaml(path, {
-        "base_pose": [float(v) for v in pose_to_seven(model.base_pose)],
-        "gripper_offset": [float(v) for v in pose_to_seven(model.gripper_offset)],
-        "joints": [
-            {"axis": [float(v) for v in j.axis],
-             "offset": [float(v) for v in pose_to_seven(j.offset)]}
-            for j in model.joints
-        ],
-    })
+    write_yaml(path, to_mapping(model))
 
 
 def load_limb(path) -> LimbModel:
-    """The limb model in ``path``; a missing or invalid value is a
-    ``ConfigError`` naming the file."""
-    doc = read_yaml(path, ConfigError)
-
-    def named(name, build, *args):
-        """``build(*args)``, where a value it rejects is an error naming ``name``."""
-        try:
-            return build(*args)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-
-    def seven(name, value):
-        return named(name, pose_from_seven, config_number(name, value, length=7))
-
-    try:
-        joints = tuple(named(f"joints[{k}].axis", Joint,
-                             config_number(f"joints[{k}].axis", j["axis"], length=3),
-                             seven(f"joints[{k}].offset", j["offset"]))
-                       for k, j in enumerate(doc["joints"]))
-        return LimbModel(joints=joints, base_pose=seven("base_pose", doc["base_pose"]),
-                         gripper_offset=seven("gripper_offset", doc["gripper_offset"]))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    """The limb model in ``path``; a missing, unknown or invalid key is a
+    ``ConfigError`` naming the file and the key."""
+    return load_mapping(LimbModel, path)

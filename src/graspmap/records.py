@@ -1,6 +1,6 @@
 """Plain-text record format shared by the artifacts the stages exchange, the
-one reader and writer of every YAML document, and the check of the numbers a
-configuration file holds.
+one reader and writer of every YAML document and of a dataclass as a YAML
+mapping, and the check of the numbers a configuration file holds.
 
 One record per line; ``#`` starts a comment. Reading errors raise
 ``CorruptArtifact`` naming ``path:line``.
@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 from numbers import Real
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError, CorruptArtifact
-from .geometry import frozen, unit_norms_ok
+from .geometry import Pose, frozen, pose_from_seven, pose_to_seven, unit_norms_ok
 
 
 def float_fields(count: int, sep: str = " ") -> str:
@@ -126,18 +128,20 @@ def numbers(path, lineno: int, tokens, count: int, kind=float) -> list:
 
 def config_number(name: str, value, kind: type = float, length: int | None = None):
     """A configured ``value`` as a finite ``kind``, int or float, or given
-    ``length``, as a read-only array of that many finite floats. Anything
-    else, a boolean or a string included, is a ``ConfigError`` naming ``name``."""
+    ``length``, as a read-only array of that many finite floats, any count for
+    ``-1``. Anything else, a boolean or a string included, is a
+    ``ConfigError`` naming ``name``."""
     # element by element: np.array(..., dtype=float) takes True and "1" as 1.0
     items = np.array(value, dtype=object)
     real = all(isinstance(v, Real) and not isinstance(v, bool) for v in items.flat)
     a = items.astype(float) if real else np.array(math.nan)
     shape = () if length is None else (length,)
-    if (a.shape != shape or not np.isfinite(a).all()
+    if (a.shape != shape and (length != -1 or a.ndim != 1) or not np.isfinite(a).all()
             or kind is int and not float(a).is_integer()):
+        count = "" if length == -1 else f"{length} "
         want = ("a whole number" if kind is int else "a finite number" if length is None
-                else f"a list of {length} finite numbers")
-        raise ConfigError(f"{name} must be {want}, got {value!r}")
+                else f"a list of {count}finite numbers")
+        raise ConfigError(f"{name} must be {want}, got {items.tolist()!r}")
     a = frozen(a, shape, name)
     return a if length is not None else kind(a)
 
@@ -164,3 +168,73 @@ def write_yaml(path, doc) -> None:
     """Write ``doc`` as block-style YAML, keys in insertion order."""
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
+
+
+# --- dataclasses as YAML mappings ----------------------------------------------------
+
+
+def from_mapping(cls, doc, prefix: str = ""):
+    """The dataclass ``cls`` from ``doc``, a mapping of its field names to values
+    as ``to_mapping`` writes them; a key left out takes the field's default. By
+    field type (string annotations resolve), a dataclass is a nested mapping, a
+    tuple a list of mappings, a ``Pose`` seven numbers and an array a list of
+    numbers; other values go to ``cls`` for its own checks. An unknown or
+    missing key, or a refused value, is a ``ConfigError`` naming its place
+    after ``prefix``: ``section: field`` in a section, ``name[k].field`` in a list."""
+    where = f"{prefix.rstrip(': .')}: " if prefix else ""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}expected a mapping, got {doc!r}")
+    types = get_type_hints(cls)
+    unknown = [key for key in doc if key not in types]
+    if unknown:
+        raise ConfigError(f"{where}unknown keys: {sorted(unknown, key=str)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}missing keys: {missing}")
+    kwargs = {name: _read_value(types[name], prefix + name, value) for name, value in doc.items()}
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ValueError) as exc:  # the class's own check, naming its field
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _read_value(kind, path: str, value):
+    """``value`` read as a field of type ``kind`` whose place is ``path``."""
+    if kind is Pose:
+        try:
+            return pose_from_seven(config_number(path, value, length=7))
+        except ValueError as exc:  # a quaternion of no rotation
+            raise ConfigError(f"{path}: {exc}") from exc
+    if kind is np.ndarray:
+        return config_number(path, value, length=-1)
+    if is_dataclass(kind):
+        return from_mapping(kind, value, f"{path}: ")
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(from_mapping(get_args(kind)[0], v, f"{path}[{k}].")
+                     for k, v in enumerate(value))
+    return value
+
+
+def to_mapping(value):
+    """``value``, a dataclass, as plain YAML values, keys in field order, as
+    ``from_mapping`` reads them."""
+    if isinstance(value, Pose):
+        return pose_to_seven(value).tolist()
+    if is_dataclass(value):
+        return {f.name: to_mapping(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_mapping(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def load_mapping(cls, path):
+    """The dataclass ``cls`` in the YAML file ``path`` (an empty file is an
+    empty mapping); an error is a ``ConfigError`` naming ``path``."""
+    doc = read_yaml(path, ConfigError)
+    try:
+        return from_mapping(cls, {} if doc is None else doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -15,9 +15,8 @@ identical across runs that differ only in ``true_scale``.
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -28,8 +27,9 @@ from .kinematics import JointReading, LimbModel, default_limb, fk_poses
 from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.py
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
-from .records import (check_quaternions, config_number, float_fields, read_records,
-                      read_table, read_yaml, write_records, write_yaml)
+from .records import (check_quaternions, config_number, float_fields, from_mapping,
+                      load_mapping, read_records, read_table, read_yaml, to_mapping,
+                      write_records, write_yaml)
 
 log = logging.getLogger(__name__)
 
@@ -377,60 +377,22 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
                      cloud=generate_cloud(truth_poses, config))
 
 
-# --- config file -------------------------------------------------------------------
+# --- config file: SimConfig's fields are its schema (records.from_mapping) -----------
 
-def config_to_dict(config) -> dict:
-    """A config dataclass as plain YAML values, in field order: sections become
-    nested dicts, arrays and tuples lists of Python numbers."""
-    def plain(value):
-        if is_dataclass(value):
-            return config_to_dict(value)
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return value.tolist() if isinstance(value, np.ndarray) else value
-    return {f.name: plain(getattr(config, f.name)) for f in fields(config)}
+
+config_to_dict = to_mapping
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    return _from_dict(SimConfig, doc)
-
-
-def _from_dict(cls, doc):
-    """A config dataclass ``cls`` from a mapping of its fields, recursing into
-    section and tuple fields; a missing key takes the field's default."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"expected a mapping, got {doc!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown, key=str)}")
-    kwargs = {}
-    for name, value in doc.items():
-        kind = types[name]
-        try:
-            if is_dataclass(kind):
-                value = _from_dict(kind, value)
-            elif get_origin(kind) is tuple:
-                value = tuple(_from_dict(get_args(kind)[0], v) for v in value)
-        except (ConfigError, TypeError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # a field without a default is missing
-        raise ConfigError(str(exc)) from exc
+    return from_mapping(SimConfig, doc)
 
 
 def load_config(path) -> SimConfig:
-    doc = read_yaml(path, ConfigError)
-    try:
-        return config_from_dict({} if doc is None else doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return load_mapping(SimConfig, path)
 
 
 def save_config(path, config: SimConfig) -> None:
-    write_yaml(path, config_to_dict(config))
+    write_yaml(path, to_mapping(config))
 
 
 # --- bundle directory ----------------------------------------------------------------
@@ -465,7 +427,7 @@ def write_bundle(directory, bundle: SimBundle) -> list[str]:
                       np.hstack([bundle.vo_trans, bundle.vo_quats]).tolist(), 1)),
                   comment="step,dtx,dty,dtz,qw,qx,qy,qz (translation in map units)")
     mapping.write_ply(d / CLOUD_FILE, bundle.cloud)
-    write_yaml(d / MANIFEST_FILE, {"config": config_to_dict(bundle.config)})
+    write_yaml(d / MANIFEST_FILE, {"config": to_mapping(bundle.config)})
     return list(BUNDLE_FILES)
 
 

@@ -123,6 +123,31 @@ def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text, wha
     assert "config error" in err and "bad.yaml" in err and what in err, err
 
 
+POSES = LIMB.split("joints:")[0]  # the limb's base_pose and gripper_offset lines
+
+
+@pytest.mark.parametrize("text, what", [
+    (LIMB + "noise:\n  joint_noise_stddev: 0.002\n", "unknown keys: ['noise']"),
+    (LIMB + "gripper_ofset: [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]\n",
+     "unknown keys: ['gripper_ofset']"),
+    (LIMB.replace("{axis:", "{damping: 0.1, axis:", 1), "joints[0]: unknown keys: ['damping']"),
+    ("", "missing keys: ['joints', 'base_pose', 'gripper_offset']"),
+    ("- joints\n- base_pose\n", "expected a mapping, got ['joints', 'base_pose']"),
+    (POSES + "joints: 5\n", "joints must be a list, got 5"),
+    (POSES + "joints: [5]\n", "joints[0]: expected a mapping, got 5"),
+], ids=["unknown-top-level", "misspelt-beside-right", "unknown-per-joint", "empty",
+        "list-document", "joints-a-number", "joint-a-number"])
+def test_simulate_limb_of_the_wrong_shape_exits_2_naming_the_key(tmp_path, capsys, text, what):
+    """The limb file is read against its schema as the config file is: an
+    unknown key, or a document, list or joint of the wrong kind, is named."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["simulate", "--limb", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[simulate] config error: {bad}: {what}"), err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_boolean_seed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("seed: true\n")

@@ -2,6 +2,7 @@
 loop and the matrix oracle."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +259,10 @@ def test_limb_yaml_round_trip(tmp_path):
         q = rng.uniform(-1.0, 1.0, 4)
         assert np.allclose(fk_pose(back, q).matrix(),
                            fk_pose(model, q).matrix(), atol=1e-12)
+
+
+def test_default_limb_file_matches_the_default_limb(tmp_path):
+    path = tmp_path / "limb.yaml"
+    save_limb(path, default_limb())
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "limb.yaml"
+    assert path.read_bytes() == shipped.read_bytes()

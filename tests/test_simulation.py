@@ -384,6 +384,14 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"warp_factor": 9})
 
 
+def test_config_error_names_the_hemisphere_by_index():
+    doc = config_to_dict(SimConfig())
+    doc["terrain"]["hemispheres"][1]["radius"] = -1
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == "terrain: hemispheres[1].radius must be positive"
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="keyframes"):
         SimConfig(keyframes=1)
