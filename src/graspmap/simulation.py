@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
-from .geometry import Pose, Rotation, compose, frozen, inverse, so3_exp
+from .geometry import (Pose, Rotation, compose_stacked, frozen, inverse_stacked,
+                       quat_rotate, quat_unit, so3_exp_stacked)
+from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import JointReading, LimbModel, default_limb, fk_poses
 from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.py
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
@@ -185,9 +187,11 @@ def _sweep_angles(model: LimbModel, config: SimConfig) -> np.ndarray:
     return np.stack([th1, th2, th3, th4], axis=1)
 
 
-def generate_trajectory(model: LimbModel, config: SimConfig
-                        ) -> tuple[list[JointReading], list[Pose]]:
-    """Noisy encoder readings plus the true gripper poses they approximate."""
+def _trajectory(model: LimbModel, config: SimConfig
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``generate_trajectory`` as arrays: timestamps (n,), noisy joint readings
+    (n, dof), and the true gripper poses as (n, 4) quaternions and (n, 3)
+    translations."""
     base_xy = model.base_pose.translation[:2]
     dist = float(np.linalg.norm(config.terrain.patch_center - base_xy))
     if dist > model.reach():
@@ -201,12 +205,41 @@ def generate_trajectory(model: LimbModel, config: SimConfig
     rng = _rng(config.seed, "joints")
     noisy = truth + rng.normal(0.0, config.joint_noise_stddev, truth.shape)
     timestamps = np.arange(config.keyframes) / config.camera.rate_hz
-    readings = [JointReading(t, a) for t, a in zip(timestamps, noisy)]
-    quats, trans = fk_poses(model, truth)
-    return readings, [Pose(Rotation(q), t) for q, t in zip(quats, trans)]
+    return (timestamps, noisy, *fk_poses(model, truth))
+
+
+def generate_trajectory(model: LimbModel, config: SimConfig
+                        ) -> tuple[list[JointReading], list[Pose]]:
+    """Noisy encoder readings plus the true gripper poses they approximate."""
+    timestamps, noisy, quats, trans = _trajectory(model, config)
+    return ([JointReading(t, a) for t, a in zip(timestamps, noisy)],
+            [Pose(Rotation(q), t) for q, t in zip(quats, trans)])
+
+
+def _pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Poses as (n, 4) quaternions and (n, 3) translations."""
+    return (np.array([p.rotation.quat for p in poses]).reshape(-1, 4),
+            np.array([p.translation for p in poses]).reshape(-1, 3))
 
 
 # --- tracker deltas ----------------------------------------------------------------
+
+
+def _vo_steps(quats: np.ndarray, trans: np.ndarray, config: SimConfig
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """``generate_vo`` on poses given as (n, 4) quaternions and (n, 3)
+    translations: the steps as (n - 1, 4) rotations and (n - 1, 3)
+    translations, each row what the per-step product gives bit for bit."""
+    shape = (max(len(quats) - 1, 0), 3)
+    dq, dt = compose_stacked(*inverse_stacked(quats[:-1], trans[:-1]), quats[1:], trans[1:])
+    # zero stddev still consumes the stream, so noiseless and noisy runs
+    # with one seed stay draw-for-draw aligned
+    noise = _rng(config.seed, "vo_rot").normal(0.0, config.vo_rot_noise_stddev, shape)
+    # the noise rotation composed as a pose with no translation
+    vo_quats, _ = compose_stacked(dq, dt, quat_unit(so3_exp_stacked(noise)), np.zeros(3))
+    dt /= config.true_scale
+    dt += _rng(config.seed, "vo_trans").normal(0.0, config.vo_trans_noise_stddev, shape)
+    return vo_quats, dt
 
 
 def generate_vo(truth_poses, config: SimConfig) -> list[tuple[Rotation, np.ndarray]]:
@@ -216,111 +249,203 @@ def generate_vo(truth_poses, config: SimConfig) -> list[tuple[Rotation, np.ndarr
     the translation divided by ``true_scale``; noise goes on top (rotation via
     a small random axis-angle, translation additive in map units).
     """
-    rot_rng = _rng(config.seed, "vo_rot")
-    trans_rng = _rng(config.seed, "vo_trans")
-    out = []
-    for prev, curr in zip(truth_poses[:-1], truth_poses[1:]):
-        delta = compose(inverse(prev), curr)
-        # zero stddev still consumes the stream, so noiseless and noisy runs
-        # with one seed stay draw-for-draw aligned
-        rot = delta.rotation @ so3_exp(rot_rng.normal(0.0, config.vo_rot_noise_stddev, 3))
-        trans = delta.translation / config.true_scale \
-            + trans_rng.normal(0.0, config.vo_trans_noise_stddev, 3)
-        out.append((rot, trans))
-    return out
+    vo_quats, vo_trans = _vo_steps(*_pose_arrays(truth_poses), config)
+    return [(Rotation(q), t) for q, t in zip(vo_quats, vo_trans)]
 
 
 # --- terrain cloud ----------------------------------------------------------------
 
-
-def _sample_surface(terrain: Terrain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-by-area samples of the terrain surface (plane + bump caps), in
-    the order of their surface draws."""
-    areas = [float(np.prod(terrain.patch_size))]
-    areas += [2.0 * math.pi * h.radius ** 2 for h in terrain.hemispheres]
-    weights = np.array(areas) / sum(areas)
-    which = rng.choice(len(areas), size=n, p=weights)
-    counts = np.bincount(which, minlength=len(areas))
-    # grouped by surface, each group in draw order; one scatter at the end
-    # puts the rows in draw order
-    grouped = np.empty((n, 3))
-
-    n_plane = int(counts[0])
-    if n_plane:
-        lo = terrain.patch_center - 0.5 * terrain.patch_size
-
-        def plane_xy(m):
-            u = rng.uniform(0.0, 1.0, (m, 2))
-            u *= terrain.patch_size
-            u += lo
-            return u
-
-        def under_bump(q):
-            hit = np.zeros(q.shape[0], dtype=bool)
-            for h in terrain.hemispheres:
-                (cx, cy), r = h.center, h.radius
-                d2 = q[:, 0] - cx
-                d2 *= d2
-                dy = q[:, 1] - cy
-                dy *= dy
-                d2 += dy
-                hit |= d2 < r ** 2
-            return hit
-
-        # points under a bump belong to the bump surface, not the plane;
-        # only a redrawn point can land under one again
-        xy = plane_xy(n_plane)
-        idx = np.flatnonzero(under_bump(xy))
-        while idx.size:
-            xy[idx] = plane_xy(idx.size)
-            idx = idx[under_bump(xy[idx])]
-        grouped[:n_plane, :2] = xy
-        grouped[:n_plane, 2] = terrain.plane_z
-
-    start = n_plane
-    for h, m in zip(terrain.hemispheres, counts[1:].tolist()):
-        if not m:
-            continue
-        cap = grouped[start:start + m]
-        start += m
-        zn = rng.uniform(0.0, 1.0, m)          # uniform area on a sphere: z uniform
-        az = rng.uniform(0.0, 2.0 * math.pi, m)
-        rxy = zn * zn
-        np.subtract(1.0, rxy, out=rxy)
-        np.maximum(0.0, rxy, out=rxy)
-        np.sqrt(rxy, out=rxy)
-        rxy *= h.radius
-        for axis, trig in ((0, np.cos), (1, np.sin)):
-            # into a fresh array, not the strided column: the ufunc's loop,
-            # and so the last bit of cos and sin, can depend on the layout
-            c = trig(az)
-            c *= rxy
-            c += h.center[axis]
-            cap[:, axis] = c
-        zn *= h.radius
-        zn += terrain.plane_z
-        cap[:, 2] = zn
-
-    # a stable sort of the narrowest integer type is a radix sort
-    order = np.argsort(which.astype(np.min_scalar_type(len(areas) - 1)), kind="stable")
-    pts = np.empty((n, 3))
-    pts[order] = grouped
-    return pts
+# Elements of one block of the rejection test's (bumps, plane samples)
+# distances: all bumps at once would take tens of MB for a terrain of 300
+# bumps at 20000 samples.
+_BUMP_BLOCK = 1 << 15
+# Cloud rows per noise draw: a draw's block stays below the 128 KiB above
+# which glibc gives a block a mapping of its own.
+_NOISE_ROWS = 4096
 
 
-def _visible(points: np.ndarray, pose: Pose, fov_deg: float) -> np.ndarray:
-    """Frustum test: within half the field of view of the camera's +z axis."""
-    bore = pose.rotation.apply(np.array([0.0, 0.0, 1.0]))
-    v = points - pose.translation
-    along = v @ bore
-    # the distance as np.linalg.norm(v, axis=1) takes it, without its temporaries
-    v *= v
-    dist = np.add.reduce(v, axis=1)
-    np.sqrt(dist, out=dist)
-    dist *= math.cos(math.radians(0.5 * fov_deg))
-    seen = along >= dist
-    seen &= along > 0.0
-    return seen
+class _SurfaceSampler:
+    """Uniform-by-area samples of the terrain surface (plane + bump caps), and
+    the frustum test on them, in batches of up to ``size`` points. The
+    buffers are made once: a result is a view the next call overwrites.
+
+    Every draw is a ``next_double`` of ``rng``, in the order and with the
+    values of ``Generator.choice`` of the surface by area (a draw against the
+    weights' running sums), ``uniform(0, 1)`` (``random``) and
+    ``uniform(0, 2 pi)`` (2 pi ``random``)."""
+
+    def __init__(self, terrain: Terrain, size: int, rng: np.random.Generator):
+        self.terrain, self.rng = terrain, rng
+        areas = [float(np.prod(terrain.patch_size))]
+        areas += [2.0 * math.pi * h.radius ** 2 for h in terrain.hemispheres]
+        # Generator.choice's running sums of the weights
+        self.cdf = (np.array(areas) / sum(areas)).cumsum()
+        self.cdf /= self.cdf[-1]
+        # a stable sort of the narrowest integer type is a radix sort
+        self.surface_type = np.min_scalar_type(len(areas) - 1)
+        self.lo = terrain.patch_center - 0.5 * terrain.patch_size
+        bumps = terrain.hemispheres
+        self.cx = np.array([h.center[0] for h in bumps])
+        self.cy = np.array([h.center[1] for h in bumps])
+        self.radius = np.array([h.radius for h in bumps])
+        # squared as Python squares a float (pow), which need not round as r * r
+        self.r2 = np.array([h.radius ** 2 for h in bumps])[:, None]
+        block = min(len(bumps) * size, max(_BUMP_BLOCK, size))
+        self.d2, self.dy = np.empty(block), np.empty(block)
+        self.grouped = np.empty((size, 3))
+        self.xy = np.empty((size, 2))
+        self.u, self.az, self.rxy, self.trig = (np.empty(size) for _ in range(4))
+        self.inv = np.empty(size, dtype=np.intp)
+        self.rows = np.arange(size)
+        self.v = np.empty((size, 3))
+        self.along, self.dist = np.empty(size), np.empty(size)
+        self.seen = np.empty(size, dtype=bool)
+
+    def _plane_xy(self, out: np.ndarray) -> np.ndarray:
+        """Uniform points of the patch into the first two columns of ``out``.
+        Column by column: numpy runs (m, 2) times a 2-vector two numbers at
+        a time, several times slower."""
+        u = self.rng.random(out=self.xy[:len(out)])
+        for k in range(2):
+            np.multiply(u[:, k], self.terrain.patch_size[k], out=out[:, k])
+            out[:, k] += self.lo[k]
+        return out
+
+    def _under_bump(self, xy: np.ndarray) -> np.ndarray:
+        """Which of the plane samples, x and y in the first two columns of
+        ``xy``, lie under a bump: as many bumps at a time as fit a block,
+        each a row of squared distances."""
+        m = len(xy)
+        x, y = xy[:, 0], xy[:, 1]
+        hit = np.zeros(m, dtype=bool)
+        step = max(1, len(self.d2) // m)
+        for k in range(0, len(self.cx), step):
+            cx, cy = self.cx[k:k + step], self.cy[k:k + step]
+            shape = (len(cx), m)
+            # (cx - x)^2 is (x - cx)^2 to the bit
+            d2 = np.subtract.outer(cx, x, out=self.d2[:cx.size * m].reshape(shape))
+            d2 *= d2
+            dy = np.subtract.outer(cy, y, out=self.dy[:cx.size * m].reshape(shape))
+            dy *= dy
+            d2 += dy
+            hit |= np.logical_or.reduce(d2 < self.r2[k:k + step], axis=0)
+        return hit
+
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` surface samples grouped by surface, each group in draw order,
+        as (n, 3) points, and ``inv``: draw r is grouped row ``inv[r]``."""
+        rng, terrain = self.rng, self.terrain
+        # the surface Generator.choice takes for draw u is cdf.searchsorted(u,
+        # side="right"), the count of running sums at or below u: counted
+        # here in one pass per surface, as the rejection test makes anyway
+        u = rng.random(out=self.u[:n])
+        which = np.zeros(n, dtype=self.surface_type)
+        for edge in self.cdf:
+            which += u >= edge
+        counts = np.bincount(which, minlength=len(self.cdf)).tolist()
+        grouped = self.grouped[:n]
+
+        n_plane = counts[0]
+        if n_plane:
+            # points under a bump belong to the bump surface, not the plane;
+            # only a redrawn point can land under one again
+            plane = self._plane_xy(grouped[:n_plane])
+            idx = np.flatnonzero(self._under_bump(plane))
+            while idx.size:
+                plane[idx, :2] = self._plane_xy(np.empty((idx.size, 2)))
+                idx = idx[self._under_bump(plane[idx])]
+            plane[:, 2] = terrain.plane_z
+
+        caps, bump_counts = grouped[n_plane:], counts[1:]
+        if len(caps):
+            zn, az = self.u[:len(caps)], self.az[:len(caps)]
+            at = 0
+            for m in bump_counts:  # per bump: its heights, then its azimuths
+                if m:
+                    rng.random(out=zn[at:at + m])  # uniform area on a sphere: z uniform
+                    rng.random(out=az[at:at + m])
+                    at += m
+            # then every cap row at once, each with its own bump's numbers
+            az *= 2.0 * math.pi
+            radius, cx, cy = (np.repeat(a, bump_counts) for a in (self.radius, self.cx, self.cy))
+            rxy = np.multiply(zn, zn, out=self.rxy[:len(caps)])
+            np.subtract(1.0, rxy, out=rxy)
+            np.maximum(0.0, rxy, out=rxy)
+            np.sqrt(rxy, out=rxy)
+            rxy *= radius
+            for axis, trig, center in ((0, np.cos, cx), (1, np.sin, cy)):
+                # into a contiguous buffer, not the strided column: the ufunc's
+                # loop, and so the last bit of cos and sin, can depend on the layout
+                c = trig(az, out=self.trig[:len(caps)])
+                c *= rxy
+                c += center
+                caps[:, axis] = c
+            zn *= radius
+            zn += terrain.plane_z
+            caps[:, 2] = zn
+
+        inv = self.inv[:n]
+        inv[np.argsort(which, kind="stable")] = self.rows[:n]
+        return grouped, inv
+
+    def visible(self, points: np.ndarray, bore: np.ndarray, origin: np.ndarray,
+                cos_half_fov: float) -> np.ndarray:
+        """Frustum test: which ``points`` lie within the half angle whose cosine
+        is given of the camera axis ``bore`` from ``origin``. Each row's test
+        is the same wherever the row sits in ``points``."""
+        n = len(points)
+        v = self.v[:n]
+        for k in range(3):  # by columns, as in _plane_xy
+            np.subtract(points[:, k], origin[k], out=v[:, k])
+        along = np.matmul(v, bore, out=self.along[:n])
+        # the distance as np.linalg.norm(v, axis=1) takes it, sqrt((x² + y²) + z²),
+        # without its temporaries: a sum along each row is slower than down columns
+        v *= v
+        dist = np.add(v[:, 0], v[:, 1], out=self.dist[:n])
+        dist += v[:, 2]
+        np.sqrt(dist, out=dist)
+        dist *= cos_half_fov
+        seen = np.greater_equal(along, dist, out=self.seen[:n])
+        seen &= along > 0.0
+        return seen
+
+
+def _cloud(quats: np.ndarray, trans: np.ndarray, config: SimConfig) -> PointCloud:
+    """``generate_cloud`` for poses given as (n, 4) quaternions and (n, 3)
+    translations."""
+    rng = _rng(config.seed, "cloud")
+    want = config.cloud_points_per_keyframe
+    sampler = _SurfaceSampler(config.terrain, max(2 * want, 512), rng)
+    bores = quat_rotate(quats, np.array([0.0, 0.0, 1.0]))  # the optical axes
+    cos_half_fov = math.cos(math.radians(0.5 * config.camera.fov_deg))
+    cloud = np.empty((want * len(quats), 3))
+    filled = short = 0
+    for bore, origin in zip(bores, trans):
+        remaining = want
+        for _ in range(200):
+            grouped, inv = sampler.sample(max(2 * remaining, 512))
+            # the first visible draws, gathered in draw order
+            seen = sampler.visible(grouped, bore, origin, cos_half_fov)[inv]
+            rows = inv[np.flatnonzero(seen)[:remaining]]
+            # every index is in range; mode="raise" would copy through a temporary
+            np.take(grouped, rows, axis=0, out=cloud[filled:filled + rows.size], mode="clip")
+            filled += rows.size
+            remaining -= rows.size
+            if remaining <= 0:
+                break
+        short += remaining > 0
+    if not filled:
+        raise NoVisibleTerrain("no terrain surface falls inside any keyframe frustum")
+    if short:
+        log.info("%d of %d keyframes saw too little terrain: the cloud is %d points "
+                 "short of %d", short, len(quats), len(cloud) - filled, len(cloud))
+        cloud = cloud[:filled].copy()
+    cloud /= config.true_scale
+    for start in range(0, filled, _NOISE_ROWS):
+        block = cloud[start:start + _NOISE_ROWS]
+        block += rng.normal(0.0, config.vo_trans_noise_stddev, block.shape)
+    cloud.flags.writeable = False  # PointCloud keeps it without a copy
+    return PointCloud(cloud, UNSCALED_UNITS)
 
 
 def generate_cloud(truth_poses, config: SimConfig) -> PointCloud:
@@ -332,49 +457,16 @@ def generate_cloud(truth_poses, config: SimConfig) -> PointCloud:
     sees too little terrain in 200 batches keeps what it found; the shortfall
     is logged at INFO.
     """
-    rng = _rng(config.seed, "cloud")
-    fov = config.camera.fov_deg
-    want = config.cloud_points_per_keyframe
-    parts = []
-    short = missing = 0
-    for pose in truth_poses:
-        remaining = want
-        for _ in range(200):
-            batch = _sample_surface(config.terrain, max(2 * remaining, 512), rng)
-            rows = np.flatnonzero(_visible(batch, pose, fov))[:remaining]
-            if rows.size:
-                parts.append(batch[rows])
-                remaining -= rows.size
-            if remaining <= 0:
-                break
-        if remaining > 0:
-            short += 1
-            missing += remaining
-    if not parts:
-        raise NoVisibleTerrain("no terrain surface falls inside any keyframe frustum")
-    if short:
-        log.info("%d of %d keyframes saw too little terrain: the cloud is %d points "
-                 "short of %d", short, len(truth_poses), missing, want * len(truth_poses))
-    cloud = np.concatenate(parts, axis=0)
-    cloud /= config.true_scale
-    cloud += rng.normal(0.0, config.vo_trans_noise_stddev, cloud.shape)
-    cloud.flags.writeable = False  # PointCloud keeps it without a copy
-    return PointCloud(cloud, UNSCALED_UNITS)
+    return _cloud(*_pose_arrays(truth_poses), config)
 
 
 def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
     """Full synthetic run with one seed; see the per-stage generators."""
-    model = model or default_limb()
-    readings, truth_poses = generate_trajectory(model, config)
-    vo = generate_vo(truth_poses, config)
-    return SimBundle(config=config,
-                     timestamps=[r.timestamp for r in readings],
-                     angles=[r.angles for r in readings],
-                     truth_quats=[p.rotation.quat for p in truth_poses],
-                     truth_trans=[p.translation for p in truth_poses],
-                     vo_quats=[rot.quat for rot, _ in vo],
-                     vo_trans=[trans for _, trans in vo],
-                     cloud=generate_cloud(truth_poses, config))
+    timestamps, angles, quats, trans = _trajectory(model or default_limb(), config)
+    vo_quats, vo_trans = _vo_steps(quats, trans, config)
+    return SimBundle(config=config, timestamps=timestamps, angles=angles,
+                     truth_quats=quats, truth_trans=trans, vo_quats=vo_quats,
+                     vo_trans=vo_trans, cloud=_cloud(quats, trans, config))
 
 
 # --- config file: SimConfig's fields are its schema (records.from_mapping) -----------

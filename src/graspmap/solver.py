@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # noqa: F401 -- read only by perfbench/tracer.py
 
 from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (FK_INFO_VALUE, MC_INFO_VALUE, Factor, FkFactor,
@@ -58,6 +57,18 @@ from .records import (check_quaternions, check_rows, first_record, float_fields,
                       indexed_records, located, numbers, read_records, read_table,
                       write_records)
 from .simulation import SimBundle
+
+
+def __getattr__(name: str):
+    """``scipy``, imported on first access: perfbench/tracer.py patches
+    ``solver.scipy.linalg``, and the solver itself needs only NumPy, so a run
+    that is not traced never loads scipy."""
+    if name == "scipy":
+        import scipy
+        globals()["scipy"] = scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # GRAD_TOL sits near machine noise on purpose: the information values here
 # are 1e-3..1e-4, so gradients run ~1e6 smaller than in a unit-weight

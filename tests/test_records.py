@@ -2,9 +2,11 @@
 in memory or through a YAML file, is the value it was, bit for bit."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import yaml
 
 from graspmap.geometry import Pose
 from graspmap.kinematics import default_limb
@@ -59,3 +61,29 @@ def test_mapping_round_trip_is_bit_for_bit(value, tmp_path):
     path = tmp_path / "value.yaml"
     write_yaml(path, to_mapping(value))
     assert_same(load_mapping(cls, path), value)
+
+
+# What the program writes: a bundle manifest, a run summary (its apex error
+# may be None) and a limb file, plus the values YAML spells its own way.
+DOCUMENTS = {
+    **{f"manifest-{name}": {"config": to_mapping(value)}
+       for name, value in VALUES.items() if isinstance(value, SimConfig)},
+    "summary": {"scale_error_rel": 0.0012345678901234567, "apex_error_m": 0.00042,
+                "final_cost": 1.5e-07, "wall_time_s": 0.21},
+    "summary-no-apex": {"scale_error_rel": 0.1, "apex_error_m": None,
+                        "final_cost": 12345678.9, "wall_time_s": 3.0},
+    **{f"limb-{name}": to_mapping(value)
+       for name, value in VALUES.items() if "limb" in name},
+    "special-values": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                       "-0.0": -0.0, "none": None, "true": True, "false": False,
+                       "list": [math.nan, -0.0, 1e300, 5e-324, None, True]},
+}
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+def test_write_yaml_writes_what_safe_dump_writes(doc, tmp_path):
+    """write_yaml may use libyaml's emitter; its text is the pure-Python
+    yaml.safe_dump's, byte for byte."""
+    path = tmp_path / "doc.yaml"
+    write_yaml(path, doc)
+    assert path.read_bytes() == yaml.safe_dump(doc, sort_keys=False).encode()

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 
 from graspmap.errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                              UnreachableTerrain)
-from graspmap.geometry import Pose, compose, inverse
+from graspmap import simulation
+from graspmap.geometry import Pose, compose, inverse, so3_exp
 from graspmap.kinematics import default_limb, fk_pose
 from graspmap.mapping import UNSCALED_UNITS
 from graspmap.simulation import (CameraModel, Hemisphere, SimConfig, Terrain,
-                                 _sample_surface, config_from_dict, config_to_dict,
+                                 _SurfaceSampler, config_from_dict, config_to_dict,
                                  default_terrain, generate_cloud,
                                  generate_trajectory, generate_vo, load_config,
                                  read_bundle, save_config, simulate,
@@ -123,6 +125,44 @@ def test_vo_chain_composes_to_endpoint():
     assert rotation_gap(pose.rotation, truth_poses[-1].rotation) < 1e-10
 
 
+def vo_reference(truth_poses, config: SimConfig, rot_rng, trans_rng) -> list:
+    """The tracker steps as a loop of scalar products, one draw of three
+    numbers per step from each stream; ``generate_vo`` must give them to the bit."""
+    out = []
+    for prev, curr in zip(truth_poses[:-1], truth_poses[1:]):
+        delta = compose(inverse(prev), curr)
+        rot = delta.rotation @ so3_exp(rot_rng.normal(0.0, config.vo_rot_noise_stddev, 3))
+        trans = delta.translation / config.true_scale \
+            + trans_rng.normal(0.0, config.vo_trans_noise_stddev, 3)
+        out.append((rot, trans))
+    return out
+
+
+@pytest.mark.parametrize("keyframes, noise", [(20, {}), (320, {}), (20, QUIET)],
+                         ids=["20", "320", "20-noiseless"])
+def test_vo_takes_the_per_step_products_and_draws(keyframes, noise, monkeypatch):
+    """Same rotations and translations, bit for bit, and both streams left
+    where the per-step loop leaves them."""
+    config = SimConfig(seed=4, keyframes=keyframes, cloud_points_per_keyframe=1, **noise)
+    _, truth_poses = generate_trajectory(default_limb(), config)
+    make_rng, streams = simulation._rng, {}
+
+    def recorded(seed, purpose):
+        streams[purpose] = rng = make_rng(seed, purpose)
+        return rng
+
+    monkeypatch.setattr(simulation, "_rng", recorded)
+    steps = generate_vo(truth_poses, config)
+    ref_rot, ref_trans = make_rng(config.seed, "vo_rot"), make_rng(config.seed, "vo_trans")
+    reference = vo_reference(truth_poses, config, ref_rot, ref_trans)
+    assert len(steps) == len(reference) == keyframes - 1
+    for (rot, trans), (ref_r, ref_t) in zip(steps, reference):
+        assert rot.quat.tobytes() == ref_r.quat.tobytes()
+        assert trans.tobytes() == ref_t.tobytes()
+    assert streams["vo_rot"].bit_generator.state == ref_rot.bit_generator.state
+    assert streams["vo_trans"].bit_generator.state == ref_trans.bit_generator.state
+
+
 # --- terrain cloud -------------------------------------------------------------------
 
 
@@ -213,13 +253,43 @@ def many_bumps(count: int) -> Terrain:
 @pytest.mark.parametrize("terrain", [default_terrain(), Terrain(), many_bumps(300)],
                          ids=["default", "flat", "300-bumps"])
 def test_sampler_takes_the_reference_draws(terrain):
-    """Same points, in the same order, and the stream left in the same state;
-    300 bumps make more surfaces than a byte can number."""
+    """Same points, in the same order once put in draw order, and the stream
+    left in the same state, from one sampler whose buffers each batch
+    reuses; 300 bumps make more surfaces than a byte can number."""
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for n in (1, 512, 20000):
-        pts = _sample_surface(terrain, n, rng)
+    sampler = _SurfaceSampler(terrain, 20000, rng)
+    for n in (1, 512, 20000, 512):
+        grouped, inv = sampler.sample(n)
+        assert sorted(inv.tolist()) == list(range(n))
+        pts = grouped[inv]
         assert pts.tobytes() == sample_surface_reference(terrain, n, ref_rng).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 20000])
+def test_frustum_test_does_not_depend_on_row_order(n):
+    """The cloud tests points in surface order and keeps them in draw order,
+    so a row's test, down to the bits of its distances, must not depend on
+    where the row sits: through BLAS, that is not given."""
+    config = SimConfig()
+    _, truth_poses = generate_trajectory(default_limb(), config)
+    pose = truth_poses[3]
+    rng = np.random.default_rng(n)
+    sampler = _SurfaceSampler(config.terrain, n, rng)
+    points = sampler.sample(n)[0].copy()
+    perm = rng.permutation(n)
+    bore = pose.rotation.apply([0.0, 0.0, 1.0])
+    cos_half_fov = math.cos(math.radians(0.5 * config.camera.fov_deg))
+
+    def frustum(pts):
+        seen = sampler.visible(pts, bore, pose.translation, cos_half_fov)
+        return seen.copy(), sampler.along[:n].copy(), sampler.dist[:n].copy()
+
+    permuted, plain = frustum(points[perm]), frustum(points)
+    for a, b in zip(permuted, plain):
+        assert a.tobytes() == b[perm].tobytes()
+    if n >= 512:
+        assert 0 < plain[0].sum() < n
 
 
 def test_no_visible_terrain():
@@ -268,6 +338,21 @@ def test_cloud_bytes_do_not_depend_on_the_allocator():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == cloud_digest(SimConfig(seed=12, cloud_points_per_keyframe=150))
+
+
+def test_cloud_peak_memory_stays_below_two_clouds():
+    """Each batch reuses buffers sized once and the points go straight into
+    the one cloud array, so generating the default cloud holds less than
+    twice the cloud's bytes at any time."""
+    config = SimConfig()
+    _, truth_poses = generate_trajectory(default_limb(), config)
+    tracemalloc.start()
+    try:
+        cloud = generate_cloud(truth_poses, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * cloud.points.nbytes, peak / cloud.points.nbytes
 
 
 def test_short_keyframes_are_logged_once(caplog):
