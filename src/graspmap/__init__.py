@@ -26,8 +26,8 @@ from .kinematics import (Joint, JointReading, LimbModel, default_limb,
                          load_limb, save_limb)
 from .mapping import (GraspablePoint, GripperMask, PointCloud, VoxelGrid,
                       build_mask, detect_graspable, fill_below, load_graspable,
-                      load_grid, read_ply, save_graspable, save_grid,
-                      scale_cloud, voxelize, write_ply)
+                      read_ply, save_graspable, save_grid, scale_cloud, voxelize,
+                      write_ply)
 from .simulation import (CameraModel, Hemisphere, SimBundle, SimConfig,
                          Terrain, default_terrain, generate_cloud,
                          generate_trajectory, generate_vo, load_config,

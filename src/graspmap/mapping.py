@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AlreadyScaled, CorruptArtifact, DegenerateMask,
-                     DimensionMismatch, EmptyCloud)
+from .errors import AlreadyScaled, DegenerateMask, DimensionMismatch, EmptyCloud
 from .factors import ScaleVar
 from .geometry import frozen
-from .records import first_record, located, numbers, read_records, write_records
+from .records import located, numbers, read_records, write_records
 
 UNSCALED_UNITS = "unscaled-map-units"
 METERS = "meters"
@@ -402,43 +401,6 @@ def save_grid(path, grid: VoxelGrid) -> None:
         np.column_stack([flat[starts], lengths]).ravel().tolist())
     write_records(path, [["origin", *grid.origin], ["voxel_size", grid.voxel_size],
                          ["dims", *grid.dims], "rle" + runs])
-
-
-def load_grid(path) -> VoxelGrid:
-    """Read a ``save_grid`` dump. A missing, repeated or malformed record, a
-    non-positive dim or voxel size, a run value other than 0 or 1, a run
-    length that is not a whole number >= 0, or runs that do not add up to the
-    dims is ``CorruptArtifact`` at ``path:line``."""
-    seen: set = set()
-    rec = {}
-    for lineno, tok in read_records(path):
-        with located(path, lineno):
-            first_record(seen, tok[0])
-        rec[tok[0]] = lineno, tok[1:]
-    if set(rec) != {"origin", "voxel_size", "dims", "rle"}:
-        raise CorruptArtifact(f"{path}: grid dump needs origin, voxel_size, dims, rle lines")
-    origin = numbers(path, *rec["origin"], 3)
-    (voxel,) = numbers(path, *rec["voxel_size"], 1)
-    dims = tuple(numbers(path, *rec["dims"], 3, int))
-    with located(path, rec["dims"][0]):
-        if min(dims) <= 0:
-            raise ValueError(f"dims must be positive, got {dims}")
-    lineno, runs = rec["rle"]
-    with located(path, lineno):
-        values, lengths = [], []
-        for val, length in (run.split(":") for run in runs):
-            if val not in ("0", "1"):
-                raise ValueError(f"run value {val!r} is neither 0 nor 1")
-            values.append(val == "1")
-            lengths.append(int(length))
-        # all lengths are checked before the first run is allocated
-        if any(n < 0 for n in lengths):
-            raise ValueError(f"run length {min(lengths)} is negative")
-        if sum(lengths) != math.prod(dims):
-            raise ValueError(f"RLE length {sum(lengths)} does not match dims {dims}")
-    occ = np.concatenate([np.full(n, v, dtype=bool) for v, n in zip(values, lengths)])
-    with located(path, rec["voxel_size"][0]):  # the grid refuses a bad voxel size
-        return VoxelGrid(origin=origin, voxel_size=voxel, occupancy=occ.reshape(dims))
 
 
 # --- graspable-point records ------------------------------------------------------

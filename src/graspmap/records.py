@@ -40,13 +40,25 @@ def write_records(path, rows, sep: str = " ", comment: str | None = None) -> Non
         fh.write("".join(line + "\n" for line in lines))
 
 
+def read_text(path, error: type[Exception] = CorruptArtifact) -> str:
+    """The contents of ``path`` as UTF-8 text. A byte that is not text raises
+    ``error``, the class the file's role calls for, at ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text "
+                    f"(byte {data[exc.start]:#04x}: {exc.reason})") from exc
+
+
 def read_records(path, sep: str | None = None):
     """Yield ``(lineno, tokens)`` for each record of a plain-text artifact."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split(sep)
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(sep)
 
 
 def read_table(path, rows: list, width: int) -> np.ndarray:
@@ -64,22 +76,16 @@ def read_table(path, rows: list, width: int) -> np.ndarray:
     return table
 
 
-def indexed_records(path, kind: str, rows: list) -> tuple[list[int], list]:
-    """Records ``kind <index> ...``, given as ``(lineno, tokens)`` pairs, in
-    index order: the sorted indices and the pairs. The indices convert in one
-    pass; only an index that is not a whole number, or one that repeats, makes
-    the rows be walked with ``first_record``, to name its line."""
-    try:
-        indices = [int(tokens[1]) for _, tokens in rows]
-    except (ValueError, IndexError):
-        indices = None
-    if indices is None or len(set(indices)) < len(rows):
-        seen: set = set()
-        for lineno, tokens in rows:
-            with located(path, lineno):
-                first_record(seen, kind, int(tokens[1]))
-    order = sorted(range(len(rows)), key=indices.__getitem__)
-    return [indices[k] for k in order], [rows[k] for k in order]
+def in_order(path, kind: str, rows: list, first: int, column: int = 1) -> None:
+    """Check that the index token ``column`` of ``rows``, the ``(lineno,
+    tokens)`` pairs of one record kind, runs ``first``, ``first + 1``, ... in
+    file order, as the writers write it. The first record out of place, one
+    missing, swapped, relabelled or repeated, is ``CorruptArtifact`` at its line."""
+    for k, (lineno, tokens) in enumerate(rows, first):
+        index = tokens[column].strip() if len(tokens) > column else ""
+        if index != str(k):
+            raise CorruptArtifact(f"{path}:{lineno}: {kind} {index!r} "
+                                  f"where {kind} {k} belongs")
 
 
 def check_rows(path, rows: list, ok: np.ndarray, problem: str) -> None:
@@ -95,11 +101,11 @@ def check_quaternions(path, rows: list, quats: np.ndarray) -> None:
     check_rows(path, rows, unit_norms_ok(quats), "quaternion must be finite and nonzero")
 
 
-def first_record(seen: set, kind: str, index: int | None = None) -> None:
-    """Note record ``kind [index]`` as read; an artifact that repeats one is corrupt."""
-    if (kind, index) in seen:
-        raise ValueError(f"repeated {kind}{'' if index is None else f' {index}'} record")
-    seen.add((kind, index))
+def first_record(seen: set, kind: str) -> None:
+    """Note a ``kind`` record as read; an artifact that repeats one is corrupt."""
+    if kind in seen:
+        raise ValueError(f"repeated {kind} record")
+    seen.add(kind)
 
 
 @contextmanager
@@ -156,14 +162,14 @@ _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 def read_yaml(path, error: type[Exception]):
     """The YAML document in ``path``. Text that does not parse raises ``error``,
     the class the file's role calls for, naming ``path:line`` where YAML knows it."""
-    with open(path) as fh:
-        try:
-            return yaml.load(fh, Loader=_YAML_LOADER)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = path if mark is None else f"{path}:{mark.line + 1}"
-            problem = getattr(exc, "problem", None) or getattr(exc, "reason", exc)
-            raise error(f"{where}: bad YAML line: {problem}") from exc
+    text = read_text(path, error)
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = path if mark is None else f"{path}:{mark.line + 1}"
+        problem = getattr(exc, "problem", None) or getattr(exc, "reason", exc)
+        raise error(f"{where}: bad YAML line: {problem}") from exc
 
 
 def write_yaml(path, doc) -> None:

@@ -30,8 +30,8 @@ from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.p
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
 from .records import (check_quaternions, config_number, float_fields, from_mapping,
-                      load_mapping, read_records, read_table, read_yaml, to_mapping,
-                      write_records, write_yaml)
+                      in_order, load_mapping, read_records, read_table, read_yaml,
+                      to_mapping, write_records, write_yaml)
 
 log = logging.getLogger(__name__)
 
@@ -544,14 +544,8 @@ def read_bundle(directory) -> SimBundle:
 
     path = d / VO_FILE
     rows = list(read_records(path, ","))
-    # step k ties keyframe k-1 to k: rows must run 1, 2, ... in order; a
-    # bad number on or before the first misplaced step is named first
-    steps = [tokens[0].strip() for _, tokens in rows]
-    bad = next((k for k, step in enumerate(steps) if step != str(k + 1)), len(rows))
-    vo = read_table(path, rows[:bad + 1], 8)
-    if bad < len(rows):
-        raise CorruptArtifact(f"{path}:{rows[bad][0]}: step {steps[bad]!r} "
-                              f"where step {bad + 1} belongs")
+    in_order(path, "step", rows, 1, column=0)  # step k ties keyframe k-1 to k
+    vo = read_table(path, rows, 8)
     check_quaternions(path, rows, vo[:, 4:8])
     if len(vo) != len(trajectory) - 1:
         raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(trajectory)} keyframes")

@@ -54,7 +54,7 @@ from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
 from .records import (check_quaternions, check_rows, first_record, float_fields,
-                      indexed_records, located, numbers, read_records, read_table,
+                      in_order, located, numbers, read_records, read_table,
                       write_records)
 from .simulation import SimBundle
 
@@ -536,9 +536,9 @@ def save_graph(path, graph: FactorGraph) -> None:
 
 
 def load_graph(path) -> FactorGraph:
-    """The graph in ``path``. The records of each indexed kind are read as one
-    table in index order and checked as the value types check one value;
-    errors name ``path:line``."""
+    """The graph in ``path``. The records of each indexed kind, whose indices
+    run in file order, are read as one table and checked as the value types
+    check one value; errors name ``path:line``."""
     records: dict[str, list] = {"pose": [], "fk": [], "mc": [], "scale": [], "prior": []}
     for lineno, tok in read_records(path):
         if tok[0] not in records:
@@ -561,21 +561,21 @@ def load_graph(path) -> FactorGraph:
     check_rows(path, records["mc"],
                np.array([tok[-1] in ("aligned", "literal") for _, tok in records["mc"]]),
                "unrecognized 'mc' record")
-    indices, tables = {}, {}
-    for kind, end in (("pose", None), ("fk", None), ("mc", -1)):
-        indices[kind], rows = indexed_records(path, kind, records[kind])
-        records[kind] = rows  # in index order, which the mc flags below follow
+    tables = {}
+    for kind, first, end in (("pose", 0, None), ("fk", 1, None), ("mc", 1, -1)):
+        rows = records[kind]
+        in_order(path, kind, rows, first)
         tables[kind] = table = read_table(path, [(lineno, tok[2:end]) for lineno, tok in rows],
                                           7 if kind == "pose" else 13)
         check_quaternions(path, rows, table[:, 3:7])
         if kind != "pose":
             check_rows(path, rows, (table[:, 7:] > 0.0).all(axis=1),
                        "information diagonal must be positive")
-    n = len(indices["pose"])
-    if prior is None or scale is None or n == 0 or indices["pose"] != list(range(n)) \
-            or indices["fk"] != list(range(1, n)) or indices["mc"] != list(range(1, n)):
-        raise CorruptArtifact(f"{path}: graph file needs a prior, a scale, and "
-                              f"poses/factors covering indices 0..{n - 1} contiguously")
+    n = len(records["pose"])
+    if prior is None or scale is None or n == 0 \
+            or len(records["fk"]) != n - 1 or len(records["mc"]) != n - 1:
+        raise CorruptArtifact(f"{path}: graph file needs a prior, a scale, n >= 1 poses "
+                              "and n - 1 fk and mc records")
     poses, fk, mc = tables["pose"], tables["fk"], tables["mc"]
     stacked = StackedFactors(fk_quat=fk[:, 3:7], fk_trans=fk[:, :3], fk_info=fk[:, 7:],
                              mc_quat=mc[:, 3:7], mc_trans=mc[:, :3], mc_info=mc[:, 7:],
@@ -604,19 +604,19 @@ def save_report(path, report: SolveReport) -> None:
 def load_report(path) -> SolveReport:
     """Read a report; the LM trace lines (rejected_steps, step_lambda,
     step_grad) are optional, so reports written before them still load. An
-    unknown or repeated record is corrupt, and so is a step record kind whose
-    indices are not exactly 0..iterations-1."""
+    unknown or repeated record is corrupt, and so is a step record kind that
+    is present but does not run 0..iterations-1 in file order."""
     seen: set = set()
     fields: dict[str, float | int | bool] = {}
-    steps: dict[str, dict[int, tuple[int, float]]] = {key: {} for key in STEP_RECORDS}
+    steps: dict[str, list] = {key: [] for key in STEP_RECORDS}
     for lineno, tok in read_records(path):
+        key, vals = tok[0], tok[1:]
+        if key in STEP_RECORDS:
+            steps[key].append((lineno, tok))
+            continue
         with located(path, lineno):
-            key, vals = tok[0], tok[1:]
-            k = int(vals[0]) if key in STEP_RECORDS else None
-            first_record(seen, key, k)
-            if key in STEP_RECORDS:
-                steps[key][k] = lineno, numbers(path, lineno, vals[1:], 1)[0]
-            elif key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
+            first_record(seen, key)
+            if key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
                 kind = float if key.endswith("cost") else int
                 fields[key] = numbers(path, lineno, vals, 1, kind)[0]
             elif key == "converged" and vals in (["true"], ["false"]):
@@ -627,15 +627,10 @@ def load_report(path) -> SolveReport:
     if missing:
         raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")
     n = fields["iterations"]
-    extra = [(lineno, key, k) for key, v in steps.items()
-             for k, (lineno, _) in v.items() if not 0 <= k < n]
-    if extra:
-        lineno, key, k = min(extra)
-        raise CorruptArtifact(f"{path}:{lineno}: {key} {k} is outside the "
-                              f"{n} iterations")
-    for key, v in steps.items():
-        if v and len(v) < n:
-            gap = min(set(range(n)) - set(v))
-            raise CorruptArtifact(f"{path}: report has no {key} {gap} line")
-    return SolveReport(**fields, **{STEP_RECORDS[key]: [v[k][1] for k in sorted(v)]
-                                    for key, v in steps.items()})
+    for key, rows in steps.items():
+        in_order(path, key, rows, 0)
+        if rows and len(rows) != n:
+            raise CorruptArtifact(f"{path}: {len(rows)} {key} records for {n} iterations")
+    return SolveReport(**fields, **{STEP_RECORDS[key]: [numbers(path, lineno, tok[2:], 1)[0]
+                                                        for lineno, tok in rows]
+                                    for key, rows in steps.items()})

@@ -589,11 +589,25 @@ def ascii_ply(data):
     ("solve/report.txt", on_line(3, lambda l: "final_cost 7\n" + l), "pipeline-detect",
      "report.txt:3", "solve"),
     ("solve/report.txt", lambda t: re.sub(rb"step_cost 1 .*\n", b"", t),
-     "pipeline-detect", "report.txt: report has no step_cost 1 line", "solve"),
+     "pipeline-detect", "report.txt:7: step_cost '2' where step_cost 1 belongs", "solve"),
     ("solve/report.txt", on_line(6, lambda l: "step_grad 99 0.5\n" + l),
-     "pipeline-detect", "report.txt:6: step_grad 99", "solve"),
+     "pipeline-detect", "report.txt:6: step_grad '99' where step_grad 0 belongs", "solve"),
     ("solve/report.txt", lambda t: t[:t.rindex(b"step_grad")], "pipeline-detect",
-     "report.txt: report has no step_grad", "solve"),
+     "report.txt: 4 step_grad records for 5 iterations", "solve"),
+    ("solve/report.txt", swap_lines(7, 8), "pipeline-detect",
+     "report.txt:7: step_cost '2' where step_cost 1 belongs", "solve"),
+    ("solve/graph.txt", swap_lines(4, 5), "pipeline-detect",
+     "graph.txt:4: pose '3' where pose 2 belongs", "solve"),
+    ("solve/graph.txt", on_line(26, lambda l: l.replace("fk 2 ", "fk 3 ")),
+     "pipeline-detect", "graph.txt:26: fk '3' where fk 2 belongs", "solve"),
+    ("solve/graph.txt", lambda t: re.sub(rb"mc 2 .*\n", b"", t), "pipeline-detect",
+     "graph.txt:28: mc '3' where mc 2 belongs", "solve"),
+    ("bundle/vo.csv", lambda t: t + b"\xff\xfe", "solve", "vo.csv:21: not UTF-8 text",
+     "solve"),
+    ("solve/graph.txt", lambda t: t + b"\xff\xfe", "pipeline-detect",
+     "graph.txt:62: not UTF-8 text", "solve"),
+    ("solve/report.txt", lambda t: t + b"\xff\xfe", "pipeline-detect",
+     "report.txt:21: not UTF-8 text", "solve"),
     ("bundle/cloud.ply", then(ascii_ply, on_line(9, set_field(1, "abc", " "))),
      "pipeline-solve", "cloud.ply:9", "simulate"),
     ("bundle/cloud.ply", ply_vertex(2, math.nan), "pipeline-solve",
@@ -611,6 +625,8 @@ def ascii_ply(data):
         "graph-pose-zero-quaternion", "graph-fk-zero-quaternion", "graph-mc-negative-info",
         "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
         "report-step-gap", "report-step-extra-index", "report-step-short-trace",
+        "report-steps-swapped", "graph-poses-swapped", "graph-fk-relabelled",
+        "graph-mc-line-dropped", "vo-not-utf8", "graph-not-utf8", "report-not-utf8",
         "ply-not-a-number", "ply-nan", "ply-ascii-nan", "ply-short-body",
         "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,

@@ -424,7 +424,7 @@ def test_simulate_packs_the_generators_output():
 
 def test_manifest_that_is_not_utf8_is_corrupt(tmp_path):
     (tmp_path / "manifest.yaml").write_bytes(b"seed: \xff\n")
-    with pytest.raises(CorruptArtifact, match="manifest.yaml"):
+    with pytest.raises(CorruptArtifact, match="manifest.yaml:1: not UTF-8 text"):
         read_bundle(tmp_path)
 
 

@@ -670,14 +670,18 @@ def test_report_without_lm_trace_loads(tmp_path):
 
 
 @pytest.mark.parametrize("iterations, steps, where", [
-    (1, "step_cost 0 0.7\nstep_cost 9 0.5\n", "report.txt:6: step_cost 9 "),
-    (1, "step_cost 0 0.7\nstep_lambda -1 0.1\n", "report.txt:6: step_lambda -1 "),
-    (3, "step_cost 0 0.7\nstep_cost 2 0.5\n", "report.txt: report has no step_cost 1 line"),
+    (1, "step_cost 0 0.7\nstep_cost 9 0.5\n",
+     "report.txt:6: step_cost '9' where step_cost 1 belongs"),
+    (1, "step_cost 0 0.7\nstep_lambda -1 0.1\n",
+     "report.txt:6: step_lambda '-1' where step_lambda 0 belongs"),
+    (3, "step_cost 0 0.7\nstep_cost 2 0.5\n",
+     "report.txt:6: step_cost '2' where step_cost 1 belongs"),
     (2, "step_cost 0 0.7\nstep_cost 1 0.5\nstep_grad 0 0.1\n",
-     "report.txt: report has no step_grad 1 line"),
+     "report.txt: 1 step_grad records for 2 iterations"),
 ], ids=["past-the-end", "negative", "gap", "short"])
 def test_report_step_indices_must_be_every_iteration(tmp_path, iterations, steps, where):
-    """A step record kind that is present holds exactly indices 0..iterations-1."""
+    """A step record kind that is present holds indices 0..iterations-1 in
+    file order; the first record out of place names its line."""
     path = tmp_path / "report.txt"
     path.write_text(f"initial_cost 0.25\nfinal_cost 0.125\niterations {iterations}\n"
                     f"converged true\n{steps}")
