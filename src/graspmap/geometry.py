@@ -130,12 +130,7 @@ class Rotation:
         return so3_exp(axis * (float(angle) / n))
 
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self.quat
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quat_matrix(self.quat)
 
     def apply(self, v) -> np.ndarray:
         """Rotate a 3-vector."""
@@ -379,7 +374,7 @@ def inverse_stacked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def quat_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices of unit quaternions, as ``Rotation.matrix``."""
+    """Rotation matrices of unit quaternions; ``Rotation.matrix`` of one."""
     w, x, y, z = np.moveaxis(q, -1, 0)
     return np.stack([
         np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),

@@ -300,7 +300,7 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
     return [GraspablePoint(position=c, support_count=len(mask)) for c in centers]
 
 
-# --- PLY: binary little-endian written, ASCII also read -----------------------
+# --- PLY: binary little-endian -------------------------------------------------
 
 PLY_XYZ = [["double", "x"], ["double", "y"], ["double", "z"]]
 
@@ -320,20 +320,19 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 def _ply_header(data: bytes):
     """The format, vertex count, units and property lines of a PLY header,
-    plus the byte offset and line count at which its body starts."""
+    plus the byte offset at which its body starts."""
+    if not data.startswith(b"ply\n"):
+        raise ValueError("not a PLY file")
     fmt = n = units = None
     props = []
-    start = lineno = 0
+    start = len(b"ply\n")
     while True:
         end = data.find(b"\n", start)
         if end < 0:
-            raise ValueError("malformed PLY header" if lineno else "not a PLY file")
+            raise ValueError("malformed PLY header")
         tok = data[start:end].decode("latin-1").split()
-        start, lineno = end + 1, lineno + 1
-        if lineno == 1:
-            if tok != ["ply"]:
-                raise ValueError("not a PLY file")
-        elif tok[:1] == ["format"]:
+        start = end + 1
+        if tok[:1] == ["format"]:
             fmt = " ".join(tok[1:])
         elif tok[:2] == ["comment", "units"] and len(tok) == 3:
             units = units or tok[2]
@@ -347,44 +346,29 @@ def _ply_header(data: bytes):
         raise ValueError("malformed PLY header")
     if units is None:
         raise ValueError("PLY lacks a units comment")
-    return fmt, n, units, props, start, lineno
+    return fmt, n, units, props, start
 
 
 def read_ply(path) -> PointCloud:
-    """Read a binary little-endian or an ASCII PLY; the units tag comes from
-    the file's units comment. Errors name the file, and the line in an ASCII
-    body or the vertex in a binary one."""
+    """Read a binary little-endian PLY as ``write_ply`` writes it; the units
+    tag comes from the file's units comment. Errors name the file, and the
+    vertex where one is at fault."""
     with open(path, "rb") as fh:
         data = fh.read()
     with located(path):
-        fmt, n, units, props, start, body_line = _ply_header(data)
-        if fmt == "binary_little_endian 1.0":
-            if props != PLY_XYZ:
-                raise ValueError("binary PLY vertices must be exactly "
-                                 "double x, double y, double z")
-            if len(data) - start != 24 * n:
-                raise ValueError(f"binary PLY body holds {len(data) - start} bytes, "
-                                 f"{n} vertices need {24 * n}")
-            points = np.frombuffer(data, "<f8", 3 * n, start).reshape(n, 3)
-            finite = np.isfinite(points)
-            if not finite.all():
-                raise ValueError(f"vertex {np.flatnonzero(~finite)[0] // 3} is not finite")
-        elif fmt == "ascii 1.0":
-            body = data[start:].decode("latin-1").splitlines()
-            tokens = " ".join(body).split()
-            try:
-                values = np.array(tokens, dtype=float)
-            except ValueError:
-                values = None
-            if values is None or values.size != 3 * n or not np.all(np.isfinite(values)):
-                # name the first vertex line that is not three finite numbers
-                for lineno, line in enumerate(body, body_line + 1):
-                    numbers(path, lineno, line.split(), 3)
-                raise ValueError(f"expected {3 * n} vertex values, found {len(tokens)}")
-            points = values.reshape(n, 3) if n else np.zeros((0, 3))
-        else:
-            raise ValueError(f"PLY format {fmt!r} is neither ascii 1.0 "
-                             "nor binary_little_endian 1.0")
+        fmt, n, units, props, start = _ply_header(data)
+        if fmt != "binary_little_endian 1.0":
+            raise ValueError(f"PLY format {fmt!r} is not binary_little_endian 1.0")
+        if props != PLY_XYZ:
+            raise ValueError("binary PLY vertices must be exactly "
+                             "double x, double y, double z")
+        if len(data) - start != 24 * n:
+            raise ValueError(f"binary PLY body holds {len(data) - start} bytes, "
+                             f"{n} vertices need {24 * n}")
+        points = np.frombuffer(data, "<f8", 3 * n, start).reshape(n, 3)
+        finite = np.isfinite(points)
+        if not finite.all():
+            raise ValueError(f"vertex {np.flatnonzero(~finite)[0] // 3} is not finite")
         return PointCloud(points, units)
 
 

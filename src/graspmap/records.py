@@ -2,8 +2,9 @@
 one reader and writer of every YAML document and of a dataclass as a YAML
 mapping, and the check of the numbers a configuration file holds.
 
-One record per line; ``#`` starts a comment. Reading errors raise
-``CorruptArtifact`` naming ``path:line``.
+One record per line; ``#`` starts a comment. An artifact's records come in
+the order and number its writer writes them, which ``laid_out`` checks.
+Reading errors raise ``CorruptArtifact`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -76,16 +77,25 @@ def read_table(path, rows: list, width: int) -> np.ndarray:
     return table
 
 
-def in_order(path, kind: str, rows: list, first: int, column: int = 1) -> None:
-    """Check that the index token ``column`` of ``rows``, the ``(lineno,
-    tokens)`` pairs of one record kind, runs ``first``, ``first + 1``, ... in
-    file order, as the writers write it. The first record out of place, one
-    missing, swapped, relabelled or repeated, is ``CorruptArtifact`` at its line."""
-    for k, (lineno, tokens) in enumerate(rows, first):
-        index = tokens[column].strip() if len(tokens) > column else ""
-        if index != str(k):
-            raise CorruptArtifact(f"{path}:{lineno}: {kind} {index!r} "
-                                  f"where {kind} {k} belongs")
+def laid_out(path, rows: list, keys) -> None:
+    """Check that ``rows``, the ``(lineno, tokens)`` records of an artifact in
+    file order, are laid out as its writer writes them: record k starts with
+    the tokens of key k, and there are as many records as keys. ``keys`` is
+    any iterable of token lists, walked no further than the rows. A record
+    missing, extra, swapped, relabelled, repeated or unknown is
+    ``CorruptArtifact`` at the line of the first record out of place; a file
+    that stops short names the first record missing."""
+    keys = iter(keys)
+    for lineno, tokens in rows:
+        key = next(keys, None)
+        if key is None:
+            raise CorruptArtifact(f"{path}:{lineno}: extra record {tokens[0]!r}")
+        if tokens[:len(key)] != key:
+            raise CorruptArtifact(f"{path}:{lineno}: record {' '.join(tokens[:len(key)])!r} "
+                                  f"where {' '.join(key)!r} belongs")
+    key = next(keys, None)
+    if key is not None:
+        raise CorruptArtifact(f"{path}: ends before record {' '.join(key)!r}")
 
 
 def check_rows(path, rows: list, ok: np.ndarray, problem: str) -> None:
@@ -99,13 +109,6 @@ def check_quaternions(path, rows: list, quats: np.ndarray) -> None:
     """A zero quaternion, or one too large for its norm to be finite, has no
     rotation: ``CorruptArtifact`` at its line."""
     check_rows(path, rows, unit_norms_ok(quats), "quaternion must be finite and nonzero")
-
-
-def first_record(seen: set, kind: str) -> None:
-    """Note a ``kind`` record as read; an artifact that repeats one is corrupt."""
-    if kind in seen:
-        raise ValueError(f"repeated {kind} record")
-    seen.add(kind)
 
 
 @contextmanager

@@ -30,7 +30,7 @@ from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.p
 from . import mapping  # bundle I/O calls mapping.*_ply, so wrappers set there apply
 from .mapping import UNSCALED_UNITS, PointCloud
 from .records import (check_quaternions, config_number, float_fields, from_mapping,
-                      in_order, load_mapping, read_records, read_table, read_yaml,
+                      laid_out, load_mapping, read_records, read_table, read_yaml,
                       to_mapping, write_records, write_yaml)
 
 log = logging.getLogger(__name__)
@@ -544,11 +544,10 @@ def read_bundle(directory) -> SimBundle:
 
     path = d / VO_FILE
     rows = list(read_records(path, ","))
-    in_order(path, "step", rows, 1, column=0)  # step k ties keyframe k-1 to k
+    # step k ties keyframe k-1 to k
+    laid_out(path, rows, ([str(k)] for k in range(1, len(trajectory))))
     vo = read_table(path, rows, 8)
     check_quaternions(path, rows, vo[:, 4:8])
-    if len(vo) != len(trajectory) - 1:
-        raise CorruptArtifact(f"{path}: {len(vo)} steps for {len(trajectory)} keyframes")
 
     path = d / CLOUD_FILE
     cloud = mapping.read_ply(path)

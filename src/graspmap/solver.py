@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -53,9 +54,8 @@ from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
                        se3_left_jacobian_inv_stacked, se3_log_stacked)
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
-from .records import (check_quaternions, check_rows, first_record, float_fields,
-                      in_order, located, numbers, read_records, read_table,
-                      write_records)
+from .records import (check_quaternions, check_rows, float_fields, laid_out, located,
+                      numbers, read_records, read_table, write_records)
 from .simulation import SimBundle
 
 
@@ -501,7 +501,9 @@ def build_graph(bundle: SimBundle, model: LimbModel,
 
 # --- graph file format ----------------------------------------------------------
 #
-# One record per line in the shared plain-text format (see records.py):
+# One record per line in the shared plain-text format (see records.py), in
+# this order: n poses, the scale, the prior, then fk i and mc i alternating
+# for i = 1..n-1.
 #
 #   pose <i> tx ty tz qw qx qy qz
 #   scale <value>
@@ -536,50 +538,36 @@ def save_graph(path, graph: FactorGraph) -> None:
 
 
 def load_graph(path) -> FactorGraph:
-    """The graph in ``path``. The records of each indexed kind, whose indices
-    run in file order, are read as one table and checked as the value types
-    check one value; errors name ``path:line``."""
-    records: dict[str, list] = {"pose": [], "fk": [], "mc": [], "scale": [], "prior": []}
-    for lineno, tok in read_records(path):
-        if tok[0] not in records:
-            raise CorruptArtifact(f"{path}:{lineno}: unrecognized {tok[0]!r} record")
-        records[tok[0]].append((lineno, tok))
-    seen: set = set()
-    scale: ScaleVar | None = None
-    prior: PriorFactor | None = None
-    for lineno, tok in records["scale"] + records["prior"]:
-        with located(path, lineno):
-            first_record(seen, tok[0])
-            if tok[0] == "scale":
-                scale = ScaleVar.from_value(numbers(path, lineno, tok[1:], 1)[0])
-            else:
-                vals = numbers(path, lineno, tok[1:], 15)
-                prior = PriorFactor(pose=pose_from_seven(vals[0:7]), scale=vals[7],
-                                    pose_info=np.array(vals[8:14]),
-                                    scale_info=vals[14])
+    """The graph in ``path``, its records laid out as ``save_graph`` writes
+    them (the format above), each indexed kind read as one table and checked
+    as the value types check one value; errors name ``path:line``."""
+    rows = list(read_records(path))
+    n = max(sum(tok[0] == "pose" for _, tok in rows), 1)
+    laid_out(path, rows, chain((["pose", str(i)] for i in range(n)), (["scale"], ["prior"]),
+                               ([kind, str(i)] for i in range(1, n) for kind in ("fk", "mc"))))
+    (scale_line, scale_tok), (prior_line, prior_tok) = rows[n:n + 2]
+    with located(path, scale_line):
+        scale = ScaleVar.from_value(numbers(path, scale_line, scale_tok[1:], 1)[0])
+    with located(path, prior_line):
+        vals = numbers(path, prior_line, prior_tok[1:], 15)
+        prior = PriorFactor(pose=pose_from_seven(vals[0:7]), scale=vals[7],
+                            pose_info=np.array(vals[8:14]), scale_info=vals[14])
+    pose_rows, fk_rows, mc_rows = rows[:n], rows[n + 2::2], rows[n + 3::2]
     # an mc record ends in its aligned|literal flag, after the numbers
-    check_rows(path, records["mc"],
-               np.array([tok[-1] in ("aligned", "literal") for _, tok in records["mc"]]),
+    check_rows(path, mc_rows, np.array([tok[-1] in ("aligned", "literal") for _, tok in mc_rows]),
                "unrecognized 'mc' record")
-    tables = {}
-    for kind, first, end in (("pose", 0, None), ("fk", 1, None), ("mc", 1, -1)):
-        rows = records[kind]
-        in_order(path, kind, rows, first)
-        tables[kind] = table = read_table(path, [(lineno, tok[2:end]) for lineno, tok in rows],
-                                          7 if kind == "pose" else 13)
-        check_quaternions(path, rows, table[:, 3:7])
-        if kind != "pose":
-            check_rows(path, rows, (table[:, 7:] > 0.0).all(axis=1),
+    tables = []
+    for kind_rows, width, end in ((pose_rows, 7, None), (fk_rows, 13, None), (mc_rows, 13, -1)):
+        table = read_table(path, [(lineno, tok[2:end]) for lineno, tok in kind_rows], width)
+        check_quaternions(path, kind_rows, table[:, 3:7])
+        if width == 13:  # a factor: its information diagonal follows the pose
+            check_rows(path, kind_rows, (table[:, 7:] > 0.0).all(axis=1),
                        "information diagonal must be positive")
-    n = len(records["pose"])
-    if prior is None or scale is None or n == 0 \
-            or len(records["fk"]) != n - 1 or len(records["mc"]) != n - 1:
-        raise CorruptArtifact(f"{path}: graph file needs a prior, a scale, n >= 1 poses "
-                              "and n - 1 fk and mc records")
-    poses, fk, mc = tables["pose"], tables["fk"], tables["mc"]
+        tables.append(table)
+    poses, fk, mc = tables
     stacked = StackedFactors(fk_quat=fk[:, 3:7], fk_trans=fk[:, :3], fk_info=fk[:, 7:],
                              mc_quat=mc[:, 3:7], mc_trans=mc[:, :3], mc_info=mc[:, 7:],
-                             mc_aligned=[tok[-1] == "aligned" for _, tok in records["mc"]])
+                             mc_aligned=[tok[-1] == "aligned" for _, tok in mc_rows])
     quats = frozen(poses[:, 3:7], (n, 4), "quaternion", unit=True)
     return FactorGraph.from_arrays(prior, quats, poses[:, :3], scale.log_value, stacked)
 
@@ -602,35 +590,26 @@ def save_report(path, report: SolveReport) -> None:
 
 
 def load_report(path) -> SolveReport:
-    """Read a report; the LM trace lines (rejected_steps, step_lambda,
-    step_grad) are optional, so reports written before them still load. An
-    unknown or repeated record is corrupt, and so is a step record kind that
-    is present but does not run 0..iterations-1 in file order."""
-    seen: set = set()
+    """The report in ``path``, its records laid out as ``save_report`` writes
+    them: the five head records, then ``step_cost``, ``step_lambda`` and
+    ``step_grad``, each for steps 0..iterations-1. Errors name ``path:line``."""
+    rows = list(read_records(path))
+    head = {"initial_cost": float, "final_cost": float, "iterations": int,
+            "converged": bool, "rejected_steps": int}
+    laid_out(path, rows[:len(head)], ([key] for key in head))
     fields: dict[str, float | int | bool] = {}
-    steps: dict[str, list] = {key: [] for key in STEP_RECORDS}
-    for lineno, tok in read_records(path):
-        key, vals = tok[0], tok[1:]
-        if key in STEP_RECORDS:
-            steps[key].append((lineno, tok))
-            continue
-        with located(path, lineno):
-            first_record(seen, key)
-            if key in ("initial_cost", "final_cost", "iterations", "rejected_steps"):
-                kind = float if key.endswith("cost") else int
-                fields[key] = numbers(path, lineno, vals, 1, kind)[0]
-            elif key == "converged" and vals in (["true"], ["false"]):
-                fields[key] = vals == ["true"]
-            else:
-                raise ValueError(f"unrecognized {key!r} record")
-    missing = {"initial_cost", "final_cost", "iterations", "converged"} - set(fields)
-    if missing:
-        raise CorruptArtifact(f"{path}: report has no {', '.join(sorted(missing))} line")
-    n = fields["iterations"]
-    for key, rows in steps.items():
-        in_order(path, key, rows, 0)
-        if rows and len(rows) != n:
-            raise CorruptArtifact(f"{path}: {len(rows)} {key} records for {n} iterations")
-    return SolveReport(**fields, **{STEP_RECORDS[key]: [numbers(path, lineno, tok[2:], 1)[0]
-                                                        for lineno, tok in rows]
-                                    for key, rows in steps.items()})
+    for (lineno, (key, *vals)), kind in zip(rows, head.values()):
+        if kind is bool:
+            if vals not in (["true"], ["false"]):
+                raise CorruptArtifact(f"{path}:{lineno}: {key} must be true or false")
+            fields[key] = vals == ["true"]
+        else:
+            fields[key] = numbers(path, lineno, vals, 1, kind)[0]
+            if fields[key] < 0:
+                raise CorruptArtifact(f"{path}:{lineno}: {key} must not be negative")
+    n, steps = fields["iterations"], rows[len(head):]
+    # the keys are walked as far as the rows go: a corrupt count builds none
+    laid_out(path, steps, ([key, str(k)] for key in STEP_RECORDS for k in range(n)))
+    values = [numbers(path, lineno, tok[2:], 1)[0] for lineno, tok in steps]
+    return SolveReport(**fields, **{name: values[j * n:(j + 1) * n]
+                                    for j, name in enumerate(STEP_RECORDS.values())})

@@ -508,12 +508,12 @@ def swap_lines(a, b):
     return apply
 
 
-def then(*edits):
-    """The byte edits applied in order."""
+def move_line(a, b):
+    """Byte edit that moves text line ``a`` (1-based) of a file to line ``b``."""
     def apply(data):
-        for edit in edits:
-            data = edit(data)
-        return data
+        lines = data.decode().splitlines(keepends=True)
+        lines.insert(b - 1, lines.pop(a - 1))
+        return "".join(lines).encode()
     return apply
 
 
@@ -554,12 +554,12 @@ def ascii_ply(data):
      "solve"),
     ("bundle/vo.csv", on_line(3, set_field(2, "nan")), "solve", "vo.csv:3",
      "solve"),
-    ("bundle/vo.csv", swap_lines(2, 3), "solve", "vo.csv:2: step '2' where step 1",
+    ("bundle/vo.csv", swap_lines(2, 3), "solve", "vo.csv:2: record '2' where '1' belongs",
      "solve"),
     ("bundle/vo.csv", on_line(4, set_field(0, "1")), "solve",
-     "vo.csv:4: step '1' where step 3", "solve"),
+     "vo.csv:4: record '1' where '3' belongs", "solve"),
     ("bundle/vo.csv", on_line(3, set_field(0, "2.5")), "solve",
-     "vo.csv:3: step '2.5' where step 2", "solve"),
+     "vo.csv:3: record '2.5' where '2' belongs", "solve"),
     ("bundle/trajectory.csv", on_line(4, lambda l: ",".join(l.split(",")[:5])),
      "solve", "trajectory.csv:4", "solve"),
     ("bundle/trajectory.csv", on_line(4, set_field(9, "inf")), "solve",
@@ -573,9 +573,11 @@ def ascii_ply(data):
     ("solve/graph.txt", on_line(3, set_field(4, "x", " ")), "pipeline-detect",
      "graph.txt:3", "solve"),
     ("solve/graph.txt", on_line(3, lambda l: l.replace("pose 1 ", "pose 0 ")),
-     "pipeline-detect", "graph.txt:3", "solve"),
-    ("solve/graph.txt", lambda t: t + b"scale 7\n", "pipeline-detect", "graph.txt:",
-     "solve"),
+     "pipeline-detect", "graph.txt:3: record 'pose 0' where 'pose 1' belongs", "solve"),
+    ("solve/graph.txt", lambda t: t + b"scale 7\n", "pipeline-detect",
+     "graph.txt:62: extra record 'scale'", "solve"),
+    ("solve/graph.txt", move_line(22, 2), "pipeline-detect",
+     "graph.txt:2: record 'scale ", "solve"),
     ("solve/graph.txt", on_line(3, zero_quaternion(5, " ")), "pipeline-detect",
      "graph.txt:3: quaternion must be finite and nonzero", "solve"),
     ("solve/graph.txt", on_line(24, zero_quaternion(5, " ")), "pipeline-detect",
@@ -583,37 +585,40 @@ def ascii_ply(data):
     ("solve/graph.txt", on_line(25, set_field(11, "-0.001", " ")), "pipeline-detect",
      "graph.txt:25: information diagonal must be positive", "solve"),
     ("solve/report.txt", lambda t: re.sub(rb"final_cost .*\n", b"", t),
-     "pipeline-detect", "report.txt", "solve"),
+     "pipeline-detect", "report.txt:2: record 'iterations' where 'final_cost' belongs",
+     "solve"),
     ("solve/report.txt", lambda t: b"bogus 1 2 3\n" + t, "pipeline-detect",
-     "report.txt:1", "solve"),
+     "report.txt:1: record 'bogus' where 'initial_cost' belongs", "solve"),
     ("solve/report.txt", on_line(3, lambda l: "final_cost 7\n" + l), "pipeline-detect",
-     "report.txt:3", "solve"),
+     "report.txt:3: record 'final_cost' where 'iterations' belongs", "solve"),
+    ("solve/report.txt", move_line(5, 20), "pipeline-detect",
+     "report.txt:5: record 'step_cost' where 'rejected_steps' belongs", "solve"),
     ("solve/report.txt", lambda t: re.sub(rb"step_cost 1 .*\n", b"", t),
-     "pipeline-detect", "report.txt:7: step_cost '2' where step_cost 1 belongs", "solve"),
+     "pipeline-detect", "report.txt:7: record 'step_cost 2' where 'step_cost 1' belongs",
+     "solve"),
     ("solve/report.txt", on_line(6, lambda l: "step_grad 99 0.5\n" + l),
-     "pipeline-detect", "report.txt:6: step_grad '99' where step_grad 0 belongs", "solve"),
+     "pipeline-detect", "report.txt:6: record 'step_grad 99' where 'step_cost 0' belongs",
+     "solve"),
     ("solve/report.txt", lambda t: t[:t.rindex(b"step_grad")], "pipeline-detect",
-     "report.txt: 4 step_grad records for 5 iterations", "solve"),
+     "report.txt: ends before record 'step_grad 4'", "solve"),
     ("solve/report.txt", swap_lines(7, 8), "pipeline-detect",
-     "report.txt:7: step_cost '2' where step_cost 1 belongs", "solve"),
+     "report.txt:7: record 'step_cost 2' where 'step_cost 1' belongs", "solve"),
     ("solve/graph.txt", swap_lines(4, 5), "pipeline-detect",
-     "graph.txt:4: pose '3' where pose 2 belongs", "solve"),
+     "graph.txt:4: record 'pose 3' where 'pose 2' belongs", "solve"),
     ("solve/graph.txt", on_line(26, lambda l: l.replace("fk 2 ", "fk 3 ")),
-     "pipeline-detect", "graph.txt:26: fk '3' where fk 2 belongs", "solve"),
+     "pipeline-detect", "graph.txt:26: record 'fk 3' where 'fk 2' belongs", "solve"),
     ("solve/graph.txt", lambda t: re.sub(rb"mc 2 .*\n", b"", t), "pipeline-detect",
-     "graph.txt:28: mc '3' where mc 2 belongs", "solve"),
+     "graph.txt:27: record 'fk 3' where 'mc 2' belongs", "solve"),
     ("bundle/vo.csv", lambda t: t + b"\xff\xfe", "solve", "vo.csv:21: not UTF-8 text",
      "solve"),
     ("solve/graph.txt", lambda t: t + b"\xff\xfe", "pipeline-detect",
      "graph.txt:62: not UTF-8 text", "solve"),
     ("solve/report.txt", lambda t: t + b"\xff\xfe", "pipeline-detect",
      "report.txt:21: not UTF-8 text", "solve"),
-    ("bundle/cloud.ply", then(ascii_ply, on_line(9, set_field(1, "abc", " "))),
-     "pipeline-solve", "cloud.ply:9", "simulate"),
+    ("bundle/cloud.ply", ascii_ply, "solve",
+     "cloud.ply: PLY format 'ascii 1.0' is not binary_little_endian 1.0", "solve"),
     ("bundle/cloud.ply", ply_vertex(2, math.nan), "pipeline-solve",
      "cloud.ply: vertex 2 is not finite", "simulate"),
-    ("bundle/cloud.ply", then(ascii_ply, on_line(11, set_field(2, "nan", " "))),
-     "pipeline-solve", "cloud.ply:11", "simulate"),
     ("bundle/cloud.ply", lambda t: t[:-8], "pipeline-solve", "cloud.ply", "simulate"),
     ("bundle/cloud.ply", lambda t: t.replace(f"comment units {UNSCALED_UNITS}".encode(),
                                              f"comment units {METERS}".encode()),
@@ -622,12 +627,12 @@ def ascii_ply(data):
         "vo-step-not-integer", "trajectory-short-row", "trajectory-inf-angle",
         "vo-zero-quaternion", "bundle-truncated", "manifest-no-config",
         "graph-bad-record", "graph-repeated-pose", "graph-repeated-scale",
-        "graph-pose-zero-quaternion", "graph-fk-zero-quaternion", "graph-mc-negative-info",
+        "graph-scale-first", "graph-pose-zero-quaternion", "graph-fk-zero-quaternion", "graph-mc-negative-info",
         "report-no-final-cost", "report-unknown-record", "report-repeated-final-cost",
-        "report-step-gap", "report-step-extra-index", "report-step-short-trace",
+        "report-rejected-last", "report-step-gap", "report-step-extra-index", "report-step-short-trace",
         "report-steps-swapped", "graph-poses-swapped", "graph-fk-relabelled",
         "graph-mc-line-dropped", "vo-not-utf8", "graph-not-utf8", "report-not-utf8",
-        "ply-not-a-number", "ply-nan", "ply-ascii-nan", "ply-short-body",
+        "ply-ascii", "ply-nan", "ply-short-body",
         "ply-metric-units"])
 def test_corrupt_artifact_exits_3_naming_file(small_run, tmp_path, capsys, rel, edit,
                                               command, where, label):

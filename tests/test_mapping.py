@@ -518,19 +518,6 @@ def test_ply_writes_are_byte_identical(tmp_path):
     assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
 
 
-def test_ascii_ply_still_reads(tmp_path):
-    """Clouds written before the binary format, at 17 digits, read back exactly."""
-    points = np.random.default_rng(13).normal(size=(50, 3))
-    path = tmp_path / "old.ply"
-    path.write_text("ply\nformat ascii 1.0\ncomment units unscaled-map-units\n"
-                    f"element vertex {len(points)}\nproperty double x\nproperty double y\n"
-                    "property double z\nend_header\n"
-                    + "\n".join(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in points) + "\n")
-    back = read_ply(path)
-    assert back.units == UNSCALED_UNITS
-    assert np.array_equal(back.points, points)
-
-
 @pytest.mark.parametrize("edit", [
     lambda d: d.replace(b"binary_little_endian", b"binary_big_endian"),
     lambda d: d.replace(b"format binary_little_endian 1.0\n", b""),
@@ -540,8 +527,9 @@ def test_ascii_ply_still_reads(tmp_path):
     lambda d: d + b"\0",
     lambda d: d[:-1],
     lambda d: d.replace(b"comment units meters\n", b""),
+    lambda d: b"plx" + d[3:],
 ], ids=["big-endian", "no-format", "extra-property", "reordered-properties",
-        "float-property", "one-byte-long", "one-byte-short", "no-units"])
+        "float-property", "one-byte-long", "one-byte-short", "no-units", "not-ply"])
 def test_binary_ply_rejects_a_bad_header_or_body(tmp_path, edit):
     path = tmp_path / "bad.ply"
     write_ply(path, PointCloud(np.random.default_rng(14).normal(size=(4, 3)), METERS))

@@ -659,32 +659,32 @@ def test_report_file_round_trip(tmp_path):
     assert back == report
 
 
-def test_report_without_lm_trace_loads(tmp_path):
-    """Reports written before the LM trace lines still load, with an empty trace."""
-    path = tmp_path / "report.txt"
-    path.write_text("initial_cost 0.25\nfinal_cost 0.125\niterations 1\n"
-                    "converged true\nstep_cost 0 0.125\n")
-    assert load_report(path) == SolveReport(initial_cost=0.25, final_cost=0.125,
-                                            iterations=1, converged=True,
-                                            step_costs=[0.125])
+def step_trace(n):
+    """The step records of an n-step report, as ``save_report`` writes them."""
+    return "".join(f"{key} {k} 0.5\n" for key in ("step_cost", "step_lambda", "step_grad")
+                   for k in range(n))
 
 
 @pytest.mark.parametrize("iterations, steps, where", [
-    (1, "step_cost 0 0.7\nstep_cost 9 0.5\n",
-     "report.txt:6: step_cost '9' where step_cost 1 belongs"),
-    (1, "step_cost 0 0.7\nstep_lambda -1 0.1\n",
-     "report.txt:6: step_lambda '-1' where step_lambda 0 belongs"),
-    (3, "step_cost 0 0.7\nstep_cost 2 0.5\n",
-     "report.txt:6: step_cost '2' where step_cost 1 belongs"),
-    (2, "step_cost 0 0.7\nstep_cost 1 0.5\nstep_grad 0 0.1\n",
-     "report.txt: 1 step_grad records for 2 iterations"),
-], ids=["past-the-end", "negative", "gap", "short"])
+    (1, step_trace(1).replace("step_lambda", "step_cost 9 0.5\nstep_lambda"),
+     "report.txt:7: record 'step_cost 9' where 'step_lambda 0' belongs"),
+    (1, step_trace(1).replace("step_lambda 0", "step_lambda -1"),
+     "report.txt:7: record 'step_lambda -1' where 'step_lambda 0' belongs"),
+    (3, step_trace(3).replace("step_cost 1 0.5\n", ""),
+     "report.txt:7: record 'step_cost 2' where 'step_cost 1' belongs"),
+    (2, step_trace(2).replace("step_grad 1 0.5\n", ""),
+     "report.txt: ends before record 'step_grad 1'"),
+    (1000000000000, step_trace(2),
+     "report.txt:8: record 'step_lambda 0' where 'step_cost 2' belongs"),
+    (-1, step_trace(1), "report.txt:3: iterations must not be negative"),
+], ids=["past-the-end", "negative", "gap", "short", "count-past-the-file", "count-negative"])
 def test_report_step_indices_must_be_every_iteration(tmp_path, iterations, steps, where):
-    """A step record kind that is present holds indices 0..iterations-1 in
-    file order; the first record out of place names its line."""
+    """Each step record kind holds indices 0..iterations-1 in file order; the
+    first record out of place names its line. The iteration count is checked
+    against the file, so a corrupt count fails as fast as any other record."""
     path = tmp_path / "report.txt"
     path.write_text(f"initial_cost 0.25\nfinal_cost 0.125\niterations {iterations}\n"
-                    f"converged true\n{steps}")
+                    f"converged true\nrejected_steps 0\n{steps}")
     with pytest.raises(CorruptArtifact) as exc:
         load_report(path)
     assert where in str(exc.value)

@@ -67,6 +67,16 @@ def test_quaternion_helpers_match_rotation():
     close(quat_matrix(qa), [x.matrix() for x in a])
 
 
+def matrix_by_elements(w, x, y, z) -> np.ndarray:
+    """The rotation matrix of a unit quaternion, one element at a time: the
+    reference ``quat_matrix``, and so ``Rotation.matrix``, must match bit for bit."""
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def test_pose_twins_match_scalar_bit_for_bit():
     rng = np.random.default_rng(9)
     a = [rand_pose(rng) for _ in range(2000)]
@@ -83,6 +93,7 @@ def test_pose_twins_match_scalar_bit_for_bit():
     same(compose_stacked(qa[0], ta[0], qb, tb), [compose(a[0], y) for y in b])
     same(inverse_stacked(qa, ta), [inverse(x) for x in a])
     assert np.array_equal(quat_rotate(qa, tb), [x.rotation.apply(t) for x, t in zip(a, tb)])
+    assert np.array_equal([x.rotation.matrix() for x in a], [matrix_by_elements(*q) for q in qa])
     # the adjoint [[R, hat(t) R], [0, R]], built from Rotation.matrix
     want = np.zeros((len(a), 6, 6))
     for w, x in zip(want, a):
