@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import (Pose, Rotation, compose, frozen, hat, hat_stacked,
-                       inverse, inverse_stacked, quat_conjugate, quat_matrix,
+from .geometry import (Pose, Rotation, compose, compose_stacked, frozen, hat,
+                       hat_stacked, inverse, inverse_stacked, quat_conjugate, quat_matrix,
                        quat_product, quat_rotate, quat_unit, se3_adjoint,
                        se3_adjoint_stacked, se3_left_jacobian_inv,
                        se3_left_jacobian_inv_stacked, se3_log,
@@ -353,47 +353,72 @@ class StackedFactors:
                 se3_adjoint_stacked(self.fk_quat, self.fk_trans))
 
     @cached_property
-    def _mc_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """delta_rot.inverse(), normalized as Rotation does, and delta_rot.matrix()."""
-        return quat_unit(quat_conjugate(self.mc_quat)), quat_matrix(self.mc_quat)
+    def _mc_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """delta_rot.inverse(), normalized as Rotation does, delta_rot.matrix(),
+        and hat(delta_trans)."""
+        return (quat_unit(quat_conjugate(self.mc_quat)), quat_matrix(self.mc_quat),
+                hat_stacked(self.mc_trans))
 
-    def fk(self, quats, trans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fk(self, quats, trans, *, anchor: Pose | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals (m, 6) and Jacobians (m, 6, 6) wrt poses k and k+1, as
-        ``fk_residual`` and ``fk_jacobians``."""
+        ``fk_residual`` and ``fk_jacobians``.
+
+        Given the ``anchor`` pose of a prior on pose 0, r and j_curr gain a
+        row m for the prior's pose part: r[m] = log(anchor^-1 T_0), with T_0
+        normalized as a Rotation holds it, and j_curr[m] its Jacobian wrt
+        pose 0, as ``prior_residual`` and ``prior_jacobians`` give them.
+        All rows share one ``se3_log_stacked`` call, and their Jacobians one
+        ``se3_left_jacobian_inv_stacked`` call on [r_fk; -r]: d/d pose k is
+        -Jl^-1(r), d/d pose k+1 is Jr^-1(r) Ad(delta) = Jl^-1(-r) Ad(delta).
+        """
         inv_quat, inv_trans, adjoint = self._fk_terms
         prev_inv = quat_conjugate(quats[:-1])
         # compose(compose(inverse(t_prev), t_curr), inverse(delta))
         rel_quat = quat_product(prev_inv, quats[1:])
         rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
-        r = se3_log_stacked(quat_product(rel_quat, inv_quat),
-                            quat_rotate(rel_quat, inv_trans) + rel_trans)
-        j_prev = -se3_left_jacobian_inv_stacked(r)
-        j_curr = se3_left_jacobian_inv_stacked(-r) @ adjoint
-        return r, j_prev, j_curr
+        err_quat = quat_product(rel_quat, inv_quat)
+        err_trans = quat_rotate(rel_quat, inv_trans) + rel_trans
+        if anchor is not None:
+            prior_quat, prior_trans = compose_stacked(
+                *inverse_stacked(anchor.rotation.quat, anchor.translation),
+                quat_unit(quats[0]), trans[0])
+            err_quat = np.concatenate([err_quat, prior_quat[None]])
+            err_trans = np.concatenate([err_trans, prior_trans[None]])
+        r = se3_log_stacked(err_quat, err_trans)
+        m = len(self)
+        jac = se3_left_jacobian_inv_stacked(np.concatenate([r[:m], -r]))
+        j_curr = jac[m:]
+        j_curr[:m] = j_curr[:m] @ adjoint
+        return r, -jac[:m], j_curr
 
     def mc(self, quats, trans, log_s: float
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Residuals (m, 6), Jacobians (m, 6, 6) wrt poses k and k+1, and
-        (m, 6) wrt log s, as ``mc_residual`` and ``mc_jacobians``."""
+        (m, 6) wrt log s, as ``mc_residual`` and ``mc_jacobians``. The
+        rotation matrices of all n poses come from one ``quat_matrix`` call,
+        and the rotation rows' Jacobians from one
+        ``so3_left_jacobian_inv_stacked`` call on [r_rot; -r_rot]."""
         s = np.exp(log_s)  # inf, not OverflowError, for a wild trial state
-        inv_quat, rot = self._mc_terms
+        inv_quat, rot, hat_trans = self._mc_terms
         aligned = self.mc_aligned[:, None]
-        r_prev = quat_matrix(quats[:-1])
+        mats = quat_matrix(quats)
+        r_prev = mats[:-1]
         moved = np.where(aligned, quat_rotate(quats[:-1], self.mc_trans), self.mc_trans)
         r_rot = so3_log_stacked(quat_product(
             quat_product(quat_conjugate(quats[:-1]), quats[1:]), inv_quat))
         r = np.concatenate([(trans[1:] - trans[:-1]) - s * moved, r_rot], axis=-1)
 
         m = len(r)
+        jac = so3_left_jacobian_inv_stacked(np.concatenate([r_rot, -r_rot]))
         j_prev = np.zeros((m, 6, 6))
         j_curr = np.zeros((m, 6, 6))
         j_scale = np.zeros((m, 6))
         j_prev[:, :3, :3] = -r_prev
-        j_curr[:, :3, :3] = quat_matrix(quats[1:])
-        j_prev[:, :3, 3:] = np.where(aligned[..., None],
-                                     (s * r_prev) @ hat_stacked(self.mc_trans), 0.0)
+        j_curr[:, :3, :3] = mats[1:]
+        j_prev[:, :3, 3:] = np.where(aligned[..., None], (s * r_prev) @ hat_trans, 0.0)
         j_scale[:, :3] = -s * np.where(aligned, (r_prev @ self.mc_trans[..., None])[..., 0],
                                        self.mc_trans)
-        j_prev[:, 3:, 3:] = -so3_left_jacobian_inv_stacked(r_rot)
-        j_curr[:, 3:, 3:] = so3_left_jacobian_inv_stacked(-r_rot) @ rot
+        j_prev[:, 3:, 3:] = -jac[:m]
+        j_curr[:, 3:, 3:] = jac[m:] @ rot
         return r, j_prev, j_curr, j_scale

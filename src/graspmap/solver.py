@@ -15,9 +15,13 @@ those arrays directly; the poses, scale and factors as values (``poses``,
 ``fks``, ``mcs``, ``factors``) are views built on demand. Linearization
 evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
 [1:], and the prior on the same arrays; no graph method calls a scalar factor
-function, and ``total_cost`` is the cost it sums. The Gauss-Newton Hessian is
-therefore block-tridiagonal in 6x6 pose blocks plus one dense border row for
-log s, and each pair's terms add into those blocks by slices.
+function, and ``total_cost`` is the cost it sums. Each kind of stacked log
+and Jacobian runs once per linearization over every row that needs it: the
+prior's pose row joins the kinematic rows, and both signs of each Jacobian,
+Jl^-1(r) and Jl^-1(-r), come from one call on [r; -r]. The Gauss-Newton
+Hessian is therefore block-tridiagonal in 6x6 pose blocks plus one dense
+border row for log s, and each pair's terms add into those blocks by
+slices, every block product J^T (info J) one batched matmul over the rows.
 ``NormalEquations`` holds just the blocks, and ``block_cholesky`` factors
 the system by odd-even (cyclic) block reduction (Heller, SIAM J. Numer.
 Anal. 1976): each level eliminates every other pose
@@ -50,8 +54,7 @@ from .factors import (FK_INFO_VALUE, MC_INFO_VALUE, Factor, FkFactor,
 from .factors import factor_jacobians, factor_residual  # noqa: F401 -- read only by perfbench/tracer.py
 from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
                        inverse_stacked, pose_from_seven, pose_to_seven,
-                       quat_product, quat_rotate, quat_unit, se3_exp_stacked,
-                       se3_left_jacobian_inv_stacked, se3_log_stacked)
+                       quat_product, quat_rotate, quat_unit, se3_exp_stacked)
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
 from .records import (check_quaternions, check_rows, float_fields, laid_out, located,
@@ -139,16 +142,17 @@ class NormalEquations:
 
 def _add_pairs(system: NormalEquations, info, r, j_prev, j_curr) -> np.ndarray:
     """Add one factor per keyframe pair (row k ties pose k to pose k+1) to the
-    pose blocks and gradient; returns the information-weighted residuals."""
+    pose blocks and gradient; returns the information-weighted residuals.
+    Each block product J^T (info J) is one batched matmul over the rows."""
     wr = info * r
     wj_prev = info[..., None] * j_prev
     wj_curr = info[..., None] * j_curr
-    system.diag[:-1] += np.einsum("kri,krj->kij", j_prev, wj_prev)
-    system.diag[1:] += np.einsum("kri,krj->kij", j_curr, wj_curr)
-    system.sub[1:] += np.einsum("kri,krj->kij", j_curr, wj_prev)
-    system.grad[:-1] += np.einsum("kri,kr->ki", j_prev, wr)
-    system.grad[1:] += np.einsum("kri,kr->ki", j_curr, wr)
-    system.cost += float(np.einsum("kr,kr->", r, wr))
+    system.diag[:-1] += _t(j_prev) @ wj_prev
+    system.diag[1:] += _t(j_curr) @ wj_curr
+    system.sub[1:] += _t(j_curr) @ wj_prev
+    system.grad[:-1] += _mv(_t(j_prev), wr)
+    system.grad[1:] += _mv(_t(j_curr), wr)
+    system.cost += float(np.vdot(r, wr))
     return wr
 
 
@@ -157,29 +161,27 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
                      log_s: float) -> NormalEquations:
     """Gauss-Newton system of a chain graph at the state (quats, trans, log_s)."""
     n = len(quats)
-    # the prior: the twist log(anchor^-1 T_0), with T_0 normalized as a Rotation
-    # holds it, and the log-scale gap; d/d pose 0 is Jr^-1(twist), d/d log s is 1
-    r_pose = se3_log_stacked(*compose_stacked(
-        *inverse_stacked(prior.pose.rotation.quat, prior.pose.translation),
-        quat_unit(quats[0]), trans[0]))
-    j_pose = se3_left_jacobian_inv_stacked(-r_pose)
-    r = np.append(r_pose, log_s - math.log(prior.scale))
-    wr = np.append(prior.pose_info, prior.scale_info) * r
+    # the prior's pose part rides as the last kinematic row: its twist
+    # log(anchor^-1 T_0) and d/d pose 0; d/d log s of its scale gap is 1
+    r, j_prev, j_curr = stacked.fk(quats, trans, anchor=prior.pose)
+    j_pose = j_curr[-1]
+    r_prior = np.append(r[-1], log_s - math.log(prior.scale))
+    wr_prior = np.append(prior.pose_info, prior.scale_info) * r_prior
     system = NormalEquations(diag=np.zeros((n, 6, 6)), sub=np.zeros((n, 6, 6)),
                              border=np.zeros((n, 6)), h_ss=prior.scale_info,
-                             grad=np.zeros((n, 6)), grad_s=float(wr[6]),
-                             cost=float(r @ wr))
+                             grad=np.zeros((n, 6)), grad_s=float(wr_prior[6]),
+                             cost=float(r_prior @ wr_prior))
     system.diag[0] += j_pose.T @ (prior.pose_info[:, None] * j_pose)
-    system.grad[0] += j_pose.T @ wr[:6]
+    system.grad[0] += j_pose.T @ wr_prior[:6]
 
-    _add_pairs(system, stacked.fk_info, *stacked.fk(quats, trans))
+    _add_pairs(system, stacked.fk_info, r[:-1], j_prev, j_curr[:-1])
     r, j_prev, j_curr, j_s = stacked.mc(quats, trans, log_s)
     wr = _add_pairs(system, stacked.mc_info, r, j_prev, j_curr)
     wj_s = stacked.mc_info * j_s
-    system.border[:-1] += np.einsum("kri,kr->ki", j_prev, wj_s)
-    system.border[1:] += np.einsum("kri,kr->ki", j_curr, wj_s)
-    system.h_ss += float(np.einsum("kr,kr->", j_s, wj_s))
-    system.grad_s += float(np.einsum("kr,kr->", j_s, wr))
+    system.border[:-1] += _mv(_t(j_prev), wj_s)
+    system.border[1:] += _mv(_t(j_curr), wj_s)
+    system.h_ss += float(np.vdot(j_s, wj_s))
+    system.grad_s += float(np.vdot(j_s, wr))
     return system
 
 

@@ -7,14 +7,19 @@ the solver machinery under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rand_pose, rand_twist_vector
-from graspmap import factors, geometry, kinematics, solver
+from graspmap import cli, factors, geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               StackedFactors, factor_cost, factor_info_diag, factor_jacobians,
@@ -22,10 +27,11 @@ from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
 from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_exp, se3_log, so3_exp)
 from graspmap.kinematics import JointReading, default_limb, fk_delta, fk_pose
-from graspmap.simulation import SimConfig, simulate
+from graspmap.simulation import SimConfig, simulate, write_bundle
 from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
                              damped_step, load_graph, load_report,
                              normal_equations, save_graph, save_report)
+from test_stacked import chain_graph, scalar_cost, twist_at_angle
 
 
 def smooth_truth_poses(rng, n: int) -> list[Pose]:
@@ -443,16 +449,18 @@ def test_marginal_stddev_matches_inverse_hessian():
     assert graph.marginal_scale_stddev() == pytest.approx(want, rel=1e-9)
 
 
+def moved_synthetic_graph(rng) -> FactorGraph:
+    """12 keyframes moved off the dead-reckoned start, so every residual is nonzero."""
+    graph, _ = synthetic_graph(rng, n=12, s_true=1.7, trans_noise=3e-4, rot_noise=2e-3)
+    graph.poses = [compose(p, se3_exp(0.01 * rng.normal(size=6))) for p in graph.poses]
+    return graph
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-4, 1e2])
 def test_damped_step_matches_dense_solve(lam):
     """One structured LM step solves the same damped system as a dense solve
     of the Hessian built from the scalar factor Jacobians."""
-    rng = np.random.default_rng(15)
-    graph, _ = synthetic_graph(rng, n=12, s_true=1.7, trans_noise=3e-4,
-                               rot_noise=2e-3)
-    # move off the dead-reckoned start so every residual is nonzero
-    graph.poses = [compose(p, se3_exp(0.01 * rng.normal(size=6)))
-                   for p in graph.poses]
+    graph = moved_synthetic_graph(np.random.default_rng(15))
     h, g = dense_normal_equations(graph)
     h[np.diag_indices_from(h)] += lam * np.diag(h)
     want = np.linalg.solve(h, -g)
@@ -461,6 +469,91 @@ def test_damped_step_matches_dense_solve(lam):
                                                 graph.trans, graph.log_s), lam)
     got = np.append(step.ravel(), step_s)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def one_pose_graph(rng) -> FactorGraph:
+    """The prior alone, with pose 0 and the scale started off it."""
+    prior = PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0)
+    return FactorGraph(prior, t0=compose(prior.pose, se3_exp(twist_at_angle(rng, 0.1, 0.1))))
+
+
+@pytest.mark.parametrize("make", [moved_synthetic_graph, chain_graph, one_pose_graph],
+                         ids=["synthetic", "chain", "one-pose"])
+def test_normal_equations_blocks_match_the_dense_oracle(make):
+    """Every block normal_equations assembles, and the cost, equals the dense
+    system summed factor by factor from the scalar Jacobians, to 1e-12 of
+    that block's largest entry: per pose for diag, sub, border and grad, since
+    the prior's pose block can outweigh the rest by ten decades."""
+    graph = make(np.random.default_rng(21))
+    n = graph.num_poses
+    h, g = dense_normal_equations(graph)
+    pose_h = h[:-1, :-1].reshape(n, 6, n, 6)
+    want = {"diag": pose_h[np.arange(n), :, np.arange(n)],
+            "sub": np.concatenate([np.zeros((1, 6, 6)),
+                                   pose_h[np.arange(1, n), :, np.arange(n - 1)]]),
+            "border": h[:-1, -1].reshape(n, 6), "h_ss": h[-1, -1],
+            "grad": g[:-1].reshape(n, 6), "grad_s": g[-1], "cost": scalar_cost(graph)}
+    system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
+                              graph.log_s)
+    for name, block in want.items():
+        got, block = np.asarray(getattr(system, name)), np.asarray(block)
+        assert got.shape == block.shape, name
+        rows = (len(got), -1) if got.ndim else (1, 1)  # per pose, or the one scalar
+        got, block = got.reshape(rows), block.reshape(rows)
+        gap = np.max(np.abs(got - block), axis=1)
+        assert (gap <= 1e-12 * np.max(np.abs(block), axis=1)).all(), (name, gap)
+
+
+# what one linearization calls from factors and solver, after its first use
+# has filled the measurement-only terms: each kind once over all its rows
+LINEARIZATION_CALLS = {"se3_log_stacked": 1, "se3_left_jacobian_inv_stacked": 1,
+                       "so3_log_stacked": 1, "so3_left_jacobian_inv_stacked": 1,
+                       "quat_matrix": 1}
+
+
+@pytest.mark.parametrize("make", [chain_graph, one_pose_graph], ids=["chain", "one-pose"])
+def test_normal_equations_makes_each_geometry_call_once(monkeypatch, make):
+    """The kinematic rows and the prior's pose row share one se3_log_stacked
+    call and one se3_left_jacobian_inv_stacked call, on [r_fk; -r]; the
+    tracker rows take one so3_log_stacked, one so3_left_jacobian_inv_stacked
+    call on [r_rot; -r_rot] and one quat_matrix over all poses. Calls that
+    geometry makes inside those maps are not counted."""
+    graph = make(np.random.default_rng(22))
+    args = graph.stacked, graph.prior, graph.quats, graph.trans, graph.log_s
+    normal_equations(*args)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*a, **kw):
+            calls[fn.__name__] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    for module in (factors, solver):
+        for name in LINEARIZATION_CALLS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    normal_equations(*args)
+    assert calls == LINEARIZATION_CALLS
+
+
+def test_solve_bytes_do_not_depend_on_the_allocator(tmp_path):
+    """Array alignment follows the allocator, and the block products go
+    through BLAS matmul; a child process with every block above 128 KiB
+    mapped on its own must still write the same graph.txt and report.txt
+    for the seed-0 320-keyframe bundle as this process."""
+    bundle, here, there = tmp_path / "bundle", tmp_path / "here", tmp_path / "there"
+    write_bundle(bundle, simulate(SimConfig(seed=0, keyframes=320,
+                                            cloud_points_per_keyframe=1)))
+    assert cli.main(["solve", str(bundle), "--out", str(here)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "graspmap.cli", "solve", str(bundle),
+                    "--out", str(there)], env=env, capture_output=True, text=True,
+                   timeout=120, check=True)
+    for name in ("graph.txt", "report.txt"):
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def random_bordered_system(rng, n: int):

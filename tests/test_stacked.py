@@ -22,7 +22,8 @@ from conftest import (jacobian_series, mat_exp_series, quat_exp, rand_pose,
 from graspmap.errors import CutLocusError
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
                               factor_cost, factor_info_diag, factor_residual,
-                              fk_jacobians, fk_residual, mc_jacobians, mc_residual)
+                              fk_jacobians, fk_residual, mc_jacobians, mc_residual,
+                              prior_jacobians, prior_residual)
 from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
                                quat_matrix, quat_product, quat_rotate,
@@ -192,6 +193,13 @@ def test_stacked_fk_matches_scalar():
         want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
         close(j_prev[k], want_prev)
         close(j_curr[k], want_curr)
+    # given the prior's anchor, its pose row joins as row m; the chain rows keep their bits
+    r_a, j_prev_a, j_curr_a = graph.stacked.fk(graph.quats, graph.trans,
+                                               anchor=graph.prior.pose)
+    assert np.array_equal(r_a[:-1], r) and np.array_equal(j_curr_a[:-1], j_curr)
+    assert np.array_equal(j_prev_a, j_prev)
+    close(r_a[-1], prior_residual(poses[0], graph.scale, graph.prior)[:6])
+    close(j_curr_a[-1], prior_jacobians(poses[0], graph.scale, graph.prior)[0][:6])
 
 
 @pytest.mark.parametrize("log_s", [0.0, math.log(2.5), -3.0])
