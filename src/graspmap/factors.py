@@ -359,14 +359,13 @@ class StackedFactors:
         return (quat_unit(quat_conjugate(self.mc_quat)), quat_matrix(self.mc_quat),
                 hat_stacked(self.mc_trans))
 
-    def fk(self, quats, trans, *, anchor: Pose | None = None
+    def fk(self, quats, trans, anchor: Pose
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residuals (m, 6) and Jacobians (m, 6, 6) wrt poses k and k+1, as
-        ``fk_residual`` and ``fk_jacobians``.
-
-        Given the ``anchor`` pose of a prior on pose 0, r and j_curr gain a
-        row m for the prior's pose part: r[m] = log(anchor^-1 T_0), with T_0
-        normalized as a Rotation holds it, and j_curr[m] its Jacobian wrt
+        """Residuals and Jacobians of the kinematic rows and of the pose part
+        of a prior on pose 0 at ``anchor``: r (m+1, 6), j_prev (m, 6, 6) and
+        j_curr (m+1, 6, 6). Rows 0..m-1 are wrt poses k and k+1, as
+        ``fk_residual`` and ``fk_jacobians``; row m is log(anchor^-1 T_0),
+        with T_0 normalized as a Rotation holds it, and its Jacobian wrt
         pose 0, as ``prior_residual`` and ``prior_jacobians`` give them.
         All rows share one ``se3_log_stacked`` call, and their Jacobians one
         ``se3_left_jacobian_inv_stacked`` call on [r_fk; -r]: d/d pose k is
@@ -377,15 +376,12 @@ class StackedFactors:
         # compose(compose(inverse(t_prev), t_curr), inverse(delta))
         rel_quat = quat_product(prev_inv, quats[1:])
         rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
-        err_quat = quat_product(rel_quat, inv_quat)
-        err_trans = quat_rotate(rel_quat, inv_trans) + rel_trans
-        if anchor is not None:
-            prior_quat, prior_trans = compose_stacked(
-                *inverse_stacked(anchor.rotation.quat, anchor.translation),
-                quat_unit(quats[0]), trans[0])
-            err_quat = np.concatenate([err_quat, prior_quat[None]])
-            err_trans = np.concatenate([err_trans, prior_trans[None]])
-        r = se3_log_stacked(err_quat, err_trans)
+        prior_quat, prior_trans = compose_stacked(
+            *inverse_stacked(anchor.rotation.quat, anchor.translation),
+            quat_unit(quats[0]), trans[0])
+        r = se3_log_stacked(
+            np.concatenate([quat_product(rel_quat, inv_quat), prior_quat[None]]),
+            np.concatenate([quat_rotate(rel_quat, inv_trans) + rel_trans, prior_trans[None]]))
         m = len(self)
         jac = se3_left_jacobian_inv_stacked(np.concatenate([r[:m], -r]))
         j_curr = jac[m:]

@@ -163,7 +163,7 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
     n = len(quats)
     # the prior's pose part rides as the last kinematic row: its twist
     # log(anchor^-1 T_0) and d/d pose 0; d/d log s of its scale gap is 1
-    r, j_prev, j_curr = stacked.fk(quats, trans, anchor=prior.pose)
+    r, j_prev, j_curr = stacked.fk(quats, trans, prior.pose)
     j_pose = j_curr[-1]
     r_prior = np.append(r[-1], log_s - math.log(prior.scale))
     wr_prior = np.append(prior.pose_info, prior.scale_info) * r_prior

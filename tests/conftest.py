@@ -1,18 +1,26 @@
-"""Shared sampling helpers, Lie-group oracles and the scalar FK loop.
+"""Shared sampling helpers, Lie-group oracles, the scalar FK loop and a test
+chain graph.
 
 Rotations are sampled directly in quaternion space (normalized Gaussian
 4-vectors), so tests of the exp/log maps never use those maps to build their
 own inputs. The oracles compute the exp map and its Jacobians from their
 defining series or closed forms, sharing no code with ``geometry``'s maps.
 ``fk_compose_loop`` is forward kinematics as a loop of scalar ``compose``
-calls, the reference ``fk_poses`` must match bit for bit.
+calls, the reference ``fk_poses`` must match bit for bit. ``chain_graph``
+is a small graph whose factor residual rotations run through ``ANGLES``,
+with frame-aligned and literal tracker factors, and ``scalar_cost`` its cost
+summed factor by factor through the scalar residuals.
 """
 
 import math
 
 import numpy as np
 
-from graspmap.geometry import Pose, Rotation, compose, hat, so3_exp_stacked
+from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar, factor_cost,
+                              factor_info_diag, factor_residual)
+from graspmap.geometry import (Pose, Rotation, compose, hat, inverse, se3_exp,
+                               so3_exp_stacked)
+from graspmap.solver import FactorGraph
 
 
 def rand_rotation(rng) -> Rotation:
@@ -97,3 +105,52 @@ def fk_compose_loop(model, angles) -> Pose:
         p = compose(p, Pose(Rotation(quat), np.zeros(3)))
         p = compose(p, joint.offset)
     return compose(p, model.gripper_offset)
+
+
+# --- chain graphs ---------------------------------------------------------------
+
+# rotation angles (rad) of the residuals and twists under test
+ANGLES = [0.0, 1e-12, 3e-9, 2e-8, 1e-6, 1e-3, 9e-3, 1.1e-2, 0.3, 1.5, 3.0]
+
+
+def twist_at_angle(rng, angle: float, rho_span: float = 1.0) -> np.ndarray:
+    axis = rng.normal(size=3)
+    return np.concatenate([rng.uniform(-rho_span, rho_span, 3),
+                           axis / np.linalg.norm(axis) * angle])
+
+
+def chain(rng, literal_every: int = 3):
+    """Random poses with FK and tracker factors whose residual rotations run
+    through ANGLES; every literal_every-th tracker factor is not frame-aligned."""
+    n = len(ANGLES) + 1
+    poses = [rand_pose(rng)]
+    for _ in range(n - 1):
+        poses.append(compose(poses[-1], se3_exp(twist_at_angle(rng, 0.4, 0.1))))
+    fks, mcs = [], []
+    for i, angle in enumerate(ANGLES, start=1):
+        rel = compose(inverse(poses[i - 1]), poses[i])
+        # residual rotation log(rel delta^-1) then has exactly this angle
+        off = se3_exp(twist_at_angle(rng, angle, 0.01))
+        fks.append(FkFactor(i, compose(inverse(off), rel),
+                            info=rng.uniform(0.5, 2.0, 6)))
+        mcs.append(McFactor(i, off.rotation.inverse() @ rel.rotation,
+                            rng.normal(0.0, 0.1, 3), info=rng.uniform(0.5, 2.0, 6),
+                            frame_aligned=(i % literal_every != 0)))
+    return poses, fks, mcs
+
+
+def chain_graph(rng) -> FactorGraph:
+    poses, fks, mcs = chain(rng)
+    prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
+    graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5),
+                        t0=poses[0], scale=ScaleVar(0.2))
+    for fk, mc, pose in zip(fks, mcs, poses[1:]):
+        graph.add_keyframe(fk, mc, pose_init=pose)
+    return graph
+
+
+def scalar_cost(graph: FactorGraph) -> float:
+    """The total cost summed factor by factor through the scalar residuals."""
+    poses, scale = graph.poses, graph.scale
+    return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
+               for f in graph.factors)

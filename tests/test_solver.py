@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rand_pose, rand_twist_vector
+from conftest import (chain_graph, rand_pose, rand_twist_vector, scalar_cost,
+                      twist_at_angle)
 from graspmap import cli, factors, geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
@@ -31,7 +32,6 @@ from graspmap.simulation import SimConfig, simulate, write_bundle
 from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
                              damped_step, load_graph, load_report,
                              normal_equations, save_graph, save_report)
-from test_stacked import chain_graph, scalar_cost, twist_at_angle
 
 
 def smooth_truth_poses(rng, n: int) -> list[Pose]:

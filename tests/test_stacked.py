@@ -17,13 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (jacobian_series, mat_exp_series, quat_exp, rand_pose,
-                      rand_rotation, se3_ad, se3_hat)
+from conftest import (ANGLES, chain_graph, jacobian_series, mat_exp_series,
+                      quat_exp, rand_pose, rand_rotation, scalar_cost, se3_ad,
+                      se3_hat, twist_at_angle)
 from graspmap.errors import CutLocusError
-from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                              factor_cost, factor_info_diag, factor_residual,
-                              fk_jacobians, fk_residual, mc_jacobians, mc_residual,
-                              prior_jacobians, prior_residual)
+from graspmap.factors import (PriorFactor, ScaleVar, fk_jacobians, fk_residual,
+                              mc_jacobians, mc_residual, prior_jacobians,
+                              prior_residual)
 from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
                                quat_matrix, quat_product, quat_rotate,
@@ -34,20 +34,11 @@ from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                so3_left_jacobian_stacked, so3_log, so3_log_stacked)
 from graspmap.solver import FactorGraph, normal_equations
 
-# rotation angles (rad) of the residuals and twists under test
-ANGLES = [0.0, 1e-12, 3e-9, 2e-8, 1e-6, 1e-3, 9e-3, 1.1e-2, 0.3, 1.5, 3.0]
-
 
 def close(got, want, tol: float = 1e-12) -> None:
     want = np.asarray(want)
     scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
     np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
-
-
-def twist_at_angle(rng, angle: float, rho_span: float = 1.0) -> np.ndarray:
-    axis = rng.normal(size=3)
-    return np.concatenate([rng.uniform(-rho_span, rho_span, 3),
-                           axis / np.linalg.norm(axis) * angle])
 
 
 def twists(rng) -> np.ndarray:
@@ -153,53 +144,20 @@ def test_stacked_log_refuses_the_cut_locus_like_scalar(gap):
 # --- factors -------------------------------------------------------------------
 
 
-def chain(rng, literal_every: int = 3):
-    """Random poses with FK and tracker factors whose residual rotations run
-    through ANGLES; every literal_every-th tracker factor is not frame-aligned."""
-    n = len(ANGLES) + 1
-    poses = [rand_pose(rng)]
-    for _ in range(n - 1):
-        poses.append(compose(poses[-1], se3_exp(twist_at_angle(rng, 0.4, 0.1))))
-    fks, mcs = [], []
-    for i, angle in enumerate(ANGLES, start=1):
-        rel = compose(inverse(poses[i - 1]), poses[i])
-        # residual rotation log(rel delta^-1) then has exactly this angle
-        off = se3_exp(twist_at_angle(rng, angle, 0.01))
-        fks.append(FkFactor(i, compose(inverse(off), rel),
-                            info=rng.uniform(0.5, 2.0, 6)))
-        mcs.append(McFactor(i, off.rotation.inverse() @ rel.rotation,
-                            rng.normal(0.0, 0.1, 3), info=rng.uniform(0.5, 2.0, 6),
-                            frame_aligned=(i % literal_every != 0)))
-    return poses, fks, mcs
-
-
-def chain_graph(rng) -> FactorGraph:
-    poses, fks, mcs = chain(rng)
-    prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
-    graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5),
-                        t0=poses[0], scale=ScaleVar(0.2))
-    for fk, mc, pose in zip(fks, mcs, poses[1:]):
-        graph.add_keyframe(fk, mc, pose_init=pose)
-    return graph
-
-
 def test_stacked_fk_matches_scalar():
     rng = np.random.default_rng(4)
     graph = chain_graph(rng)
     poses, fks = graph.poses, graph.fks
-    r, j_prev, j_curr = graph.stacked.fk(graph.quats, graph.trans)
+    r, j_prev, j_curr = graph.stacked.fk(graph.quats, graph.trans, graph.prior.pose)
+    assert len(r) == len(j_curr) == len(fks) + 1 and len(j_prev) == len(fks)
     for k, f in enumerate(fks):
         close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
         want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
         close(j_prev[k], want_prev)
         close(j_curr[k], want_curr)
-    # given the prior's anchor, its pose row joins as row m; the chain rows keep their bits
-    r_a, j_prev_a, j_curr_a = graph.stacked.fk(graph.quats, graph.trans,
-                                               anchor=graph.prior.pose)
-    assert np.array_equal(r_a[:-1], r) and np.array_equal(j_curr_a[:-1], j_curr)
-    assert np.array_equal(j_prev_a, j_prev)
-    close(r_a[-1], prior_residual(poses[0], graph.scale, graph.prior)[:6])
-    close(j_curr_a[-1], prior_jacobians(poses[0], graph.scale, graph.prior)[0][:6])
+    # row m is the prior's pose part, wrt pose 0
+    close(r[-1], prior_residual(poses[0], graph.scale, graph.prior)[:6])
+    close(j_curr[-1], prior_jacobians(poses[0], graph.scale, graph.prior)[0][:6])
 
 
 @pytest.mark.parametrize("log_s", [0.0, math.log(2.5), -3.0])
@@ -217,13 +175,6 @@ def test_stacked_mc_matches_scalar(log_s):
         close(j_prev[k], want_prev)
         close(j_curr[k], want_curr)
         close(j_scale[k], want_scale)
-
-
-def scalar_cost(graph: FactorGraph) -> float:
-    """The total cost summed factor by factor through the scalar residuals."""
-    poses, scale = graph.poses, graph.scale
-    return sum(factor_cost(factor_residual(f, poses, scale), factor_info_diag(f))
-               for f in graph.factors)
 
 
 def test_stacked_cost_matches_scalar_cost():
