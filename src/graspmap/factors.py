@@ -364,9 +364,9 @@ class StackedFactors:
         """Residuals and Jacobians of the kinematic rows and of the pose part
         of a prior on pose 0 at ``anchor``: r (m+1, 6), j_prev (m, 6, 6) and
         j_curr (m+1, 6, 6). Rows 0..m-1 are wrt poses k and k+1, as
-        ``fk_residual`` and ``fk_jacobians``; row m is log(anchor^-1 T_0),
-        with T_0 normalized as a Rotation holds it, and its Jacobian wrt
-        pose 0, as ``prior_residual`` and ``prior_jacobians`` give them.
+        ``fk_residual`` and ``fk_jacobians``; row m is log(anchor^-1 T_0)
+        and its Jacobian wrt pose 0, as ``prior_residual`` and
+        ``prior_jacobians`` give them.
         All rows share one ``se3_log_stacked`` call, and their Jacobians one
         ``se3_left_jacobian_inv_stacked`` call on [r_fk; -r]: d/d pose k is
         -Jl^-1(r), d/d pose k+1 is Jr^-1(r) Ad(delta) = Jl^-1(-r) Ad(delta).
@@ -377,8 +377,7 @@ class StackedFactors:
         rel_quat = quat_product(prev_inv, quats[1:])
         rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
         prior_quat, prior_trans = compose_stacked(
-            *inverse_stacked(anchor.rotation.quat, anchor.translation),
-            quat_unit(quats[0]), trans[0])
+            *inverse_stacked(anchor.rotation.quat, anchor.translation), quats[0], trans[0])
         r = se3_log_stacked(
             np.concatenate([quat_product(rel_quat, inv_quat), prior_quat[None]]),
             np.concatenate([quat_rotate(rel_quat, inv_trans) + rel_trans, prior_trans[None]]))

@@ -191,27 +191,6 @@ def inverse(p: Pose) -> Pose:
     return Pose(rinv, -rinv.apply(p.translation))
 
 
-def compose_chain(q0: np.ndarray, t0: np.ndarray, quats: np.ndarray,
-                  trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The running products T_0, T_0 D_1, T_0 D_1 D_2, ... of a pose (q0, t0)
-    and m deltas given as (m, 4) unit quaternions and (m, 3) translations, as
-    (m + 1, 4) and (m + 1, 3) arrays. Each step is the one ``compose`` takes,
-    bit for bit, run on Python floats: every product depends on the one
-    before, so the chain cannot be stacked."""
-    q, t = q0.tolist(), t0.tolist()
-    out_q, out_t = [q], [t]
-    for dq, dt in zip(quats.tolist(), trans.tolist()):
-        t = [a + b for a, b in zip(_rotated(*q, *dt), t)]
-        # Rotation's rule: the norm ndarray.dot takes, divided out only
-        # when it is more than _UNIT_NORM_TOL from 1
-        a = np.array(_hamilton(*q, *dq))
-        n = math.sqrt(a.dot(a))
-        q = (a / n).tolist() if abs(n - 1.0) > _UNIT_NORM_TOL else a.tolist()
-        out_q.append(q)
-        out_t.append(t)
-    return np.array(out_q), np.array(out_t)
-
-
 def so3_exp(phi) -> Rotation:
     """Exponential map of so(3): rotation by angle ``norm(phi)`` about ``phi``."""
     return Rotation(so3_exp_stacked(_vec3(phi)))
@@ -299,10 +278,6 @@ def hat_stacked(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Inverse of unit quaternions."""
     return q * np.array([1.0, -1.0, -1.0, -1.0])
@@ -324,8 +299,9 @@ def unit_norms_ok(a: np.ndarray) -> np.ndarray:
 
 def quat_unit(q: np.ndarray) -> np.ndarray:
     """Quaternions normalized as ``Rotation`` stores them: each is divided by
-    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1. A zero
-    quaternion gives NaN without raising; ``frozen(unit=True)`` checks."""
+    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1, so its
+    output passes through it unchanged. A zero quaternion gives NaN without
+    raising; ``frozen(unit=True)`` checks."""
     n = _norms(q)
     return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, q / n, q)
 
@@ -346,13 +322,10 @@ def _joined(components: list) -> np.ndarray:
     return out
 
 
-def _hamilton_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _joined(_hamilton(*_components(a), *_components(b)))
-
-
 def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, renormalized by every norm (unlike ``Rotation``)."""
-    return _normalized(_hamilton_stacked(a, b))
+    """Hamilton product, normalized by ``quat_unit``: ``Rotation``'s product,
+    bit for bit."""
+    return quat_unit(_joined(_hamilton(*_components(a), *_components(b))))
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -364,7 +337,7 @@ def compose_stacked(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray,
                     tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``compose`` of poses given as (quaternions, translations), bit for bit;
     the leading axes broadcast."""
-    return quat_unit(_hamilton_stacked(qa, qb)), quat_rotate(qa, tb) + ta
+    return quat_product(qa, qb), quat_rotate(qa, tb) + ta
 
 
 def inverse_stacked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,9 +465,10 @@ def se3_adjoint_stacked(q: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def se3_exp_stacked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``se3_exp`` of (..., 6) twists as (unit quaternions, translations)."""
+    """``se3_exp`` of (..., 6) twists as (unit quaternions, translations),
+    bit for bit."""
     rho, phi = x[..., :3], x[..., 3:]
-    return (_normalized(so3_exp_stacked(phi)),
+    return (quat_unit(so3_exp_stacked(phi)),
             (so3_left_jacobian_stacked(phi) @ rho[..., None])[..., 0])
 
 

@@ -19,7 +19,7 @@ from .errors import DimensionMismatch
 from .geometry import (Pose, Rotation, compose, compose_stacked, frozen,
                        inverse, inverse_stacked, quat_unit, se3_log_stacked,
                        so3_exp_stacked)
-from .records import load_mapping, to_mapping, write_yaml
+from .records import all_real, load_mapping, to_mapping, write_yaml
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class Joint:
     offset: Pose
 
     def __post_init__(self):
+        if not all_real(self.axis):  # a limb file's true or "1" is not a number
+            raise ValueError(f"axis must hold numbers, got {self.axis!r}")
         object.__setattr__(self, "axis", frozen(self.axis, (3,), "axis", unit=True))
 
 

@@ -302,66 +302,54 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
 
 # --- PLY: binary little-endian -------------------------------------------------
 
-PLY_XYZ = [["double", "x"], ["double", "y"], ["double", "z"]]
+
+def _ply_header(units: str, count) -> list[str]:
+    """The header lines ``write_ply`` writes for ``count`` vertices in ``units``."""
+    return ["ply", "format binary_little_endian 1.0", f"comment units {units}",
+            f"element vertex {count}", "property double x", "property double y",
+            "property double z", "end_header"]
 
 
 def write_ply(path, cloud: PointCloud) -> None:
     """Binary little-endian PLY of float64 x, y, z, with a units comment so
     round-trips preserve the tag; the bytes do not depend on the platform."""
-    header = ("ply\nformat binary_little_endian 1.0\n"
-              f"comment units {cloud.units}\n"
-              f"element vertex {len(cloud)}\n"
-              "property double x\nproperty double y\nproperty double z\n"
-              "end_header\n")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write("".join(line + "\n" for line in _ply_header(cloud.units, len(cloud)))
+                 .encode("ascii"))
         fh.write(np.ascontiguousarray(cloud.points, dtype="<f8"))
 
 
-def _ply_header(data: bytes):
-    """The format, vertex count, units and property lines of a PLY header,
-    plus the byte offset at which its body starts."""
-    if not data.startswith(b"ply\n"):
-        raise ValueError("not a PLY file")
-    fmt = n = units = None
-    props = []
-    start = len(b"ply\n")
-    while True:
-        end = data.find(b"\n", start)
-        if end < 0:
-            raise ValueError("malformed PLY header")
-        tok = data[start:end].decode("latin-1").split()
-        start = end + 1
-        if tok[:1] == ["format"]:
-            fmt = " ".join(tok[1:])
-        elif tok[:2] == ["comment", "units"] and len(tok) == 3:
-            units = units or tok[2]
-        elif tok[:2] == ["element", "vertex"]:
-            n = int(tok[2])
-        elif tok[:1] == ["property"]:
-            props.append(tok[1:])
-        elif tok[:1] == ["end_header"]:
-            break
-    if n is None:
-        raise ValueError("malformed PLY header")
-    if units is None:
-        raise ValueError("PLY lacks a units comment")
-    return fmt, n, units, props, start
+def _header_field(head: list[str], k: int, key: str, what: str) -> str:
+    """What follows ``key`` on header line k (from 0), or ``<what>`` where
+    that line is missing or another."""
+    line = head[k] if k < len(head) else ""
+    return line[len(key):] if line.startswith(key) else f"<{what}>"
 
 
 def read_ply(path) -> PointCloud:
-    """Read a binary little-endian PLY as ``write_ply`` writes it; the units
-    tag comes from the file's units comment. Errors name the file, and the
-    vertex where one is at fault."""
+    """Read a binary little-endian PLY as ``write_ply`` writes it: its header
+    must be the writer's, line for line, for the units and the vertex count
+    on their two lines. Errors name the file, and the header line or the
+    vertex at fault."""
     with open(path, "rb") as fh:
         data = fh.read()
     with located(path):
-        fmt, n, units, props, start = _ply_header(data)
-        if fmt != "binary_little_endian 1.0":
-            raise ValueError(f"PLY format {fmt!r} is not binary_little_endian 1.0")
-        if props != PLY_XYZ:
-            raise ValueError("binary PLY vertices must be exactly "
-                             "double x, double y, double z")
+        head, start, lines = [], 0, len(_ply_header("", 0))
+        while len(head) < lines and (end := data.find(b"\n", start)) >= 0:
+            head.append(data[start:end].decode("latin-1"))
+            start = end + 1
+        units = _header_field(head, 2, "comment units ", "units")
+        count = _header_field(head, 3, "element vertex ", "count")
+        want = _ply_header(units, count)
+        for k, (line, belongs) in enumerate(zip(head, want), 1):
+            if line != belongs:
+                raise ValueError(f"PLY header line {k} {line!r} where {belongs!r} belongs")
+        if len(head) < len(want):
+            raise ValueError(f"PLY ends before header line {len(head) + 1} {want[len(head)]!r}")
+        if not (count.isascii() and count.isdigit() and str(int(count)) == count):
+            raise ValueError(f"PLY header line 4 {want[3]!r} holds no vertex count "
+                             "as write_ply writes one")
+        n = int(count)
         if len(data) - start != 24 * n:
             raise ValueError(f"binary PLY body holds {len(data) - start} bytes, "
                              f"{n} vertices need {24 * n}")

@@ -135,15 +135,21 @@ def numbers(path, lineno: int, tokens, count: int, kind=float) -> list:
     return values
 
 
+def all_real(value) -> bool:
+    """Whether every entry of ``value`` is a real number, checked one by one:
+    ``np.array(..., dtype=float)`` would take a boolean or a string such as
+    "1" as a number."""
+    return all(isinstance(v, Real) and not isinstance(v, bool)
+               for v in np.asarray(value, dtype=object).flat)
+
+
 def config_number(name: str, value, kind: type = float, length: int | None = None):
     """A configured ``value`` as a finite ``kind``, int or float, or given
     ``length``, as a read-only array of that many finite floats, any count for
     ``-1``. Anything else, a boolean or a string included, is a
     ``ConfigError`` naming ``name``."""
-    # element by element: np.array(..., dtype=float) takes True and "1" as 1.0
     items = np.array(value, dtype=object)
-    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in items.flat)
-    a = items.astype(float) if real else np.array(math.nan)
+    a = items.astype(float) if all_real(items) else np.array(math.nan)
     shape = () if length is None else (length,)
     if (a.shape != shape and (length != -1 or a.ndim != 1) or not np.isfinite(a).all()
             or kind is int and not float(a).is_integer()):
@@ -188,10 +194,11 @@ def from_mapping(cls, doc, prefix: str = ""):
     """The dataclass ``cls`` from ``doc``, a mapping of its field names to values
     as ``to_mapping`` writes them; a key left out takes the field's default. By
     field type (string annotations resolve), a dataclass is a nested mapping, a
-    tuple a list of mappings, a ``Pose`` seven numbers and an array a list of
-    numbers; other values go to ``cls`` for its own checks. An unknown or
-    missing key, or a refused value, is a ``ConfigError`` naming its place
-    after ``prefix``: ``section: field`` in a section, ``name[k].field`` in a list."""
+    tuple a list of mappings and a ``Pose`` seven numbers; other values, an
+    array's list of numbers among them, go to ``cls`` for its own checks. An
+    unknown or missing key, or a refused value, is a ``ConfigError`` naming its
+    place after ``prefix``: ``section: field`` in a section, ``name[k].field``
+    in a list."""
     where = f"{prefix.rstrip(': .')}: " if prefix else ""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}expected a mapping, got {doc!r}")
@@ -217,8 +224,6 @@ def _read_value(kind, path: str, value):
             return pose_from_seven(config_number(path, value, length=7))
         except ValueError as exc:  # a quaternion of no rotation
             raise ConfigError(f"{path}: {exc}") from exc
-    if kind is np.ndarray:
-        return config_number(path, value, length=-1)
     if is_dataclass(kind):
         return from_mapping(kind, value, f"{path}: ")
     if get_origin(kind) is tuple:

@@ -11,8 +11,12 @@ The graph is a chain, and ``FactorGraph`` stores it as one, in arrays: the
 state (quaternions, translations, log s), a prior on pose 0 and the scale,
 and one ``StackedFactors`` whose row k holds the kinematic and the tracker
 factor tying pose k to pose k+1. ``build_graph`` and ``load_graph`` fill
-those arrays directly; the poses, scale and factors as values (``poses``,
-``fks``, ``mcs``, ``factors``) are views built on demand. Linearization
+those arrays directly, ``build_graph`` starting each pose at the forward
+kinematics of its reading; the poses, scale and factors as values (``poses``,
+``fks``, ``mcs``, ``factors``) are views built on demand. The state's
+quaternions are unit by ``Rotation``'s rule, ``quat_unit``: it is applied
+by ``FactorGraph.from_arrays`` and by the product each retraction takes,
+and leaves a quaternion it has made unit as it is. Linearization
 evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
 [1:], and the prior on the same arrays; no graph method calls a scalar factor
 function, and ``total_cost`` is the cost it sums. Each kind of stacked log
@@ -52,9 +56,9 @@ from .errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from .factors import (FK_INFO_VALUE, MC_INFO_VALUE, Factor, FkFactor,
                       McFactor, PriorFactor, ScaleVar, StackedFactors, log_scale_ok)
 from .factors import factor_jacobians, factor_residual  # noqa: F401 -- read only by perfbench/tracer.py
-from .geometry import (Pose, Rotation, compose_chain, compose_stacked, frozen,
-                       inverse_stacked, pose_from_seven, pose_to_seven,
-                       quat_product, quat_rotate, quat_unit, se3_exp_stacked)
+from .geometry import (Pose, Rotation, compose_stacked, frozen, inverse_stacked,
+                       pose_from_seven, pose_to_seven, quat_product, quat_rotate,
+                       se3_exp_stacked)
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import LimbModel, fk_poses
 from .records import (check_quaternions, check_rows, float_fields, laid_out, located,
@@ -332,12 +336,15 @@ class FactorGraph:
     @classmethod
     def from_arrays(cls, prior: PriorFactor, quats: np.ndarray, trans: np.ndarray,
                     log_s: float, stacked: StackedFactors) -> "FactorGraph":
-        """A graph of n = len(stacked) + 1 poses with its state given as arrays."""
+        """A graph of n = len(stacked) + 1 poses with its state given as arrays.
+        Each quaternion is made unit here, as ``Rotation`` makes one; a zero or
+        non-finite one raises ``ValueError``."""
         if len(quats) != len(stacked) + 1 or len(trans) != len(quats):
             raise IndexMismatch(f"{len(quats)} rotations and {len(trans)} translations "
                                 f"for a chain of {len(stacked)} factor pairs")
         graph = cls(prior)
-        graph.quats, graph.trans, graph.stacked = quats, trans, stacked
+        graph.quats = frozen(quats, (len(quats), 4), "quaternion", unit=True)
+        graph.trans, graph.stacked = trans, stacked
         graph.log_s = ScaleVar(log_s).log_value
         return graph
 
@@ -455,9 +462,7 @@ class FactorGraph:
                 break
 
         if report.step_costs:
-            quats, trans, log_s = state
-            # each quaternion normalized as a Rotation would store it
-            self.quats, self.trans = quat_unit(quats), trans
+            self.quats, self.trans, log_s = state
             self.log_s = ScaleVar(log_s).log_value
         report.final_cost = system.cost
         report.iterations = len(report.step_costs)
@@ -483,7 +488,7 @@ def build_graph(bundle: SimBundle, model: LimbModel,
     """Assemble the fusion graph from a bundle: prior at FK of the first
     reading, then one kinematic and one tracker factor per later keyframe,
     as rows. FK runs once over all readings; each kinematic delta joins two
-    neighbours, and the poses start dead-reckoned along the deltas."""
+    neighbours, and each pose starts at FK of its reading."""
     quats, trans = fk_poses(model, bundle.angles)
     delta_q, delta_t = compose_stacked(*inverse_stacked(quats[:-1], trans[:-1]),
                                        quats[1:], trans[1:])
@@ -494,11 +499,8 @@ def build_graph(bundle: SimBundle, model: LimbModel,
                              mc_info=np.full((m, 6), MC_INFO_VALUE),
                              mc_aligned=np.full(m, not literal))
     prior = PriorFactor(pose=Pose(Rotation(quats[0]), trans[0]))
-    start = prior.pose
-    return FactorGraph.from_arrays(
-        prior, *compose_chain(start.rotation.quat, start.translation,
-                              stacked.fk_quat, stacked.fk_trans),
-        ScaleVar.from_value(prior.scale).log_value, stacked)
+    return FactorGraph.from_arrays(prior, quats, trans,
+                                   ScaleVar.from_value(prior.scale).log_value, stacked)
 
 
 # --- graph file format ----------------------------------------------------------
@@ -570,8 +572,8 @@ def load_graph(path) -> FactorGraph:
     stacked = StackedFactors(fk_quat=fk[:, 3:7], fk_trans=fk[:, :3], fk_info=fk[:, 7:],
                              mc_quat=mc[:, 3:7], mc_trans=mc[:, :3], mc_info=mc[:, 7:],
                              mc_aligned=[tok[-1] == "aligned" for _, tok in mc_rows])
-    quats = frozen(poses[:, 3:7], (n, 4), "quaternion", unit=True)
-    return FactorGraph.from_arrays(prior, quats, poses[:, :3], scale.log_value, stacked)
+    return FactorGraph.from_arrays(prior, poses[:, 3:7], poses[:, :3], scale.log_value,
+                                   stacked)
 
 
 # --- solve report file -----------------------------------------------------------

@@ -112,9 +112,10 @@ def test_limb_text_is_the_default_limb(tmp_path):
     ("--limb", LIMB.replace("axis: [0.0, 0.0, 1.0], ", ""), "'axis'"),
     ("--limb", LIMB.replace("axis: [0.0, 0.0, 1.0]", "axis: [0, 0, 0]"), "joints[0].axis"),
     ("--limb", LIMB.replace("0.3, 1.0", "0.3, 0.0"), "base_pose"),
+    ("--limb", LIMB.replace("axis: [0.0, 0.0", "axis: [true, 0.0"), "joints[0].axis"),
 ], ids=["terrain-not-a-mapping", "limb-bad-yaml", "limb-boolean", "limb-string",
         "limb-nan", "limb-inf", "limb-short-offset", "limb-missing-axis",
-        "limb-zero-axis", "limb-zero-quaternion"])
+        "limb-zero-axis", "limb-zero-quaternion", "limb-boolean-axis"])
 def test_simulate_malformed_input_file_exits_2(tmp_path, capsys, flag, text, what):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
@@ -616,7 +617,8 @@ def ascii_ply(data):
     ("solve/report.txt", lambda t: t + b"\xff\xfe", "pipeline-detect",
      "report.txt:21: not UTF-8 text", "solve"),
     ("bundle/cloud.ply", ascii_ply, "solve",
-     "cloud.ply: PLY format 'ascii 1.0' is not binary_little_endian 1.0", "solve"),
+     "cloud.ply: PLY header line 2 'format ascii 1.0' where "
+     "'format binary_little_endian 1.0' belongs", "solve"),
     ("bundle/cloud.ply", ply_vertex(2, math.nan), "pipeline-solve",
      "cloud.ply: vertex 2 is not finite", "simulate"),
     ("bundle/cloud.ply", lambda t: t[:-8], "pipeline-solve", "cloud.ply", "simulate"),

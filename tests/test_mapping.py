@@ -528,8 +528,12 @@ def test_ply_writes_are_byte_identical(tmp_path):
     lambda d: d[:-1],
     lambda d: d.replace(b"comment units meters\n", b""),
     lambda d: b"plx" + d[3:],
+    lambda d: d.replace(b"comment units meters\n", b"comment units meters\ncomment by hand\n"),
+    lambda d: d.replace(b"comment units meters\n", b"comment units meters\n" * 2),
+    lambda d: d.replace(b"1.0\n", b"1.0\nobj_info scanned\n"),
 ], ids=["big-endian", "no-format", "extra-property", "reordered-properties",
-        "float-property", "one-byte-long", "one-byte-short", "no-units", "not-ply"])
+        "float-property", "one-byte-long", "one-byte-short", "no-units", "not-ply",
+        "extra-comment", "second-units", "obj-info"])
 def test_binary_ply_rejects_a_bad_header_or_body(tmp_path, edit):
     path = tmp_path / "bad.ply"
     write_ply(path, PointCloud(np.random.default_rng(14).normal(size=(4, 3)), METERS))

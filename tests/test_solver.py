@@ -125,10 +125,23 @@ def test_keyframe_index_mismatch():
                            McFactor(2, Rotation.identity(), np.zeros(3)))
 
 
+def test_from_arrays_makes_the_quaternions_unit():
+    """from_arrays stores each quaternion as Rotation would, and refuses one
+    of no rotation."""
+    rng = np.random.default_rng(21)
+    graph, _ = synthetic_graph(rng, n=4)
+    quats = graph.quats * np.array([[2.0], [1e-3], [1.0], [7e5]])
+    got = FactorGraph.from_arrays(graph.prior, quats, graph.trans, graph.log_s, graph.stacked)
+    assert np.array_equal(got.quats, [Rotation(q).quat for q in quats])
+    for bad in (0.0, np.inf):
+        quats[2] = bad
+        with pytest.raises(ValueError, match="quaternion must be finite and nonzero"):
+            FactorGraph.from_arrays(graph.prior, quats, graph.trans, graph.log_s, graph.stacked)
+
+
 def test_build_graph_runs_fk_once_per_reading(monkeypatch):
-    """build_graph runs FK as one stacked call over all readings and
-    dead-reckons the starting poses on floats: no scalar fk_pose or compose
-    call. Its deltas are fk_delta's bit for bit."""
+    """build_graph runs FK as one stacked call over all readings: no scalar
+    fk_pose or compose call. Its deltas are fk_delta's bit for bit."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=0, keyframes=12, cloud_points_per_keyframe=1),
                       limb)
@@ -161,29 +174,29 @@ def bundle_readings(bundle) -> list[JointReading]:
 def test_build_graph_equals_the_value_path(tmp_path, literal):
     """build_graph's rows equal those of a graph built one keyframe at a time
     from fk_delta values and the bundle's tracker deltas, bit for bit, and
-    its starting poses equal a loop of scalar compose calls; both graphs save
-    the same bytes, and load_graph gives the saved rows back bit for bit."""
+    each of its starting poses is fk_pose of its reading, bit for bit; given
+    those poses as its starts, the value graph saves the same bytes, and
+    load_graph gives the saved rows back bit for bit."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=4, keyframes=40, cloud_points_per_keyframe=1), limb)
     graph = build_graph(bundle, limb, literal)
 
     readings = bundle_readings(bundle)
-    values = FactorGraph(PriorFactor(pose=fk_pose(limb, readings[0].angles)))
+    starts = [fk_pose(limb, r.angles) for r in readings]
+    values = FactorGraph(PriorFactor(pose=starts[0]))
     for i in range(1, len(readings)):
         values.add_keyframe(FkFactor(i, fk_delta(limb, readings[i - 1], readings[i])),
                             McFactor(i, Rotation(bundle.vo_quats[i - 1]),
-                                     bundle.vo_trans[i - 1], frame_aligned=not literal))
-    dead_reckoned = [values.prior.pose]
-    for fk in values.fks:
-        dead_reckoned.append(compose(dead_reckoned[-1], fk.delta))
+                                     bundle.vo_trans[i - 1], frame_aligned=not literal),
+                            pose_init=starts[i])
 
     def rows(g):
         return {"quats": g.quats, "trans": g.trans,
                 **{f.name: getattr(g.stacked, f.name) for f in fields(StackedFactors)}}
 
     want = rows(values)
-    assert np.array_equal(want["quats"], [p.rotation.quat for p in dead_reckoned])
-    assert np.array_equal(want["trans"], [p.translation for p in dead_reckoned])
+    assert np.array_equal(graph.quats, [p.rotation.quat for p in starts])
+    assert np.array_equal(graph.trans, [p.translation for p in starts])
     for name, got in rows(graph).items():
         assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
     assert graph.log_s == values.log_s

@@ -26,7 +26,7 @@ from graspmap.factors import (PriorFactor, ScaleVar, fk_jacobians, fk_residual,
                               prior_residual)
 from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
-                               quat_matrix, quat_product, quat_rotate,
+                               quat_matrix, quat_product, quat_rotate, quat_unit,
                                se3_adjoint_stacked, se3_exp,
                                se3_exp_stacked, se3_left_jacobian_inv_stacked,
                                se3_log_stacked,
@@ -50,13 +50,30 @@ def twists(rng) -> np.ndarray:
 
 def test_quaternion_helpers_match_rotation():
     rng = np.random.default_rng(0)
-    a = [rand_rotation(rng) for _ in range(8)]
-    b = [rand_rotation(rng) for _ in range(8)]
+    a = [rand_rotation(rng) for _ in range(2000)]
+    b = [rand_rotation(rng) for _ in range(2000)]
     v = rng.normal(size=(8, 3))
     qa, qb = (np.array([r.quat for r in rs]) for rs in (a, b))
-    close(quat_product(qa, qb), [(x @ y).quat for x, y in zip(a, b)])
-    close(quat_rotate(qa, v), [x.apply(u) for x, u in zip(a, v)])
-    close(quat_matrix(qa), [x.matrix() for x in a])
+    assert np.array_equal(quat_product(qa, qb), [(x @ y).quat for x, y in zip(a, b)])
+    close(quat_rotate(qa[:8], v), [x.apply(u) for x, u in zip(a, v)])
+    close(quat_matrix(qa[:8]), [x.matrix() for x in a[:8]])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 1e3, 1e100])
+def test_quat_unit_leaves_its_output_as_it_is(scale):
+    """quat_unit(quat_unit(q)) == quat_unit(q), bit for bit, for random
+    quaternions of any size and for chained products of unit ones: a state
+    kept unit by it does not move when it is applied again."""
+    rng = np.random.default_rng(15)
+    q = rng.normal(size=(200_000, 4)) * scale
+    if scale == 1.0:  # unit as np.linalg.norm rounds it, not as quat_unit does
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    unit = quat_unit(q)
+    assert np.array_equal(quat_unit(unit), unit)
+    product = unit
+    for _ in range(3):
+        product = quat_product(product, quat_unit(rng.normal(size=q.shape)))
+        assert np.array_equal(quat_unit(product), product)
 
 
 def matrix_by_elements(w, x, y, z) -> np.ndarray:
@@ -112,6 +129,14 @@ def test_exp_log_and_jacobians_match_oracles():
     close(so3_left_jacobian_inv_stacked(phi), [np.linalg.inv(j) for j in jl])
     close(se3_left_jacobian_inv_stacked(x),
           [np.linalg.inv(jacobian_series(se3_ad(t))) for t in x])
+
+
+def test_se3_exp_stacked_rotations_are_se3_exps_bit_for_bit():
+    rng = np.random.default_rng(16)
+    x = np.concatenate([twists(rng),
+                        [twist_at_angle(rng, a) for a in rng.uniform(0.0, 3.0, 2000)]])
+    quats, _ = se3_exp_stacked(x)
+    assert np.array_equal(quats, [se3_exp(t).rotation.quat for t in x])
 
 
 def test_stacked_log_keeps_leading_axes():
