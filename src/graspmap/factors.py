@@ -32,10 +32,9 @@ from .geometry import (Pose, Rotation, compose, compose_stacked, frozen, hat,
                        hat_stacked, inverse, inverse_stacked, quat_conjugate, quat_matrix,
                        quat_product, quat_rotate, quat_unit, se3_adjoint,
                        se3_adjoint_stacked, se3_left_jacobian_inv,
-                       se3_left_jacobian_inv_stacked, se3_log,
-                       se3_log_stacked, se3_right_jacobian_inv, so3_left_jacobian_inv,
-                       so3_left_jacobian_inv_stacked, so3_log, so3_log_stacked,
-                       so3_right_jacobian_inv)
+                       se3_left_jacobian_inv_twins, se3_log, se3_right_jacobian_inv,
+                       so3_left_jacobian_inv, so3_left_jacobian_inv_twins, so3_log,
+                       so3_log_stacked, so3_right_jacobian_inv)
 
 # Default information diagonals for the measurement factors. Every entry of
 # the 6x6 information matrix diagonal gets the same weight; translation and
@@ -165,6 +164,12 @@ class PriorFactor:
         if not (math.isfinite(si) and si > 0.0):
             raise ValueError("scale_info must be positive")
         object.__setattr__(self, "scale_info", si)
+
+    @cached_property
+    def anchor_inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """inverse(pose) as (quaternion, translation), taken on first use:
+        the constant the stacked prior row composes with pose 0."""
+        return inverse_stacked(self.pose.rotation.quat, self.pose.translation)
 
 
 Factor = FkFactor | McFactor | PriorFactor
@@ -307,11 +312,12 @@ class StackedFactors:
     Row k of each ``fk_*`` and ``mc_*`` array is the factor that ties pose k
     to pose k+1: the measured deltas and information diagonals as a graph
     file stores them, each checked once as the factor types check one value.
-    The measurement-only terms the evaluation methods need (inverse deltas,
-    adjoints, rotation matrices) are computed on first use. The evaluation
-    methods take the state as arrays, (n, 4) unit quaternions,
-    (n, 3) translations and log s, with n = m + 1, and return for every row
-    what the scalar residual and Jacobian functions return.
+    The measurement-only terms ``linearize`` needs (inverse deltas, adjoints,
+    rotation matrices) are computed on its first call. It takes the state as
+    arrays, (n, 4) unit quaternions, (n, 3) translations and log s, with
+    n = m + 1, and returns for every row what the scalar residual and
+    Jacobian functions return, in one pass over the pose pairs for both
+    kinds of row and the prior's pose row.
     """
 
     fk_quat: np.ndarray     # (m, 4) rotation of the kinematic delta
@@ -347,65 +353,66 @@ class StackedFactors:
                                  self.mc_aligned), 1)]
 
     @cached_property
-    def _fk_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """inverse(delta) as (quats, trans), and se3_adjoint(delta)."""
-        return (*inverse_stacked(self.fk_quat, self.fk_trans),
-                se3_adjoint_stacked(self.fk_quat, self.fk_trans))
+    def _terms(self) -> tuple[np.ndarray, ...]:
+        """The inverse rotations of both kinds' deltas as a (2, m, 4) stack
+        (kinematic, tracker), normalized as ``Rotation`` does; the
+        translation of inverse(delta) and se3_adjoint(delta) of the
+        kinematic rows; delta_rot.matrix() and hat(delta_trans) of the
+        tracker rows."""
+        fk_inv_quat, fk_inv_trans = inverse_stacked(self.fk_quat, self.fk_trans)
+        return (np.stack([fk_inv_quat, quat_unit(quat_conjugate(self.mc_quat))]),
+                fk_inv_trans, se3_adjoint_stacked(self.fk_quat, self.fk_trans),
+                quat_matrix(self.mc_quat), hat_stacked(self.mc_trans))
 
-    @cached_property
-    def _mc_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """delta_rot.inverse(), normalized as Rotation does, delta_rot.matrix(),
-        and hat(delta_trans)."""
-        return (quat_unit(quat_conjugate(self.mc_quat)), quat_matrix(self.mc_quat),
-                hat_stacked(self.mc_trans))
+    def linearize(self, quats, trans, anchor_inv: tuple[np.ndarray, np.ndarray], log_s: float
+                  ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Residuals and Jacobians of every row at the state, as two tuples.
 
-    def fk(self, quats, trans, anchor: Pose
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residuals and Jacobians of the kinematic rows and of the pose part
-        of a prior on pose 0 at ``anchor``: r (m+1, 6), j_prev (m, 6, 6) and
-        j_curr (m+1, 6, 6). Rows 0..m-1 are wrt poses k and k+1, as
-        ``fk_residual`` and ``fk_jacobians``; row m is log(anchor^-1 T_0)
-        and its Jacobian wrt pose 0, as ``prior_residual`` and
-        ``prior_jacobians`` give them.
-        All rows share one ``se3_log_stacked`` call, and their Jacobians one
-        ``se3_left_jacobian_inv_stacked`` call on [r_fk; -r]: d/d pose k is
-        -Jl^-1(r), d/d pose k+1 is Jr^-1(r) Ad(delta) = Jl^-1(-r) Ad(delta).
+        Kinematic: r (m+1, 6), j_prev (m, 6, 6) and j_curr (m+1, 6, 6). Rows
+        0..m-1 are wrt poses k and k+1, as ``fk_residual`` and
+        ``fk_jacobians``; row m is log(anchor^-1 T_0) and its Jacobian wrt
+        pose 0, as ``prior_residual`` and ``prior_jacobians`` give them, with
+        ``anchor_inv`` the anchor's inverse as (quaternion, translation)
+        (``PriorFactor.anchor_inverse``). Tracker: r (m, 6), j_prev and
+        j_curr (m, 6, 6), and (m, 6) wrt log s, as ``mc_residual`` and
+        ``mc_jacobians``.
+
+        Both kinds share conj(q_k) q_{k+1}, one product with their inverse
+        delta rotations, one ``so3_log_stacked`` over the kinematic, prior
+        and tracker rows, and one so3 Jl^-1 over the same rows, which also
+        gives the kinematic logs' translation part. d/d pose k is -Jl^-1(r)
+        and d/d pose k+1 is Jr^-1(r) times the delta's adjoint (its rotation
+        matrix for a tracker row), where Jr^-1(r) = Jl^-1(-r) comes from
+        Jl^-1(r)'s own terms (``se3_left_jacobian_inv_twins``).
         """
-        inv_quat, inv_trans, adjoint = self._fk_terms
-        prev_inv = quat_conjugate(quats[:-1])
-        # compose(compose(inverse(t_prev), t_curr), inverse(delta))
-        rel_quat = quat_product(prev_inv, quats[1:])
-        rel_trans = quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])
-        prior_quat, prior_trans = compose_stacked(
-            *inverse_stacked(anchor.rotation.quat, anchor.translation), quats[0], trans[0])
-        r = se3_log_stacked(
-            np.concatenate([quat_product(rel_quat, inv_quat), prior_quat[None]]),
-            np.concatenate([quat_rotate(rel_quat, inv_trans) + rel_trans, prior_trans[None]]))
-        m = len(self)
-        jac = se3_left_jacobian_inv_stacked(np.concatenate([r[:m], -r]))
-        j_curr = jac[m:]
-        j_curr[:m] = j_curr[:m] @ adjoint
-        return r, -jac[:m], j_curr
-
-    def mc(self, quats, trans, log_s: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Residuals (m, 6), Jacobians (m, 6, 6) wrt poses k and k+1, and
-        (m, 6) wrt log s, as ``mc_residual`` and ``mc_jacobians``. The
-        rotation matrices of all n poses come from one ``quat_matrix`` call,
-        and the rotation rows' Jacobians from one
-        ``so3_left_jacobian_inv_stacked`` call on [r_rot; -r_rot]."""
         s = np.exp(log_s)  # inf, not OverflowError, for a wild trial state
-        inv_quat, rot, hat_trans = self._mc_terms
+        m = len(self)
+        inv_quats, inv_trans, adjoint, rot, hat_trans = self._terms
+        prev_inv = quat_conjugate(quats[:-1])
+        rel_quat = quat_product(prev_inv, quats[1:])
+        # compose(compose(inverse(t_prev), t_curr), inverse(delta)), and the
+        # tracker's rel delta_rot^-1
+        err_quat = quat_product(rel_quat, inv_quats)
+        prior_quat, prior_trans = compose_stacked(*anchor_inv, quats[0], trans[0])
+        phi = so3_log_stacked(np.concatenate([err_quat[0], prior_quat[None], err_quat[1]]))
+        jli, jli_neg = so3_left_jacobian_inv_twins(phi)
+
+        # kinematic and prior rows: se3_log_stacked of the error poses
+        err_trans = np.concatenate([
+            quat_rotate(rel_quat, inv_trans)
+            + (quat_rotate(prev_inv, trans[1:]) - quat_rotate(prev_inv, trans[:-1])),
+            prior_trans[None]])
+        pose = slice(None, m + 1)
+        r_fk = np.concatenate([(jli[pose] @ err_trans[..., None])[..., 0], phi[pose]], axis=-1)
+        jac, j_curr_fk = se3_left_jacobian_inv_twins(r_fk, jli[pose], jli_neg[pose])
+        j_curr_fk[:m] = j_curr_fk[:m] @ adjoint
+
+        # tracker rows
         aligned = self.mc_aligned[:, None]
         mats = quat_matrix(quats)
         r_prev = mats[:-1]
         moved = np.where(aligned, quat_rotate(quats[:-1], self.mc_trans), self.mc_trans)
-        r_rot = so3_log_stacked(quat_product(
-            quat_product(quat_conjugate(quats[:-1]), quats[1:]), inv_quat))
-        r = np.concatenate([(trans[1:] - trans[:-1]) - s * moved, r_rot], axis=-1)
-
-        m = len(r)
-        jac = so3_left_jacobian_inv_stacked(np.concatenate([r_rot, -r_rot]))
+        r_mc = np.concatenate([(trans[1:] - trans[:-1]) - s * moved, phi[m + 1:]], axis=-1)
         j_prev = np.zeros((m, 6, 6))
         j_curr = np.zeros((m, 6, 6))
         j_scale = np.zeros((m, 6))
@@ -414,6 +421,6 @@ class StackedFactors:
         j_prev[:, :3, 3:] = np.where(aligned[..., None], (s * r_prev) @ hat_trans, 0.0)
         j_scale[:, :3] = -s * np.where(aligned, (r_prev @ self.mc_trans[..., None])[..., 0],
                                        self.mc_trans)
-        j_prev[:, 3:, 3:] = -jac[:m]
-        j_curr[:, 3:, 3:] = jac[m:] @ rot
-        return r, j_prev, j_curr, j_scale
+        j_prev[:, 3:, 3:] = -jli[m + 1:]
+        j_curr[:, 3:, 3:] = jli_neg[m + 1:] @ rot
+        return (r_fk, -jac[:m], j_curr_fk), (r_mc, j_prev, j_curr, j_scale)

@@ -364,12 +364,13 @@ def _by_angle(theta: np.ndarray, limit: float, series, closed) -> np.ndarray:
 
 
 def so3_exp_stacked(phi: np.ndarray) -> np.ndarray:
-    """Quaternions (w, x, y, z) of ``so3_exp``, unit to rounding and not
-    renormalized: the caller decides, as ``Rotation`` does."""
+    """Quaternions (w, x, y, z) of ``so3_exp``, made unit by ``quat_unit``
+    as ``Rotation`` makes them."""
     theta = np.linalg.norm(phi, axis=-1)
     s = _by_angle(theta, SMALL_ANGLE, lambda t2: 0.5 - t2 / 48.0,
                   lambda t: np.sin(0.5 * t) / t)
-    return np.concatenate([np.cos(0.5 * theta)[..., None], s[..., None] * phi], axis=-1)
+    return quat_unit(np.concatenate([np.cos(0.5 * theta)[..., None], s[..., None] * phi],
+                                    axis=-1))
 
 
 def so3_log_stacked(q: np.ndarray) -> np.ndarray:
@@ -422,36 +423,65 @@ def so3_left_jacobian_inv_stacked(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * k + c[..., None, None] * (k @ k)
 
 
-def _q_matrix_stacked(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
+def so3_left_jacobian_inv_twins(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``so3_left_jacobian_inv_stacked`` at ``phi`` and at ``-phi``, bit for
+    bit, from one evaluation: Jl^-1(-phi) = I + K/2 + c K^2 is Jl^-1(phi)^T,
+    since K^T = -K and K^2 is symmetric as computed."""
+    jli = so3_left_jacobian_inv_stacked(phi)
+    return jli, np.ascontiguousarray(np.swapaxes(jli, -1, -2))
+
+
+def _q_matrix_stacked(rho: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Translation-rotation coupling block Q of the SE(3) left Jacobian, and
+    the terms it is summed from, for ``se3_left_jacobian_inv_twins``."""
     theta = np.linalg.norm(phi, axis=-1)
     k = hat_stacked(phi)
     p = hat_stacked(rho)
     kp = k @ p
     pk = p @ k
     kpk = kp @ k
-    c1 = _coeff_b_stacked(theta)
+    c1 = _coeff_b_stacked(theta)[..., None, None]
     c2 = _by_angle(theta, _SERIES_ANGLE,
                    lambda t2: 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0,
                    lambda t: (t * t + 2.0 * np.cos(t) - 2.0) / (2.0 * t ** 4))
     c3 = _by_angle(theta, _SERIES_ANGLE,
                    lambda t2: 1.0 / 120.0 - t2 / 2520.0,
                    lambda t: (2.0 * t + t * np.cos(t) - 3.0 * np.sin(t)) / (2.0 * t ** 5))
-    return (0.5 * p
-            + c1[..., None, None] * (kp + pk + kpk)
-            + c2[..., None, None] * (k @ kp + pk @ k - 3.0 * kpk)
-            + c3[..., None, None] * (kpk @ k + k @ kpk))
+    terms = (0.5 * p, c1, kp + pk, kpk,
+             c2[..., None, None] * (k @ kp + pk @ k - 3.0 * kpk),
+             c3[..., None, None] * (kpk @ k + k @ kpk))
+    half_p, _, even, _, odd2, even3 = terms
+    return half_p + c1 * (even + kpk) + odd2 + even3, terms
+
+
+def _se3_left_jacobian_inv_blocks(jli: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[[J, -J Q J], [0, J]] from the so3 block J = Jl^-1(phi) and Q."""
+    out = np.zeros(jli.shape[:-2] + (6, 6))
+    out[..., :3, :3] = jli
+    out[..., :3, 3:] = -jli @ q @ jli
+    out[..., 3:, 3:] = jli
+    return out
 
 
 def se3_left_jacobian_inv_stacked(x: np.ndarray) -> np.ndarray:
     """``se3_left_jacobian_inv`` of (..., 6) twists; the right one is at ``-x``."""
-    rho, phi = x[..., :3], x[..., 3:]
-    jli = so3_left_jacobian_inv_stacked(phi)
-    out = np.zeros(x.shape[:-1] + (6, 6))
-    out[..., :3, :3] = jli
-    out[..., :3, 3:] = -jli @ _q_matrix_stacked(rho, phi) @ jli
-    out[..., 3:, 3:] = jli
-    return out
+    return _se3_left_jacobian_inv_blocks(so3_left_jacobian_inv_stacked(x[..., 3:]),
+                                         _q_matrix_stacked(x[..., :3], x[..., 3:])[0])
+
+
+def se3_left_jacobian_inv_twins(x: np.ndarray, jli: np.ndarray, jli_neg: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """``se3_left_jacobian_inv_stacked`` at ``x`` and at ``-x`` (the right
+    Jacobian's inverse at ``x``), bit for bit, given
+    ``so3_left_jacobian_inv_twins`` of its rotation part. Q's products and
+    coefficients are taken once: with K = hat(phi) and P = hat(rho) both
+    negated, the terms P/2, c1 KPK and the c2 term change sign and c1 (KP + PK)
+    and the c3 term do not, so Q(-x) is the same terms summed with the signs
+    and in the order that evaluating Q at -x gives."""
+    q, (half_p, c1, even, kpk, odd2, even3) = _q_matrix_stacked(x[..., :3], x[..., 3:])
+    q_neg = c1 * (even - kpk) - half_p - odd2 + even3
+    return (_se3_left_jacobian_inv_blocks(jli, q),
+            _se3_left_jacobian_inv_blocks(jli_neg, q_neg))
 
 
 def se3_adjoint_stacked(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -468,8 +498,7 @@ def se3_exp_stacked(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``se3_exp`` of (..., 6) twists as (unit quaternions, translations),
     bit for bit."""
     rho, phi = x[..., :3], x[..., 3:]
-    return (quat_unit(so3_exp_stacked(phi)),
-            (so3_left_jacobian_stacked(phi) @ rho[..., None])[..., 0])
+    return so3_exp_stacked(phi), (so3_left_jacobian_stacked(phi) @ rho[..., None])[..., 0]
 
 
 # --- 7-number pose serialization ---------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import (Pose, Rotation, compose, compose_stacked, frozen,
-                       inverse, inverse_stacked, quat_unit, se3_log_stacked,
+                       inverse, inverse_stacked, se3_log_stacked,
                        so3_exp_stacked)
 from .records import all_real, load_mapping, to_mapping, write_yaml
 
@@ -88,7 +88,7 @@ def fk_poses(model: LimbModel, angles) -> tuple[np.ndarray, np.ndarray]:
     # sqrt of the dot product is np.linalg.norm of one vector, so each angle
     # is scaled bit for bit as Rotation.from_axis_angle does
     norms = np.sqrt([axis.dot(axis) for axis in axes])
-    joint_quats = quat_unit(so3_exp_stacked(axes * (angles / norms)[..., None]))
+    joint_quats = so3_exp_stacked(axes * (angles / norms)[..., None])
     q, t = model.base_pose.rotation.quat, model.base_pose.translation
     for j, joint in enumerate(model.joints):
         q, t = compose_stacked(q, t, joint_quats[:, j], np.zeros(3))

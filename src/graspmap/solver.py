@@ -19,10 +19,15 @@ by ``FactorGraph.from_arrays`` and by the product each retraction takes,
 and leaves a quaternion it has made unit as it is. Linearization
 evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
 [1:], and the prior on the same arrays; no graph method calls a scalar factor
-function, and ``total_cost`` is the cost it sums. Each kind of stacked log
-and Jacobian runs once per linearization over every row that needs it: the
-prior's pose row joins the kinematic rows, and both signs of each Jacobian,
-Jl^-1(r) and Jl^-1(-r), come from one call on [r; -r]. The Gauss-Newton
+function, and ``total_cost`` is the cost it sums. One linearization
+(``StackedFactors.linearize``) is one pass over the pose pairs for the
+kinematic rows, the tracker rows and the prior's pose row together: one
+relative rotation per pair, one so3 log and one so3 Jl^-1 over all rows.
+The second sign each Jacobian needs, Jl^-1(-r) = Jr^-1(r), comes from the
+terms of Jl^-1(r) (Sola et al., "A micro Lie theory for state estimation in
+robotics", 2018): Jl^-1(-phi) = Jl^-1(phi)^T for SO(3), and the SE(3)
+coupling block Q(-x) (Barfoot, State Estimation for Robotics, 2017,
+sec. 7.1.5) re-signs the odd terms of Q(x). The Gauss-Newton
 Hessian is therefore block-tridiagonal in 6x6 pose blocks plus one dense
 border row for log s, and each pair's terms add into those blocks by
 slices, every block product J^T (info J) one batched matmul over the rows.
@@ -31,7 +36,10 @@ the system by odd-even (cyclic) block reduction (Heller, SIAM J. Numer.
 Anal. 1976): each level eliminates every other pose
 block of the chain in one batched NumPy step, so n blocks take
 floor(log2 n) + 1 levels, in O(n) time and memory, carrying the border through
-to a last pivot l_ss, the Schur complement of the poses on log s. No dense
+to a last pivot l_ss, the Schur complement of the poses on log s. A level
+inverts its pivots' lower Cholesky factors by forward substitution over the
+whole stack when it has ``SUBSTITUTION_PIVOTS`` or more of them, and by
+``np.linalg.inv`` below that, where the general inverse is as fast. No dense
 Hessian is ever formed, and the solver needs no LAPACK beyond NumPy's. The
 marginal standard deviation of log s is 1 / l_ss.
 
@@ -167,7 +175,7 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
     n = len(quats)
     # the prior's pose part rides as the last kinematic row: its twist
     # log(anchor^-1 T_0) and d/d pose 0; d/d log s of its scale gap is 1
-    r, j_prev, j_curr = stacked.fk(quats, trans, prior.pose)
+    (r, j_prev, j_curr), mc = stacked.linearize(quats, trans, prior.anchor_inverse, log_s)
     j_pose = j_curr[-1]
     r_prior = np.append(r[-1], log_s - math.log(prior.scale))
     wr_prior = np.append(prior.pose_info, prior.scale_info) * r_prior
@@ -179,7 +187,7 @@ def normal_equations(stacked: StackedFactors, prior: PriorFactor,
     system.grad[0] += j_pose.T @ wr_prior[:6]
 
     _add_pairs(system, stacked.fk_info, r[:-1], j_prev, j_curr[:-1])
-    r, j_prev, j_curr, j_s = stacked.mc(quats, trans, log_s)
+    r, j_prev, j_curr, j_s = mc
     wr = _add_pairs(system, stacked.mc_info, r, j_prev, j_curr)
     wj_s = stacked.mc_info * j_s
     system.border[:-1] += _mv(_t(j_prev), wj_s)
@@ -218,27 +226,48 @@ def _cholesky_blocks(blocks: np.ndarray, poses: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(blocks)
 
 
+# below this many pivots in a level, np.linalg.inv inverts their Cholesky
+# factors as fast as forward substitution or faster
+SUBSTITUTION_PIVOTS = 40
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular 6x6 factors, by forward
+    substitution a row at a time over the whole stack: row i of the inverse
+    is (e_i - L[i, :i] X[:i]) / L[i, i]."""
+    d = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
+    scaled = lower * d[..., None]
+    out = np.zeros_like(lower)
+    out[:, 0, 0] = d[:, 0]
+    for i in range(1, 6):
+        out[:, i, :i] = -(scaled[:, i, None, :i] @ out[:, :i, :i])[:, 0]
+        out[:, i, i] = d[:, i]
+    return out
+
+
 @dataclass
 class BlockCholesky:
     """Cholesky factor L of a bordered block-tridiagonal H = L L^T, taken in
     odd-even order: each level's eliminated blocks, level by level, then log s.
 
     Level i holds, for each block e it eliminates, the inverse Cholesky
-    factor L_e^-1 of its pivot, (m_e, 6, 6), and w = L_e^-1 [H[e, e-1]
+    factor L_e^-1 of its pivot, (m_e, 6, 6), w = L_e^-1 [H[e, e-1]
     H[e, e+1] H[e, s]], (m_e, 6, 13): its couplings to the kept blocks left
-    and right of it (zero where it has none) and to log s. l_ss = L[s, s].
+    and right of it (zero where it has none) and to log s, and w^T as a
+    contiguous (m_e, 13, 6) copy, which NumPy's matmul takes faster than
+    the swapped view of w. l_ss = L[s, s].
     """
 
-    levels: list[tuple[np.ndarray, np.ndarray]]
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     l_ss: float
 
     def solve(self, b: np.ndarray, b_s: float) -> tuple[np.ndarray, float]:
         """x, x_s with H [x; x_s] = [b; b_s]: forward through the levels,
         then back out."""
         ys = []
-        for inv_l, w in self.levels:
+        for inv_l, _, w_t in self.levels:
             y = _mv(inv_l, b[0::2])
-            wy = _mv(_t(w), y)
+            wy = _mv(w_t, y)
             kept = b[1::2] - wy[:len(b) // 2, 6:12]
             kept[:len(y) - 1] -= wy[1:, :6]
             b_s = b_s - float(np.sum(wy[:, 12]))
@@ -246,7 +275,7 @@ class BlockCholesky:
             b = kept
         x_s = b_s / self.l_ss / self.l_ss
         x = b  # the last level keeps no blocks, so b is empty here
-        for (inv_l, w), y in zip(reversed(self.levels), reversed(ys)):
+        for (inv_l, w, _), y in zip(reversed(self.levels), reversed(ys)):
             # side[i] and side[i + 1] are the kept blocks left and right of
             # eliminated block i, zero where it has none
             side = np.zeros((len(y) + 1, 6))
@@ -280,11 +309,13 @@ def block_cholesky(diag: np.ndarray, sub: np.ndarray, border: np.ndarray,
     levels = []
     while len(diag):
         m_e, m_o = (len(diag) + 1) // 2, len(diag) // 2
-        inv_l = np.linalg.inv(_cholesky_blocks(diag[0::2], poses[0::2]))
+        lower = _cholesky_blocks(diag[0::2], poses[0::2])
+        inv_l = _lower_inverse(lower) if m_e >= SUBSTITUTION_PIVOTS else np.linalg.inv(lower)
         w = inv_l @ np.concatenate([coupling[0:-1:2], _t(coupling[1::2]),
                                     border[0::2, :, None]], axis=2)
-        levels.append((inv_l, w))
-        gram = _t(w) @ w
+        w_t = np.ascontiguousarray(_t(w))
+        levels.append((inv_l, w, w_t))
+        gram = w_t @ w
         diag = diag[1::2] - gram[:m_o, 6:12, 6:12]
         diag[:m_e - 1] -= gram[1:, :6, :6]
         border = border[1::2] - gram[:m_o, 6:12, 12]

@@ -518,19 +518,22 @@ def test_normal_equations_blocks_match_the_dense_oracle(make):
 
 
 # what one linearization calls from factors and solver, after its first use
-# has filled the measurement-only terms: each kind once over all its rows
-LINEARIZATION_CALLS = {"se3_log_stacked": 1, "se3_left_jacobian_inv_stacked": 1,
-                       "so3_log_stacked": 1, "so3_left_jacobian_inv_stacked": 1,
-                       "quat_matrix": 1}
+# has filled the measurement-only terms: one pass over the pose pairs
+LINEARIZATION_CALLS = {"quat_product": 2, "so3_log_stacked": 1,
+                       "so3_left_jacobian_inv_twins": 1, "se3_left_jacobian_inv_twins": 1,
+                       "quat_matrix": 1, "se3_log_stacked": 0,
+                       "so3_left_jacobian_inv_stacked": 0, "se3_left_jacobian_inv_stacked": 0}
 
 
 @pytest.mark.parametrize("make", [chain_graph, one_pose_graph], ids=["chain", "one-pose"])
 def test_normal_equations_makes_each_geometry_call_once(monkeypatch, make):
-    """The kinematic rows and the prior's pose row share one se3_log_stacked
-    call and one se3_left_jacobian_inv_stacked call, on [r_fk; -r]; the
-    tracker rows take one so3_log_stacked, one so3_left_jacobian_inv_stacked
-    call on [r_rot; -r_rot] and one quat_matrix over all poses. Calls that
-    geometry makes inside those maps are not counted."""
+    """The kinematic, prior and tracker rows share one conj(q_k) q_{k+1}
+    product, one product with the deltas' inverse rotations, one
+    so3_log_stacked call and one so3 Jl^-1 call, whose rows also give the
+    kinematic logs; Jl^-1 at -r comes with Jl^-1 at r from one se3 call, and
+    the tracker rows take one quat_matrix over all poses. No map is called
+    per kind or per sign. Calls that geometry makes inside those maps are
+    not counted."""
     graph = make(np.random.default_rng(22))
     args = graph.stacked, graph.prior, graph.quats, graph.trans, graph.log_s
     normal_equations(*args)
@@ -547,7 +550,7 @@ def test_normal_equations_makes_each_geometry_call_once(monkeypatch, make):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
     normal_equations(*args)
-    assert calls == LINEARIZATION_CALLS
+    assert {name: calls[name] for name in LINEARIZATION_CALLS} == LINEARIZATION_CALLS
 
 
 def test_solve_bytes_do_not_depend_on_the_allocator(tmp_path):
@@ -588,10 +591,12 @@ def random_bordered_system(rng, n: int):
     return h, system
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 33])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 33, 40, 41, 81, 160])
 def test_reduction_matches_dense_solve_and_inverse(n):
     """Odd-even reduction at every chain length up to a few levels, odd and
-    even, against a dense solve and inverse of the same system."""
+    even, against a dense solve and inverse of the same system; from 81
+    poses a level has enough pivots to invert their factors by substitution
+    (160 poses: 80 pivots, then exactly SUBSTITUTION_PIVOTS)."""
     rng = np.random.default_rng(100 + n)
     h, system = random_bordered_system(rng, n)
     lam = 1e-4
@@ -608,14 +613,17 @@ def test_reduction_matches_dense_solve_and_inverse(n):
 @pytest.mark.parametrize("value, why", [(math.nan, "not finite"), (math.inf, "not finite"),
                                         (-1.0, "not positive-definite")],
                          ids=["nan", "inf", "minus-one"])
-@pytest.mark.parametrize("k", [0, 3, 6], ids=["first", "middle", "last"])
-def test_bad_pose_block_will_not_factor(value, why, k):
+@pytest.mark.parametrize("n, k", [(7, 0), (7, 3), (7, 6), (81, 80), (160, 157)],
+                         ids=["first", "middle", "last", "wide-level-0", "wide-level-1"])
+def test_bad_pose_block_will_not_factor(value, why, n, k):
     """A pose block that is not finite or not positive-definite raises,
-    naming its pose, wherever it sits in the chain."""
-    diag = np.tile(np.eye(6), (7, 1, 1))
+    naming its pose, wherever it sits in the chain, and at the levels wide
+    enough to invert their pivots' factors by substitution (81 poses: 41
+    pivots at level 0; 160 poses: pose 157 is among level 1's 40)."""
+    diag = np.tile(np.eye(6), (n, 1, 1))
     diag[k, 2, 2] = value
     with pytest.raises(np.linalg.LinAlgError, match=f"^pose block {k} is {why}$"):
-        solver.block_cholesky(diag, np.zeros((7, 6, 6)), np.zeros((7, 6)), 1.0)
+        solver.block_cholesky(diag, np.zeros((n, 6, 6)), np.zeros((n, 6)), 1.0)
 
 
 @pytest.mark.parametrize("k", [4, 1, 3, 7], ids=["level-0", "level-1", "level-2", "level-3"])
