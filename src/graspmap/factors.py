@@ -22,7 +22,7 @@ Jacobians for a whole chain at once, as arrays; the solver runs on it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -312,6 +312,9 @@ class StackedFactors:
     Row k of each ``fk_*`` and ``mc_*`` array is the factor that ties pose k
     to pose k+1: the measured deltas and information diagonals as a graph
     file stores them, each checked once as the factor types check one value.
+    This class alone maps a row to its ``FkFactor`` and ``McFactor`` values
+    and back: ``appended`` adds the row a pair of them makes, and
+    ``factors`` lists every row as that pair.
     The measurement-only terms ``linearize`` needs (inverse deltas, adjoints,
     rotation matrices) are computed on its first call. It takes the state as
     arrays, (n, 4) unit quaternions, (n, 3) translations and log s, with
@@ -338,19 +341,30 @@ class StackedFactors:
         object.__setattr__(self, "mc_aligned", frozen(self.mc_aligned, (m,), "mc_aligned",
                                                       bool, DimensionMismatch))
 
+    @classmethod
+    def empty(cls) -> "StackedFactors":
+        """The chain of no rows."""
+        return cls(*(np.empty((0, w)) for w in (4, 3, 6, 4, 3, 6)), ())
+
     def __len__(self) -> int:
         return len(self.fk_quat)
 
-    def fk_factors(self) -> list[FkFactor]:
-        """The kinematic rows as ``FkFactor`` values, indices 1..m."""
-        return [FkFactor(i, Pose(Rotation(q), t), info) for i, (q, t, info)
-                in enumerate(zip(self.fk_quat, self.fk_trans, self.fk_info), 1)]
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
 
-    def mc_factors(self) -> list[McFactor]:
-        """The tracker rows as ``McFactor`` values, indices 1..m."""
-        return [McFactor(i, Rotation(q), t, info, bool(aligned)) for i, (q, t, info, aligned)
-                in enumerate(zip(self.mc_quat, self.mc_trans, self.mc_info,
-                                 self.mc_aligned), 1)]
+    def appended(self, fk: FkFactor, mc: McFactor) -> "StackedFactors":
+        """This chain with one more row, the one ``fk`` and ``mc`` make."""
+        row = (fk.delta.rotation.quat, fk.delta.translation, fk.info,
+               mc.delta_rot.quat, mc.delta_trans, mc.info, mc.frame_aligned)
+        return StackedFactors(*(np.append(rows, [value], axis=0)
+                                for rows, value in zip(self._columns(), row)))
+
+    def factors(self) -> list[FkFactor | McFactor]:
+        """The rows as values in graph order: fk 1, mc 1, fk 2, mc 2, ..."""
+        pairs = ((FkFactor(i, Pose(Rotation(fq), ft), fi),
+                  McFactor(i, Rotation(mq), mt, mi, bool(aligned)))
+                 for i, (fq, ft, fi, mq, mt, mi, aligned) in enumerate(zip(*self._columns()), 1))
+        return [f for pair in pairs for f in pair]
 
     @cached_property
     def _terms(self) -> tuple[np.ndarray, ...]:

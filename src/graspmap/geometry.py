@@ -42,8 +42,8 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
     """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
     ``-1`` matches any length. A wrong shape raises ``error``. A float array
     must be finite, or ``ValueError`` is raised; with ``unit`` each vector
-    along the last axis is scaled to unit norm, unless it already has it, and
-    must also be nonzero. Messages name ``what``. An array that is already
+    along the last axis, one or many, is made unit by ``quat_unit`` and must
+    also be nonzero. Messages name ``what``. An array that is already
     such a copy (read-only, of ``dtype``, C-contiguous and owning its data)
     is returned as it is, once its shape and values pass."""
     owned = (isinstance(value, np.ndarray) and not value.flags.writeable
@@ -54,17 +54,10 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
         raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "
                     f"got {a.shape}")
-    if unit and a.ndim > 1:
+    if unit:
         if not unit_norms_ok(a).all():
             raise ValueError(f"{what} must be finite and nonzero")
         a = quat_unit(a)
-    elif unit:
-        # the norm as np.linalg.norm takes it; a finite one means finite entries
-        n = math.sqrt(a.dot(a))
-        if not 0.0 < n < math.inf:
-            raise ValueError(f"{what} must be finite and nonzero")
-        if abs(n - 1.0) > _UNIT_NORM_TOL:
-            a /= n
     elif dtype is float and not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     a.flags.writeable = False

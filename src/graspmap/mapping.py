@@ -296,8 +296,8 @@ def detect_graspable(grid: VoxelGrid, mask: GripperMask) -> list[GraspablePoint]
     anchors += lo
     order = np.lexsort((anchors[:, 1], anchors[:, 0], -anchors[:, 2]))
     anchors = anchors[order]
-    centers = grid.origin + (anchors + 0.5) * grid.voxel_size
-    return [GraspablePoint(position=c, support_count=len(mask)) for c in centers]
+    return [GraspablePoint(position=c, support_count=len(mask))
+            for c in grid.cell_center(anchors)]
 
 
 # --- PLY: binary little-endian -------------------------------------------------

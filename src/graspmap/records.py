@@ -29,13 +29,13 @@ def float_fields(count: int, sep: str = " ") -> str:
     return sep.join(["%.17g"] * count)
 
 
-def write_records(path, rows, sep: str = " ", comment: str | None = None) -> None:
+def write_records(path, rows, comment: str | None = None) -> None:
     """Write one record per row after an optional ``# comment`` line. A row is
-    a line already formatted, or a sequence of values: floats get 17
+    a line already formatted, or values joined by spaces: floats get 17
     significant digits, as in ``float_fields``, anything else ``str``."""
     lines = [] if comment is None else [f"# {comment}"]
     lines += [row if isinstance(row, str) else
-              sep.join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+              " ".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     with open(path, "w") as fh:
         fh.write("".join(line + "\n" for line in lines))
@@ -145,17 +145,16 @@ def all_real(value) -> bool:
 
 def config_number(name: str, value, kind: type = float, length: int | None = None):
     """A configured ``value`` as a finite ``kind``, int or float, or given
-    ``length``, as a read-only array of that many finite floats, any count for
-    ``-1``. Anything else, a boolean or a string included, is a
-    ``ConfigError`` naming ``name``."""
+    ``length``, as a read-only array of that many finite floats. Anything
+    else, a boolean or a string included, is a ``ConfigError`` naming
+    ``name``."""
     items = np.array(value, dtype=object)
     a = items.astype(float) if all_real(items) else np.array(math.nan)
     shape = () if length is None else (length,)
-    if (a.shape != shape and (length != -1 or a.ndim != 1) or not np.isfinite(a).all()
+    if (a.shape != shape or not np.isfinite(a).all()
             or kind is int and not float(a).is_integer()):
-        count = "" if length == -1 else f"{length} "
         want = ("a whole number" if kind is int else "a finite number" if length is None
-                else f"a list of {count}finite numbers")
+                else f"a list of {length} finite numbers")
         raise ConfigError(f"{name} must be {want}, got {items.tolist()!r}")
     a = frozen(a, shape, name)
     return a if length is not None else kind(a)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigError, CorruptArtifact, NoVisibleTerrain,
                      UnreachableTerrain)
 from .geometry import (Pose, Rotation, compose_stacked, frozen, inverse_stacked,
-                       quat_rotate, so3_exp_stacked)
+                       quat_product, quat_rotate, so3_exp_stacked)
 from .geometry import compose  # noqa: F401 -- read only by perfbench/tracer.py
 from .kinematics import JointReading, LimbModel, default_limb, fk_poses
 from .kinematics import fk_pose  # noqa: F401 -- read only by perfbench/tracer.py
@@ -235,8 +235,7 @@ def _vo_steps(quats: np.ndarray, trans: np.ndarray, config: SimConfig
     # zero stddev still consumes the stream, so noiseless and noisy runs
     # with one seed stay draw-for-draw aligned
     noise = _rng(config.seed, "vo_rot").normal(0.0, config.vo_rot_noise_stddev, shape)
-    # the noise rotation composed as a pose with no translation
-    vo_quats, _ = compose_stacked(dq, dt, so3_exp_stacked(noise), np.zeros(3))
+    vo_quats = quat_product(dq, so3_exp_stacked(noise))
     dt /= config.true_scale
     dt += _rng(config.seed, "vo_trans").normal(0.0, config.vo_trans_noise_stddev, shape)
     return vo_quats, dt

@@ -13,7 +13,8 @@ and one ``StackedFactors`` whose row k holds the kinematic and the tracker
 factor tying pose k to pose k+1. ``build_graph`` and ``load_graph`` fill
 those arrays directly, ``build_graph`` starting each pose at the forward
 kinematics of its reading; the poses, scale and factors as values (``poses``,
-``fks``, ``mcs``, ``factors``) are views built on demand. The state's
+``scale``, ``factors``) are views built on demand, the factors by
+``StackedFactors``, which alone maps a row to its two values. The state's
 quaternions are unit by ``Rotation``'s rule, ``quat_unit``: it is applied
 by ``FactorGraph.from_arrays`` and by the product each retraction takes,
 and leaves a quaternion it has made unit as it is. Linearization
@@ -353,8 +354,8 @@ class FactorGraph:
     """Poses, scale, and a chain of factors, held as arrays: the state
     ``quats`` (n, 4), ``trans`` (n, 3) and ``log_s``, the one ``prior`` on
     pose 0 and the scale, and ``stacked``, whose row k ties pose k to pose
-    k+1. ``poses``, ``scale``, ``fks``, ``mcs`` and ``factors`` are value views
-    of them, built on each access."""
+    k+1. ``poses``, ``scale`` and ``factors`` are value views of them, built
+    on each access."""
 
     def __init__(self, prior: PriorFactor, t0: Pose | None = None,
                  scale: ScaleVar | None = None):
@@ -362,7 +363,7 @@ class FactorGraph:
         self.prior = prior
         self.quats, self.trans = t0.rotation.quat[None], t0.translation[None]
         self.log_s = (ScaleVar.from_value(prior.scale) if scale is None else scale).log_value
-        self.stacked = StackedFactors(*(np.empty((0, w)) for w in (4, 3, 6, 4, 3, 6)), ())
+        self.stacked = StackedFactors.empty()
 
     @classmethod
     def from_arrays(cls, prior: PriorFactor, quats: np.ndarray, trans: np.ndarray,
@@ -398,14 +399,6 @@ class FactorGraph:
     def scale(self) -> ScaleVar:
         return ScaleVar(self.log_s)
 
-    @property
-    def fks(self) -> list[FkFactor]:
-        return self.stacked.fk_factors()
-
-    @property
-    def mcs(self) -> list[McFactor]:
-        return self.stacked.mc_factors()
-
     def add_keyframe(self, fk: FkFactor, mc: McFactor,
                      pose_init: Pose | None = None) -> None:
         """Append pose i with its two measurement factors as row i - 1.
@@ -418,11 +411,7 @@ class FactorGraph:
             raise IndexMismatch(
                 f"graph has poses 0..{i - 1}; next factors must use index {i}, "
                 f"got fk.i={fk.i}, mc.i={mc.i}")
-        f = self.stacked
-        self.stacked = StackedFactors(*(np.append(rows, [row], axis=0) for rows, row in zip(
-            (f.fk_quat, f.fk_trans, f.fk_info, f.mc_quat, f.mc_trans, f.mc_info, f.mc_aligned),
-            (fk.delta.rotation.quat, fk.delta.translation, fk.info, mc.delta_rot.quat,
-             mc.delta_trans, mc.info, mc.frame_aligned))))
+        self.stacked = self.stacked.appended(fk, mc)
         if pose_init is None:
             quat, trans = compose_stacked(self.quats[-1], self.trans[-1],
                                           fk.delta.rotation.quat, fk.delta.translation)
@@ -434,7 +423,7 @@ class FactorGraph:
     @property
     def factors(self) -> tuple[Factor, ...]:
         """Every factor in graph order: prior, fk1, mc1, fk2, mc2, ..."""
-        return (self.prior, *(f for pair in zip(self.fks, self.mcs) for f in pair))
+        return (self.prior, *self.stacked.factors())
 
     def total_cost(self) -> float:
         """Sum of squared Mahalanobis residuals over all factors (no 1/2

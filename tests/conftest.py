@@ -126,25 +126,25 @@ def chain(rng, literal_every: int = 3):
     poses = [rand_pose(rng)]
     for _ in range(n - 1):
         poses.append(compose(poses[-1], se3_exp(twist_at_angle(rng, 0.4, 0.1))))
-    fks, mcs = [], []
+    fk_values, mc_values = [], []
     for i, angle in enumerate(ANGLES, start=1):
         rel = compose(inverse(poses[i - 1]), poses[i])
         # residual rotation log(rel delta^-1) then has exactly this angle
         off = se3_exp(twist_at_angle(rng, angle, 0.01))
-        fks.append(FkFactor(i, compose(inverse(off), rel),
-                            info=rng.uniform(0.5, 2.0, 6)))
-        mcs.append(McFactor(i, off.rotation.inverse() @ rel.rotation,
-                            rng.normal(0.0, 0.1, 3), info=rng.uniform(0.5, 2.0, 6),
-                            frame_aligned=(i % literal_every != 0)))
-    return poses, fks, mcs
+        fk_values.append(FkFactor(i, compose(inverse(off), rel),
+                                  info=rng.uniform(0.5, 2.0, 6)))
+        mc_values.append(McFactor(i, off.rotation.inverse() @ rel.rotation,
+                                  rng.normal(0.0, 0.1, 3), info=rng.uniform(0.5, 2.0, 6),
+                                  frame_aligned=(i % literal_every != 0)))
+    return poses, fk_values, mc_values
 
 
 def chain_graph(rng) -> FactorGraph:
-    poses, fks, mcs = chain(rng)
+    poses, fk_values, mc_values = chain(rng)
     prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
     graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5),
                         t0=poses[0], scale=ScaleVar(0.2))
-    for fk, mc, pose in zip(fks, mcs, poses[1:]):
+    for fk, mc, pose in zip(fk_values, mc_values, poses[1:]):
         graph.add_keyframe(fk, mc, pose_init=pose)
     return graph
 

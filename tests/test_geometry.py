@@ -23,6 +23,7 @@ from graspmap.geometry import (Pose, Rotation, compose, hat, inverse,
                                se3_right_jacobian_inv, so3_exp,
                                so3_left_jacobian, so3_left_jacobian_inv,
                                so3_log, so3_right_jacobian_inv)
+from graspmap.kinematics import Joint
 
 PI = math.pi
 
@@ -64,12 +65,20 @@ def test_rotation_constructors_unit_norm():
 
 
 def test_normalizing_twice_equals_normalizing_once():
-    """A unit quaternion is kept bit for bit, so a rotation written at 17
-    digits reads back as itself."""
+    """A unit quaternion or joint axis is kept bit for bit, so a rotation or a
+    limb written at 17 digits reads back as itself, whatever the size of the
+    vector it was made from."""
     rng = np.random.default_rng(2)
-    for q in rng.normal(size=(100_000, 4)):
-        once = Rotation(q).quat
-        assert np.array_equal(Rotation(once).quat, once), q
+    quats = [rng.normal(size=(100_000, 4))]
+    axes = [rng.normal(size=(5_000, 3))]
+    for scale in (1e-100, 1e-3, 1e3, 1e100):
+        quats.append(rng.normal(size=(5_000, 4)) * scale)
+        axes.append(rng.normal(size=(5_000, 3)) * scale)
+    for build, vectors in ((lambda v: Rotation(v).quat, quats),
+                           (lambda v: Joint(v, Pose.identity()).axis, axes)):
+        for q in np.concatenate(vectors):
+            once = build(q)
+            assert np.array_equal(build(once), once), q
 
 
 def test_rotation_apply_matches_matrix():

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,7 @@ def test_build_graph_runs_fk_once_per_reading(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     readings = bundle_readings(bundle)
-    for i, f in enumerate(graph.fks, start=1):
+    for i, f in enumerate(graph.factors[1::2], start=1):
         want = fk_delta(limb, readings[i - 1], readings[i])
         assert np.array_equal(f.delta.matrix(), want.matrix())
 
@@ -176,7 +176,9 @@ def test_build_graph_equals_the_value_path(tmp_path, literal):
     from fk_delta values and the bundle's tracker deltas, bit for bit, and
     each of its starting poses is fk_pose of its reading, bit for bit; given
     those poses as its starts, the value graph saves the same bytes, and
-    load_graph gives the saved rows back bit for bit."""
+    load_graph gives the saved rows back bit for bit. Both graphs list the
+    factor values given to add_keyframe, field by field, bit for bit, and
+    with no keyframes a graph lists only its prior."""
     limb = default_limb()
     bundle = simulate(SimConfig(seed=4, keyframes=40, cloud_points_per_keyframe=1), limb)
     graph = build_graph(bundle, limb, literal)
@@ -184,11 +186,12 @@ def test_build_graph_equals_the_value_path(tmp_path, literal):
     readings = bundle_readings(bundle)
     starts = [fk_pose(limb, r.angles) for r in readings]
     values = FactorGraph(PriorFactor(pose=starts[0]))
+    added = [values.prior]
     for i in range(1, len(readings)):
-        values.add_keyframe(FkFactor(i, fk_delta(limb, readings[i - 1], readings[i])),
-                            McFactor(i, Rotation(bundle.vo_quats[i - 1]),
-                                     bundle.vo_trans[i - 1], frame_aligned=not literal),
-                            pose_init=starts[i])
+        added += [FkFactor(i, fk_delta(limb, readings[i - 1], readings[i])),
+                  McFactor(i, Rotation(bundle.vo_quats[i - 1]), bundle.vo_trans[i - 1],
+                           frame_aligned=not literal)]
+        values.add_keyframe(*added[-2:], pose_init=starts[i])
 
     def rows(g):
         return {"quats": g.quats, "trans": g.trans,
@@ -209,6 +212,25 @@ def test_build_graph_equals_the_value_path(tmp_path, literal):
         assert np.array_equal(got, want[name]), name
     # graph.txt holds s, and exp(log s) is not always s: compare s
     assert back.scale.value == graph.scale.value
+
+    for listed in (graph.factors, values.factors):
+        assert len(listed) == len(added)
+        for k, (got, given) in enumerate(zip(listed, added)):
+            assert same_bits(got, given), k
+    for empty in (FactorGraph(graph.prior),
+                  FactorGraph.from_arrays(graph.prior, graph.quats[:1], graph.trans[:1],
+                                          graph.log_s, StackedFactors.empty())):
+        assert len(empty.factors) == 1 and empty.factors[0] is graph.prior
+
+
+def same_bits(a, b) -> bool:
+    """Whether two values are of one type and hold the same bits in every
+    field, down to arrays and numbers."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(same_bits(getattr(a, f.name), getattr(b, f.name))
+                                          for f in fields(a))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_total_cost_trivials():

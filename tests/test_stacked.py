@@ -198,11 +198,11 @@ def test_stacked_log_refuses_the_cut_locus_like_scalar(gap):
 def test_stacked_fk_matches_scalar():
     rng = np.random.default_rng(4)
     graph = chain_graph(rng)
-    poses, fks = graph.poses, graph.fks
+    poses, fk_values = graph.poses, graph.factors[1::2]
     (r, j_prev, j_curr), _ = graph.stacked.linearize(
         graph.quats, graph.trans, graph.prior.anchor_inverse, graph.log_s)
-    assert len(r) == len(j_curr) == len(fks) + 1 and len(j_prev) == len(fks)
-    for k, f in enumerate(fks):
+    assert len(r) == len(j_curr) == len(fk_values) + 1 and len(j_prev) == len(fk_values)
+    for k, f in enumerate(fk_values):
         close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
         want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
         close(j_prev[k], want_prev)
@@ -216,12 +216,12 @@ def test_stacked_fk_matches_scalar():
 def test_stacked_mc_matches_scalar(log_s):
     rng = np.random.default_rng(5)
     graph = chain_graph(rng)
-    poses, mcs = graph.poses, graph.mcs
-    assert {f.frame_aligned for f in mcs} == {True, False}
+    poses, mc_values = graph.poses, graph.factors[2::2]
+    assert {f.frame_aligned for f in mc_values} == {True, False}
     scale = ScaleVar(log_s)
     _, (r, j_prev, j_curr, j_scale) = graph.stacked.linearize(
         graph.quats, graph.trans, graph.prior.anchor_inverse, log_s)
-    for k, f in enumerate(mcs):
+    for k, f in enumerate(mc_values):
         close(r[k], mc_residual(poses[f.i - 1], poses[f.i], scale, f))
         want_prev, want_curr, want_scale = mc_jacobians(poses[f.i - 1], poses[f.i],
                                                         scale, f)
