@@ -409,7 +409,7 @@ class StackedFactors:
         err_quat = quat_product(rel_quat, inv_quats)
         prior_quat, prior_trans = compose_stacked(*anchor_inv, quats[0], trans[0])
         phi = so3_log_stacked(np.concatenate([err_quat[0], prior_quat[None], err_quat[1]]))
-        jli, jli_neg = so3_left_jacobian_inv_twins(phi)
+        jli, jli_neg, theta, k = so3_left_jacobian_inv_twins(phi)
 
         # kinematic and prior rows: se3_log_stacked of the error poses
         err_trans = np.concatenate([
@@ -418,7 +418,8 @@ class StackedFactors:
             prior_trans[None]])
         pose = slice(None, m + 1)
         r_fk = np.concatenate([(jli[pose] @ err_trans[..., None])[..., 0], phi[pose]], axis=-1)
-        jac, j_curr_fk = se3_left_jacobian_inv_twins(r_fk, jli[pose], jli_neg[pose])
+        jac, j_curr_fk = se3_left_jacobian_inv_twins(
+            r_fk, *(a[pose] for a in (jli, jli_neg, theta, k)))
         j_curr_fk[:m] = j_curr_fk[:m] @ adjoint
 
         # tracker rows

@@ -55,9 +55,10 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
         raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "
                     f"got {a.shape}")
     if unit:
-        if not unit_norms_ok(a).all():
+        n = _norms(a)
+        if not _norms_ok(n).all():
             raise ValueError(f"{what} must be finite and nonzero")
-        a = quat_unit(a)
+        a = _divided(a, n)
     elif dtype is float and not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     a.flags.writeable = False
@@ -283,20 +284,26 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
 
 
-def unit_norms_ok(a: np.ndarray) -> np.ndarray:
-    """Which vectors along the last axis can be scaled to unit norm: those
-    whose norm is finite and nonzero, which also means finite entries."""
-    n = _norms(a)[..., 0]
+def _norms_ok(n: np.ndarray) -> np.ndarray:
+    """Which norms are finite and nonzero, which also means finite entries."""
     return (n > 0.0) & (n < math.inf)
 
 
+def _divided(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``quat_unit``'s rule: a / n only where a norm n is over ``_UNIT_NORM_TOL`` from 1."""
+    return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, a / n, a)
+
+
+def unit_norms_ok(a: np.ndarray) -> np.ndarray:
+    """Which vectors along the last axis can be scaled to unit norm."""
+    return _norms_ok(_norms(a)[..., 0])
+
+
 def quat_unit(q: np.ndarray) -> np.ndarray:
-    """Quaternions normalized as ``Rotation`` stores them: each is divided by
-    its norm only where that is more than ``_UNIT_NORM_TOL`` from 1, so its
-    output passes through it unchanged. A zero quaternion gives NaN without
+    """Quaternions normalized as ``Rotation`` stores them, by ``_divided``,
+    which leaves its own output as it is. A zero quaternion gives NaN without
     raising; ``frozen(unit=True)`` checks."""
-    n = _norms(q)
-    return np.where(np.abs(n - 1.0) > _UNIT_NORM_TOL, q / n, q)
+    return _divided(q, _norms(q))
 
 
 # _components and _joined split the last axis off and put it back; on small
@@ -407,28 +414,31 @@ def so3_left_jacobian_stacked(phi: np.ndarray) -> np.ndarray:
             + _coeff_b_stacked(theta)[..., None, None] * (k @ k))
 
 
-def so3_left_jacobian_inv_stacked(phi: np.ndarray) -> np.ndarray:
+def _so3_left_jacobian_inv_terms(phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Jl^-1(phi), and the th = norm(phi) and K = hat(phi) it is written in."""
     theta = np.linalg.norm(phi, axis=-1)
     k = hat_stacked(phi)
     c = _by_angle(theta, _SERIES_ANGLE,
                   lambda t2: 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
                   lambda t: 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
-    return np.eye(3) - 0.5 * k + c[..., None, None] * (k @ k)
+    return np.eye(3) - 0.5 * k + c[..., None, None] * (k @ k), theta, k
 
 
-def so3_left_jacobian_inv_twins(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def so3_left_jacobian_inv_stacked(phi: np.ndarray) -> np.ndarray:
+    return _so3_left_jacobian_inv_terms(phi)[0]
+
+
+def so3_left_jacobian_inv_twins(phi: np.ndarray) -> tuple[np.ndarray, ...]:
     """``so3_left_jacobian_inv_stacked`` at ``phi`` and at ``-phi``, bit for
     bit, from one evaluation: Jl^-1(-phi) = I + K/2 + c K^2 is Jl^-1(phi)^T,
-    since K^T = -K and K^2 is symmetric as computed."""
-    jli = so3_left_jacobian_inv_stacked(phi)
-    return jli, np.ascontiguousarray(np.swapaxes(jli, -1, -2))
+    since K^T = -K and K^2 is symmetric as computed; then th and K."""
+    jli, theta, k = _so3_left_jacobian_inv_terms(phi)
+    return jli, np.ascontiguousarray(np.swapaxes(jli, -1, -2)), theta, k
 
 
-def _q_matrix_stacked(rho: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _q_matrix_stacked(rho: np.ndarray, theta: np.ndarray, k: np.ndarray) -> tuple:
     """Translation-rotation coupling block Q of the SE(3) left Jacobian, and
     the terms it is summed from, for ``se3_left_jacobian_inv_twins``."""
-    theta = np.linalg.norm(phi, axis=-1)
-    k = hat_stacked(phi)
     p = hat_stacked(rho)
     kp = k @ p
     pk = p @ k
@@ -458,12 +468,12 @@ def _se3_left_jacobian_inv_blocks(jli: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def se3_left_jacobian_inv_stacked(x: np.ndarray) -> np.ndarray:
     """``se3_left_jacobian_inv`` of (..., 6) twists; the right one is at ``-x``."""
-    return _se3_left_jacobian_inv_blocks(so3_left_jacobian_inv_stacked(x[..., 3:]),
-                                         _q_matrix_stacked(x[..., :3], x[..., 3:])[0])
+    jli, theta, k = _so3_left_jacobian_inv_terms(x[..., 3:])
+    return _se3_left_jacobian_inv_blocks(jli, _q_matrix_stacked(x[..., :3], theta, k)[0])
 
 
-def se3_left_jacobian_inv_twins(x: np.ndarray, jli: np.ndarray, jli_neg: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
+def se3_left_jacobian_inv_twins(x: np.ndarray, jli: np.ndarray, jli_neg: np.ndarray,
+                                theta: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``se3_left_jacobian_inv_stacked`` at ``x`` and at ``-x`` (the right
     Jacobian's inverse at ``x``), bit for bit, given
     ``so3_left_jacobian_inv_twins`` of its rotation part. Q's products and
@@ -471,7 +481,7 @@ def se3_left_jacobian_inv_twins(x: np.ndarray, jli: np.ndarray, jli_neg: np.ndar
     negated, the terms P/2, c1 KPK and the c2 term change sign and c1 (KP + PK)
     and the c3 term do not, so Q(-x) is the same terms summed with the signs
     and in the order that evaluating Q at -x gives."""
-    q, (half_p, c1, even, kpk, odd2, even3) = _q_matrix_stacked(x[..., :3], x[..., 3:])
+    q, (half_p, c1, even, kpk, odd2, even3) = _q_matrix_stacked(x[..., :3], theta, k)
     q_neg = c1 * (even - kpk) - half_p - odd2 + even3
     return (_se3_left_jacobian_inv_blocks(jli, q),
             _se3_left_jacobian_inv_blocks(jli_neg, q_neg))

@@ -10,14 +10,13 @@ the retraction
 The graph is a chain, and ``FactorGraph`` stores it as one, in arrays: the
 state (quaternions, translations, log s), a prior on pose 0 and the scale,
 and one ``StackedFactors`` whose row k holds the kinematic and the tracker
-factor tying pose k to pose k+1. ``build_graph`` and ``load_graph`` fill
-those arrays directly, ``build_graph`` starting each pose at the forward
-kinematics of its reading; the poses, scale and factors as values (``poses``,
-``scale``, ``factors``) are views built on demand, the factors by
-``StackedFactors``, which alone maps a row to its two values. The state's
-quaternions are unit by ``Rotation``'s rule, ``quat_unit``: it is applied
-by ``FactorGraph.from_arrays`` and by the product each retraction takes,
-and leaves a quaternion it has made unit as it is. Linearization
+factor tying pose k to pose k+1. ``FactorGraph._set`` alone writes the
+whole state and is its one check (n = rows + 1 poses, quaternions made unit
+by ``quat_unit``, finite translations, a log s with a scale, read-only
+copies); ``add_keyframe`` only appends a dead-reckoned row. ``optimize``
+stores log(exp(log s)), the log s a saved graph reloads as. ``poses``,
+``scale`` and ``factors`` are read-only value views built on demand, the
+factors by ``StackedFactors``, which alone maps rows to them. Linearization
 evaluates the rows for all keyframe pairs at once, pairing poses [:-1] with
 [1:], and the prior on the same arrays; no graph method calls a scalar factor
 function, and ``total_cost`` is the cost it sums. One linearization
@@ -354,31 +353,30 @@ class FactorGraph:
     """Poses, scale, and a chain of factors, held as arrays: the state
     ``quats`` (n, 4), ``trans`` (n, 3) and ``log_s``, the one ``prior`` on
     pose 0 and the scale, and ``stacked``, whose row k ties pose k to pose
-    k+1. ``poses``, ``scale`` and ``factors`` are value views of them, built
-    on each access."""
+    k+1, written whole only by ``_set``. ``poses``, ``scale`` and
+    ``factors`` are read-only value views of them, built on each access."""
 
-    def __init__(self, prior: PriorFactor, t0: Pose | None = None,
-                 scale: ScaleVar | None = None):
-        t0 = prior.pose if t0 is None else t0
+    def __init__(self, prior: PriorFactor):
         self.prior = prior
-        self.quats, self.trans = t0.rotation.quat[None], t0.translation[None]
-        self.log_s = (ScaleVar.from_value(prior.scale) if scale is None else scale).log_value
-        self.stacked = StackedFactors.empty()
+        self._set(prior.pose.rotation.quat[None], prior.pose.translation[None],
+                  math.log(prior.scale), StackedFactors.empty())
 
     @classmethod
     def from_arrays(cls, prior: PriorFactor, quats: np.ndarray, trans: np.ndarray,
                     log_s: float, stacked: StackedFactors) -> "FactorGraph":
-        """A graph of n = len(stacked) + 1 poses with its state given as arrays.
-        Each quaternion is made unit here, as ``Rotation`` makes one; a zero or
-        non-finite one raises ``ValueError``."""
-        if len(quats) != len(stacked) + 1 or len(trans) != len(quats):
-            raise IndexMismatch(f"{len(quats)} rotations and {len(trans)} translations "
-                                f"for a chain of {len(stacked)} factor pairs")
-        graph = cls(prior)
-        graph.quats = frozen(quats, (len(quats), 4), "quaternion", unit=True)
-        graph.trans, graph.stacked = trans, stacked
-        graph.log_s = ScaleVar(log_s).log_value
+        """A graph with its state given as arrays, checked by ``_set``."""
+        graph = cls.__new__(cls)
+        graph.prior = prior
+        graph._set(quats, trans, log_s, stacked)
         return graph
+
+    def _set(self, quats, trans, log_s: float, stacked: StackedFactors) -> None:
+        """Write the whole state, or raise ``ValueError``: len(stacked) + 1
+        unit quaternions and finite translations, as read-only copies."""
+        self.quats = frozen(quats, (len(stacked) + 1, 4), "quaternion", unit=True)
+        self.trans = frozen(trans, (len(self.quats), 3), "translation")
+        self.log_s = ScaleVar(log_s).log_value
+        self.stacked = stacked
 
     @property
     def num_poses(self) -> int:
@@ -388,23 +386,15 @@ class FactorGraph:
     def poses(self) -> list[Pose]:
         return [Pose(Rotation(q), t) for q, t in zip(self.quats, self.trans)]
 
-    @poses.setter
-    def poses(self, poses) -> None:
-        if len(poses) != self.num_poses:
-            raise IndexMismatch(f"graph has {self.num_poses} poses, got {len(poses)}")
-        self.quats = np.array([p.rotation.quat for p in poses])
-        self.trans = np.array([p.translation for p in poses])
-
     @property
     def scale(self) -> ScaleVar:
         return ScaleVar(self.log_s)
 
-    def add_keyframe(self, fk: FkFactor, mc: McFactor,
-                     pose_init: Pose | None = None) -> None:
+    def add_keyframe(self, fk: FkFactor, mc: McFactor) -> None:
         """Append pose i with its two measurement factors as row i - 1.
 
         The new pose starts at the previous estimate composed with the FK
-        delta (dead reckoning) unless an explicit initial value is given.
+        delta (dead reckoning); earlier rows are not checked again.
         """
         i = self.num_poses
         if fk.i != i or mc.i != i:
@@ -412,13 +402,11 @@ class FactorGraph:
                 f"graph has poses 0..{i - 1}; next factors must use index {i}, "
                 f"got fk.i={fk.i}, mc.i={mc.i}")
         self.stacked = self.stacked.appended(fk, mc)
-        if pose_init is None:
-            quat, trans = compose_stacked(self.quats[-1], self.trans[-1],
-                                          fk.delta.rotation.quat, fk.delta.translation)
-        else:
-            quat, trans = pose_init.rotation.quat, pose_init.translation
+        quat, trans = compose_stacked(self.quats[-1], self.trans[-1],
+                                      fk.delta.rotation.quat, fk.delta.translation)
         self.quats = np.append(self.quats, [quat], axis=0)
         self.trans = np.append(self.trans, [trans], axis=0)
+        self.quats.flags.writeable = self.trans.flags.writeable = False
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -482,8 +470,9 @@ class FactorGraph:
                 break
 
         if report.step_costs:
-            self.quats, self.trans, log_s = state
-            self.log_s = ScaleVar(log_s).log_value
+            quats, trans, log_s = state
+            # log(exp(log s)) has the same scale and is what graph.txt reloads as
+            self._set(quats, trans, math.log(math.exp(log_s)), self.stacked)
         report.final_cost = system.cost
         report.iterations = len(report.step_costs)
         return report
@@ -519,8 +508,7 @@ def build_graph(bundle: SimBundle, model: LimbModel,
                              mc_info=np.full((m, 6), MC_INFO_VALUE),
                              mc_aligned=np.full(m, not literal))
     prior = PriorFactor(pose=Pose(Rotation(quats[0]), trans[0]))
-    return FactorGraph.from_arrays(prior, quats, trans,
-                                   ScaleVar.from_value(prior.scale).log_value, stacked)
+    return FactorGraph.from_arrays(prior, quats, trans, math.log(prior.scale), stacked)
 
 
 # --- graph file format ----------------------------------------------------------

@@ -8,7 +8,8 @@ defining series or closed forms, sharing no code with ``geometry``'s maps.
 ``fk_compose_loop`` is forward kinematics as a loop of scalar ``compose``
 calls, the reference ``fk_poses`` must match bit for bit. ``chain_graph``
 is a small graph whose factor residual rotations run through ``ANGLES``,
-with frame-aligned and literal tracker factors, and ``scalar_cost`` its cost
+with frame-aligned and literal tracker factors, ``started_at`` a graph's
+factors with its state started elsewhere, and ``scalar_cost`` a graph's cost
 summed factor by factor through the scalar residuals.
 """
 
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar, factor_cost,
+from graspmap.factors import (FkFactor, McFactor, PriorFactor, factor_cost,
                               factor_info_diag, factor_residual)
 from graspmap.geometry import (Pose, Rotation, compose, hat, inverse, se3_exp,
                                so3_exp_stacked)
@@ -139,14 +140,21 @@ def chain(rng, literal_every: int = 3):
     return poses, fk_values, mc_values
 
 
+def started_at(graph: FactorGraph, poses, log_s: float | None = None) -> FactorGraph:
+    """``graph``'s prior and factors with the state started at ``poses`` and
+    ``log_s`` (by default the graph's own)."""
+    return FactorGraph.from_arrays(graph.prior, [p.rotation.quat for p in poses],
+                                   [p.translation for p in poses],
+                                   graph.log_s if log_s is None else log_s, graph.stacked)
+
+
 def chain_graph(rng) -> FactorGraph:
     poses, fk_values, mc_values = chain(rng)
     prior_pose = compose(poses[0], se3_exp(twist_at_angle(rng, 1e-3, 1e-3)))
-    graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5),
-                        t0=poses[0], scale=ScaleVar(0.2))
-    for fk, mc, pose in zip(fk_values, mc_values, poses[1:]):
-        graph.add_keyframe(fk, mc, pose_init=pose)
-    return graph
+    graph = FactorGraph(PriorFactor(pose=prior_pose, scale=1.3, scale_info=0.5))
+    for fk, mc in zip(fk_values, mc_values):
+        graph.add_keyframe(fk, mc)
+    return started_at(graph, poses, 0.2)
 
 
 def scalar_cost(graph: FactorGraph) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (chain_graph, rand_pose, rand_twist_vector, scalar_cost,
+from conftest import (chain_graph, rand_pose, rand_twist_vector, scalar_cost, started_at,
                       twist_at_angle)
 from graspmap import cli, factors, geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
@@ -127,7 +127,7 @@ def test_keyframe_index_mismatch():
 
 def test_from_arrays_makes_the_quaternions_unit():
     """from_arrays stores each quaternion as Rotation would, and refuses one
-    of no rotation."""
+    of no rotation and a pose count that is not the rows' plus one."""
     rng = np.random.default_rng(21)
     graph, _ = synthetic_graph(rng, n=4)
     quats = graph.quats * np.array([[2.0], [1e-3], [1.0], [7e5]])
@@ -137,6 +137,24 @@ def test_from_arrays_makes_the_quaternions_unit():
         quats[2] = bad
         with pytest.raises(ValueError, match="quaternion must be finite and nonzero"):
             FactorGraph.from_arrays(graph.prior, quats, graph.trans, graph.log_s, graph.stacked)
+    with pytest.raises(ValueError, match=r"quaternion must have shape \(4, 4\), got \(5, 4\)"):
+        FactorGraph.from_arrays(graph.prior, np.vstack([graph.quats, graph.quats[:1]]),
+                                graph.trans, graph.log_s, graph.stacked)
+
+
+def test_state_is_read_only_after_add_keyframe_and_optimize():
+    """Every write leaves the state arrays read-only, and the poses are a
+    view that cannot be assigned."""
+    graph, _ = synthetic_graph(np.random.default_rng(23), n=4, trans_noise=1e-4)
+    arrays = [graph.quats, graph.trans]  # after add_keyframe
+    assert graph.optimize().iterations > 0
+    arrays += [graph.quats, graph.trans]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1, 0] = 0.0
+    with pytest.raises(AttributeError):
+        graph.poses = graph.poses
 
 
 def test_build_graph_runs_fk_once_per_reading(monkeypatch):
@@ -191,7 +209,8 @@ def test_build_graph_equals_the_value_path(tmp_path, literal):
         added += [FkFactor(i, fk_delta(limb, readings[i - 1], readings[i])),
                   McFactor(i, Rotation(bundle.vo_quats[i - 1]), bundle.vo_trans[i - 1],
                            frame_aligned=not literal)]
-        values.add_keyframe(*added[-2:], pose_init=starts[i])
+        values.add_keyframe(*added[-2:])
+    values = started_at(values, starts)
 
     def rows(g):
         return {"quats": g.quats, "trans": g.trans,
@@ -239,11 +258,10 @@ def test_total_cost_trivials():
     # dead-reckoned init equals truth and s_true = 1 matches the initial scale
     assert graph.total_cost() < 1e-12
 
-    t0 = Pose.identity()
-    graph = FactorGraph(PriorFactor(pose=t0))
+    graph = FactorGraph(PriorFactor(pose=Pose.identity()))
     graph.add_keyframe(FkFactor(1, Pose.identity()),
-                       McFactor(1, Rotation.identity(), [1.0, 0.0, 0.0]),
-                       pose_init=Pose.from_parts(translation=[1.0, 0.0, 0.0]))
+                       McFactor(1, Rotation.identity(), [1.0, 0.0, 0.0]))
+    graph = started_at(graph, [Pose.identity(), Pose.from_parts(translation=[1.0, 0.0, 0.0])])
     # FK residual is exactly e1 (weight 1e-4); the tracker factor is satisfied
     assert graph.total_cost() == pytest.approx(1e-4, rel=1e-9)
 
@@ -284,12 +302,12 @@ def test_optimum_is_fixed_point():
 def test_wide_basin_in_log_scale():
     rng = np.random.default_rng(7)
     truth = smooth_truth_poses(rng, 20)
-    graph = FactorGraph(PriorFactor(pose=truth[0]),
-                        scale=ScaleVar.from_value(0.1))
+    graph = FactorGraph(PriorFactor(pose=truth[0]))
     for i in range(1, 20):
         delta = compose(inverse(truth[i - 1]), truth[i])
         graph.add_keyframe(FkFactor(i, delta),
                            McFactor(i, delta.rotation, delta.translation / 5.0))
+    graph = started_at(graph, graph.poses, math.log(0.1))
     report = graph.optimize()
     assert report.converged
     assert abs(graph.scale.value - 5.0) / 5.0 < 1e-5
@@ -487,8 +505,8 @@ def test_marginal_stddev_matches_inverse_hessian():
 def moved_synthetic_graph(rng) -> FactorGraph:
     """12 keyframes moved off the dead-reckoned start, so every residual is nonzero."""
     graph, _ = synthetic_graph(rng, n=12, s_true=1.7, trans_noise=3e-4, rot_noise=2e-3)
-    graph.poses = [compose(p, se3_exp(0.01 * rng.normal(size=6))) for p in graph.poses]
-    return graph
+    return started_at(graph, [compose(p, se3_exp(0.01 * rng.normal(size=6)))
+                              for p in graph.poses])
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-4, 1e2])
@@ -508,8 +526,9 @@ def test_damped_step_matches_dense_solve(lam):
 
 def one_pose_graph(rng) -> FactorGraph:
     """The prior alone, with pose 0 and the scale started off it."""
-    prior = PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0)
-    return FactorGraph(prior, t0=compose(prior.pose, se3_exp(twist_at_angle(rng, 0.1, 0.1))))
+    graph = FactorGraph(PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0))
+    return started_at(graph, [compose(graph.prior.pose,
+                                      se3_exp(twist_at_angle(rng, 0.1, 0.1)))])
 
 
 @pytest.mark.parametrize("make", [moved_synthetic_graph, chain_graph, one_pose_graph],
@@ -664,9 +683,7 @@ def scrambled_graph(seed: int) -> FactorGraph:
     rng = np.random.default_rng(seed)
     graph, _ = synthetic_graph(rng, n=25, s_true=2.0, trans_noise=3e-4,
                                rot_noise=2e-3)
-    graph.poses = [compose(p, se3_exp(rng.normal(size=6)))
-                   for p in graph.poses]
-    return graph
+    return started_at(graph, [compose(p, se3_exp(rng.normal(size=6))) for p in graph.poses])
 
 
 def test_lm_trace_counts_rejected_steps(monkeypatch):
@@ -772,13 +789,37 @@ def test_graph_file_round_trip(tmp_path):
     save_graph(path, graph)
     back = load_graph(path)
     assert back.num_poses == graph.num_poses
-    # graph.txt holds s, not log s: s comes back exact, log s as log(s),
-    # which can sit 1 ulp from the solver's log s
+    # graph.txt holds s, not log s, and both come back exact
     assert back.scale.value == graph.scale.value
-    assert back.scale.log_value == math.log(graph.scale.value)
+    assert back.log_s == graph.log_s
     assert back.total_cost() == pytest.approx(graph.total_cost(), rel=1e-12)
     for a, b in zip(graph.poses, back.poses):
         assert tangent_gap(a, b) < 1e-15
+
+
+def test_log_of_exp_is_a_fixed_point_with_the_same_exp():
+    """y = log(exp(x)), the log s optimize stores, is what log rebuilds from
+    exp(y), log(exp(y)) == y, and has x's scale, exp(y) == exp(x): over 10^6
+    random x in [-5, 5]."""
+    xs = np.random.default_rng(24).uniform(-5.0, 5.0, 10 ** 6).tolist()
+    ys = list(map(math.log, map(math.exp, xs)))
+    assert list(map(math.log, map(math.exp, ys))) == ys
+    assert list(map(math.exp, ys)) == list(map(math.exp, xs))
+
+
+def test_saved_solve_reloads_bit_for_bit(tmp_path):
+    """load_graph gives back the state optimize stored, log s included, bit
+    for bit, over 40 solves."""
+    path = tmp_path / "graph.txt"
+    for seed in range(40):
+        graph, _ = synthetic_graph(np.random.default_rng(seed), n=8, s_true=1.5,
+                                   trans_noise=2e-4, rot_noise=1e-3)
+        assert graph.optimize().iterations > 0
+        save_graph(path, graph)
+        back = load_graph(path)
+        assert back.log_s == graph.log_s, seed
+        assert np.array_equal(back.quats, graph.quats) and np.array_equal(back.trans,
+                                                                           graph.trans), seed
 
 
 def test_report_file_round_trip(tmp_path):

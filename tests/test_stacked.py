@@ -19,7 +19,7 @@ import pytest
 
 from conftest import (ANGLES, chain_graph, jacobian_series, mat_exp_series,
                       quat_exp, rand_pose, rand_rotation, scalar_cost, se3_ad,
-                      se3_hat, twist_at_angle)
+                      se3_hat, started_at, twist_at_angle)
 from graspmap.errors import CutLocusError
 from graspmap.factors import (PriorFactor, ScaleVar, fk_jacobians, fk_residual,
                               mc_jacobians, mc_residual, prior_jacobians,
@@ -149,10 +149,12 @@ def test_jacobian_twins_are_the_maps_at_minus_x_bit_for_bit():
         np.full(1000, math.pi - 1e-3), rng.uniform(0.0, math.pi - 1e-3, 4000)])
     x = np.array([twist_at_angle(rng, a) for a in angles])
     x[:200, :3] = 0.0  # zero translation as well as zero rotation
-    jli, jli_neg = so3_left_jacobian_inv_twins(x[:, 3:])
+    jli, jli_neg, theta, k = so3_left_jacobian_inv_twins(x[:, 3:])
     same_bits(jli, so3_left_jacobian_inv_stacked(x[:, 3:]))
     same_bits(jli_neg, so3_left_jacobian_inv_stacked(-x[:, 3:]))
-    jac, jac_neg = se3_left_jacobian_inv_twins(x, jli, jli_neg)
+    same_bits(theta, np.linalg.norm(x[:, 3:], axis=-1))
+    same_bits(k, np.array([hat(phi) for phi in x[:, 3:]]))
+    jac, jac_neg = se3_left_jacobian_inv_twins(x, jli, jli_neg, theta, k)
     same_bits(jac, se3_left_jacobian_inv_stacked(x))
     same_bits(jac_neg, se3_left_jacobian_inv_stacked(-x))
 
@@ -252,7 +254,7 @@ def test_one_pose_graph():
     rng = np.random.default_rng(7)
     prior = PriorFactor(pose=rand_pose(rng), scale=2.0, scale_info=1.0)
     start = compose(prior.pose, se3_exp(twist_at_angle(rng, 0.1, 0.1)))
-    graph = FactorGraph(prior, t0=start)
+    graph = started_at(FactorGraph(prior), [start])
     system = normal_equations(graph.stacked, graph.prior, graph.quats, graph.trans,
                               graph.log_s)
     assert system.diag.shape == (1, 6, 6)

@@ -1,4 +1,5 @@
-"""Every array field of a value type is a finite, read-only copy of its shape.
+"""Every array field of a value type, and of a factor graph's state, is a
+finite, read-only copy of its shape.
 
 One row per field: how to build the type around a value, a valid value, one
 of the wrong shape, and the error class a wrong shape raises.
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from graspmap.errors import DimensionMismatch
-from graspmap.factors import FkFactor, McFactor, StackedFactors
+from graspmap.factors import FkFactor, McFactor, PriorFactor, StackedFactors
 from graspmap.geometry import Pose, Rotation
 from graspmap.kinematics import Joint, JointReading
 from graspmap.mapping import (METERS, UNSCALED_UNITS, GraspablePoint,
                               GripperMask, PointCloud, VoxelGrid)
 from graspmap.simulation import SimBundle, SimConfig
+from graspmap.solver import FactorGraph
 
 
 QUAT = [1.0, 0.0, 0.0, 0.0]
@@ -33,6 +35,13 @@ def stacked(**field):
                 mc_quat=[QUAT], mc_trans=np.zeros((1, 3)), mc_info=np.ones((1, 6)),
                 mc_aligned=[True])
     return StackedFactors(**{**rows, **field})
+
+
+def one_pose_graph(**field):
+    """A one-pose ``FactorGraph`` with one state array given."""
+    arrays = dict(quats=[QUAT], trans=np.zeros((1, 3)))
+    return FactorGraph.from_arrays(PriorFactor(Pose.identity()), log_s=0.0,
+                                   stacked=StackedFactors.empty(), **{**arrays, **field})
 
 
 def array_field(build, name):
@@ -89,10 +98,14 @@ FIELDS = {
                                np.full((1, 6), 3.0), np.ones((2, 6)), DimensionMismatch),
     "StackedFactors.mc_aligned": (array_field(stacked, "mc_aligned"),
                                   [False], [True, False], DimensionMismatch),
+    "FactorGraph.quats": (array_field(one_pose_graph, "quats"),
+                          [[0.0, 0.0, 0.0, 1.0]], np.ones((1, 3)), ValueError),
+    "FactorGraph.trans": (array_field(one_pose_graph, "trans"),
+                          [[0.1, 0.2, 0.3]], np.ones((1, 2)), ValueError),
 }
 # fields that hold unit vectors: a zero one has no direction
 UNIT_FIELDS = ["Rotation.quat", "Joint.axis", "SimBundle.truth_quats", "SimBundle.vo_quats",
-               "StackedFactors.fk_quat", "StackedFactors.mc_quat"]
+               "StackedFactors.fk_quat", "StackedFactors.mc_quat", "FactorGraph.quats"]
 FLOAT_FIELDS = [name for name, (_, good, _, _) in FIELDS.items()
                 if np.asarray(good).dtype == float]
 
