@@ -11,8 +11,7 @@ from .errors import (AlreadyScaled, ConfigError, CutLocusError, DegenerateMask,
                      DimensionMismatch, EmptyCloud, GraspmapError,
                      IndexMismatch, NoVisibleTerrain, NotConverged,
                      SingularNormalEquations, UnreachableTerrain)
-from .factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                      default_fk_info, default_mc_info, factor_cost,
+from .factors import (FkFactor, McFactor, PriorFactor, ScaleVar, factor_cost,
                       factor_jacobians, factor_residual, fk_jacobians,
                       fk_residual, mc_jacobians, mc_residual, prior_jacobians,
                       prior_residual)

@@ -18,7 +18,8 @@ bundle files including manifest.yaml, a PLY cloud, graph.txt, report.txt)
 exits 3; a missing or unreadable file of either kind exits 3.
 An empty graspable list is a success, not an error: flat ground has nothing to
 grasp. Errors are prefixed with their stage, as in "[solve] file error: ...".
-Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity.
+Set GRASPMAP_LOG_LEVEL (DEBUG/INFO/WARNING) for verbosity; a name that is
+not a logging level exits 2.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fk_pose, write_ply  # noqa: F401 -- read only by perfbench/tracer.py
-from .errors import (ConfigError, CorruptArtifact, DegenerateMask,
-                     DimensionMismatch, EmptyCloud, GraspmapError,
-                     NoVisibleTerrain, NotConverged, SingularNormalEquations,
-                     UnreachableTerrain)
+from .errors import (ConfigError, CorruptArtifact, DegenerateMask, EmptyCloud,
+                     GraspmapError, NoVisibleTerrain, NotConverged,
+                     SingularNormalEquations, UnreachableTerrain)
 from .kinematics import LimbModel, default_limb, load_limb
 from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
                       DEFAULT_OUTER_RADIUS, DEFAULT_VOXEL_SIZE, PointCloud,
@@ -61,8 +61,7 @@ EXIT_EMPTY = 5
 # CorruptArtifact, also a ValueError, exits 3 rather than 2
 EXIT_CODES = (
     ((CorruptArtifact, OSError), EXIT_IO, "file error"),
-    ((ConfigError, UnreachableTerrain, DimensionMismatch, ValueError), EXIT_CONFIG,
-     "config error"),
+    ((ConfigError, UnreachableTerrain, ValueError), EXIT_CONFIG, "config error"),
     ((NotConverged, SingularNormalEquations), EXIT_NOT_CONVERGED, "solver error"),
     ((EmptyCloud, DegenerateMask, NoVisibleTerrain), EXIT_EMPTY, "empty result"),
     ((GraspmapError,), EXIT_FAILURE, "error"),
@@ -100,7 +99,7 @@ def _stage_simulate(config: SimConfig, out_dir, model: LimbModel) -> SimBundle:
 
 
 def _stage_solve(bundle: SimBundle, out_dir, model: LimbModel, args):
-    options = SolveOptions(max_iter=args.max_iter, rel_tol=args.rel_tol)
+    options = SolveOptions(max_iter=args.max_iter)
     graph = build_graph(bundle, model, args.literal_eq8)
     report = graph.optimize(options)
     out = Path(out_dir)
@@ -220,7 +219,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
-    p.add_argument("--rel-tol", type=float, default=SolveOptions.rel_tol)
     p.add_argument("--literal-eq8", action="store_true",
                    help="use the raw tracker translation residual (scale times "
                         "measured delta with no frame re-alignment)")
@@ -276,9 +274,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    level = os.environ.get("GRASPMAP_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
+        level = (os.environ.get("GRASPMAP_LOG_LEVEL") or "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):  # an unknown name gives a str
+            raise ConfigError(f"GRASPMAP_LOG_LEVEL must name a logging level "
+                              f"(DEBUG, INFO, WARNING, ERROR), got {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except Exception as exc:
         for types, code, kind in EXIT_CODES:

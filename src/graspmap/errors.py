@@ -13,8 +13,9 @@ class CutLocusError(GraspmapError):
     """Rotation angle too close to pi for a well-defined logarithm."""
 
 
-class DimensionMismatch(GraspmapError):
-    """Vector/matrix arguments have inconsistent sizes."""
+class DimensionMismatch(GraspmapError, ValueError):
+    """An array has the wrong shape, or vector/matrix arguments have
+    inconsistent sizes: a bad value, so also a ``ValueError``."""
 
 
 class IndexMismatch(GraspmapError):

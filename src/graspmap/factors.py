@@ -50,16 +50,8 @@ POSE_PRIOR_INFO_VALUE = 1e6
 SCALE_PRIOR_INFO_VALUE = 1e-14
 
 
-def default_fk_info() -> np.ndarray:
-    return np.full(6, FK_INFO_VALUE)
-
-
-def default_mc_info() -> np.ndarray:
-    return np.full(6, MC_INFO_VALUE)
-
-
 def _check_info_diag(info, shape: tuple) -> np.ndarray:
-    a = frozen(info, shape, "information diagonal", error=DimensionMismatch)
+    a = frozen(info, shape, "information diagonal")
     if np.any(a <= 0.0):
         raise ValueError("information diagonal must be positive")
     return a
@@ -107,7 +99,7 @@ class FkFactor:
         if int(self.i) < 1:
             raise ValueError("FkFactor index must be >= 1")
         object.__setattr__(self, "i", int(self.i))
-        info = default_fk_info() if self.info is None else self.info
+        info = np.full(6, FK_INFO_VALUE) if self.info is None else self.info
         object.__setattr__(self, "info", _check_info_diag(info, (6,)))
 
 
@@ -137,9 +129,8 @@ class McFactor:
         if int(self.i) < 1:
             raise ValueError("McFactor index must be >= 1")
         object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "delta_trans", frozen(self.delta_trans, (3,), "delta_trans",
-                                                       error=DimensionMismatch))
-        info = default_mc_info() if self.info is None else self.info
+        object.__setattr__(self, "delta_trans", frozen(self.delta_trans, (3,), "delta_trans"))
+        info = np.full(6, MC_INFO_VALUE) if self.info is None else self.info
         object.__setattr__(self, "info", _check_info_diag(info, (6,)))
         object.__setattr__(self, "frame_aligned", bool(self.frame_aligned))
 
@@ -335,11 +326,10 @@ class StackedFactors:
         m = len(np.asarray(self.fk_quat))
         for name, width in (("fk_quat", 4), ("fk_trans", 3), ("mc_quat", 4), ("mc_trans", 3)):
             object.__setattr__(self, name, frozen(getattr(self, name), (m, width), name,
-                                                  error=DimensionMismatch, unit=width == 4))
+                                                  unit=width == 4))
         for name in ("fk_info", "mc_info"):
             object.__setattr__(self, name, _check_info_diag(getattr(self, name), (m, 6)))
-        object.__setattr__(self, "mc_aligned", frozen(self.mc_aligned, (m,), "mc_aligned",
-                                                      bool, DimensionMismatch))
+        object.__setattr__(self, "mc_aligned", frozen(self.mc_aligned, (m,), "mc_aligned", bool))
 
     @classmethod
     def empty(cls) -> "StackedFactors":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutLocusError
+from .errors import CutLocusError, DimensionMismatch
 
 # Quaternion exp/log switch to Taylor branches below this angle (rad).
 SMALL_ANGLE = 1e-8
@@ -37,13 +37,12 @@ CUT_LOCUS_MARGIN = 1e-6
 _UNIT_NORM_TOL = 2 * np.finfo(float).eps
 
 
-def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
-           unit: bool = False) -> np.ndarray:
+def frozen(value, shape: tuple, what: str, dtype=float, unit: bool = False) -> np.ndarray:
     """``value`` as a read-only copy of type ``dtype`` and shape ``shape``, where
-    ``-1`` matches any length. A wrong shape raises ``error``. A float array
-    must be finite, or ``ValueError`` is raised; with ``unit`` each vector
-    along the last axis, one or many, is made unit by ``quat_unit`` and must
-    also be nonzero. Messages name ``what``. An array that is already
+    ``-1`` matches any length. A wrong shape raises ``DimensionMismatch``. A
+    float array must be finite, or ``ValueError`` is raised; with ``unit`` each
+    vector along the last axis, one or many, is made unit by ``quat_unit`` and
+    must also be nonzero. Messages name ``what``. An array that is already
     such a copy (read-only, of ``dtype``, C-contiguous and owning its data)
     is returned as it is, once its shape and values pass."""
     owned = (isinstance(value, np.ndarray) and not value.flags.writeable
@@ -52,8 +51,8 @@ def frozen(value, shape: tuple, what: str, dtype=float, error=ValueError,
     a = value if owned else np.array(value, dtype=dtype)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (-1, m) for n, m in zip(shape, a.shape))):
-        raise error(f"{what} must have shape {str(shape).replace('-1', 'N')}, "
-                    f"got {a.shape}")
+        raise DimensionMismatch(f"{what} must have shape "
+                                f"{str(shape).replace('-1', 'N')}, got {a.shape}")
     if unit:
         n = _norms(a)
         if not _norms_ok(n).all():

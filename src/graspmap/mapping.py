@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AlreadyScaled, DegenerateMask, DimensionMismatch, EmptyCloud
 from .factors import ScaleVar
 from .geometry import frozen
-from .records import located, numbers, read_records, write_records
+from .records import all_real, located, numbers, read_records, write_records
 
 UNSCALED_UNITS = "unscaled-map-units"
 METERS = "meters"
@@ -152,9 +152,10 @@ def voxelize(cloud: PointCloud, voxel_size: float = DEFAULT_VOXEL_SIZE,
     if len(cloud) == 0:
         raise EmptyCloud("cannot voxelize an empty cloud")
     voxel_size = _voxel_size(voxel_size)
+    if not (all_real(min_points) and np.ndim(min_points) == 0
+            and float(min_points).is_integer() and min_points >= 1):
+        raise ValueError(f"min_points must be a whole number >= 1, got {min_points!r}")
     min_points = int(min_points)
-    if min_points < 1:
-        raise ValueError("min_points must be >= 1")
 
     # column by column: a reduction or a scalar operation over a strided
     # column is many times faster than one over the (N, 3) rows

@@ -471,9 +471,6 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
 # --- config file: SimConfig's fields are its schema (records.from_mapping) -----------
 
 
-config_to_dict = to_mapping
-
-
 def config_from_dict(doc: dict) -> SimConfig:
     return from_mapping(SimConfig, doc)
 

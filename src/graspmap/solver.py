@@ -44,8 +44,12 @@ Hessian is ever formed, and the solver needs no LAPACK beyond NumPy's. The
 marginal standard deviation of log s is 1 / l_ss.
 
 Damping follows the classic Marquardt schedule: the diagonal is scaled by
-1 + lambda, lambda is multiplied by 10 when a step increases the cost or the
-damped system will not factor, and divided by 10 when a step is accepted.
+1 + lambda, lambda starts at ``INITIAL_LAMBDA``, is multiplied by 10 when a
+step increases the cost or the damped system will not factor, and divided by
+10 when a step is accepted. A run converges when max|g| < ``GRAD_TOL``, when
+an accepted step lowers the cost by a fraction below ``REL_TOL`` or when
+rejected steps push lambda past ``LAMBDA_MAX``; ``SolveOptions.max_iter``
+accepted steps end it unconverged.
 Each trial state is linearized once, its cost deciding acceptance and its
 system becoming the next one; a rejected trial leaves the current system as
 it was. Evaluation order is fixed, so repeated runs on the same graph produce
@@ -89,20 +93,18 @@ def __getattr__(name: str):
 # are 1e-3..1e-4, so gradients run ~1e6 smaller than in a unit-weight
 # problem and a looser floor would stop well short of the minimum
 GRAD_TOL = 1e-14
+REL_TOL = 1e-8
 INITIAL_LAMBDA = 1e-4
 LAMBDA_MAX = 1e8
 
 
 @dataclass
 class SolveOptions:
-    """Levenberg-Marquardt knobs; the defaults suit graphs of tens of keyframes."""
+    """Levenberg-Marquardt's one option; the default suits graphs of tens of keyframes."""
 
     max_iter: int = 100
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 <= self.rel_tol < np.inf:
-            raise ValueError(f"rel_tol must be finite and non-negative, got {self.rel_tol}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -457,7 +459,7 @@ class FactorGraph:
                 report.step_lambdas.append(lam)
                 report.step_grads.append(system.grad_max())
                 lam = max(lam / 10.0, 1e-15)
-                if rel_decrease < opts.rel_tol:
+                if rel_decrease < REL_TOL:
                     report.converged = True
                     break
                 continue
@@ -465,7 +467,7 @@ class FactorGraph:
             lam *= 10.0
             if lam > LAMBDA_MAX:
                 # No step of any admissible length lowers the cost: the
-                # relative decrease is zero, which meets rel_tol.
+                # relative decrease is zero, which meets REL_TOL.
                 report.converged = True
                 break
 

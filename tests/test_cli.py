@@ -1,5 +1,6 @@
 """End-to-end command behaviour: files written, exit codes, reruns, reuse."""
 
+import argparse
 import dataclasses
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 import yaml
 
 import graspmap
-from graspmap.cli import main
+from graspmap.cli import _parser, main
 from graspmap.kinematics import default_limb, load_limb, save_limb
 from graspmap.mapping import (METERS, UNSCALED_UNITS, PointCloud,
                               load_graspable, write_ply)
@@ -222,13 +223,6 @@ def test_solve_max_iter_0_exits_2(quiet_bundle, tmp_path, capsys):
                "--out", str(tmp_path / "s")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("[solve] config error")
-
-
-def test_solve_nan_rel_tol_exits_2(quiet_bundle, tmp_path, capsys):
-    rc = main(["solve", str(quiet_bundle), "--rel-tol", "nan",
-               "--out", str(tmp_path / "s")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_solve_limb_joint_count_mismatch_exits_2(quiet_bundle, tmp_path, capsys):
@@ -700,6 +694,47 @@ def test_yaml_syntax_error_names_path_line_once(small_run, tmp_path, capsys,
 
 
 # --- wiring -----------------------------------------------------------------------
+
+# Every option of every subcommand. A flag added or removed changes this
+# table on purpose; --rel-tol is gone, the stopping rule being solver.REL_TOL.
+OPTIONS = {
+    "simulate": ["--config", "--limb", "--out", "--seed"],
+    "solve": ["--limb", "--literal-eq8", "--max-iter", "--out"],
+    "detect": ["--depth", "--inner-radius", "--min-points", "--out", "--outer-radius",
+               "--voxel-size"],
+    "pipeline": ["--config", "--depth", "--inner-radius", "--limb", "--literal-eq8",
+                 "--max-iter", "--min-points", "--out", "--outer-radius", "--seed",
+                 "--stage", "--voxel-size"],
+}
+
+
+def test_each_subcommand_has_the_pinned_options():
+    commands = next(a for a in _parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    found = {name: sorted(flag for action in p._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help"))
+             for name, p in commands.items()}
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("level, code", [("LOUD", 2), ("10", 2), ("", 0), ("info", 0)],
+                         ids=["unknown-name", "number", "empty", "lowercase-info"])
+def test_log_level_that_names_no_level_exits_2(tmp_path, level, code):
+    """An empty GRASPMAP_LOG_LEVEL is unset; any name that is not a logging
+    level is a bad configuration naming the variable, not a traceback."""
+    ply = tmp_path / "cloud.ply"
+    write_ply(ply, hemisphere_surface_cloud())
+    done = subprocess.run([sys.executable, "-m", "graspmap.cli", "detect", str(ply),
+                           "--min-points", "1", "--out", str(tmp_path / "d")],
+                          capture_output=True, text=True,
+                          env={**child_env(), "GRASPMAP_LOG_LEVEL": level})
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr == (f"[detect] config error: GRASPMAP_LOG_LEVEL must name a "
+                               f"logging level (DEBUG, INFO, WARNING, ERROR), "
+                               f"got {level.upper()!r}\n")
+    else:
+        assert "Traceback" not in done.stderr
 
 
 def child_env() -> dict:

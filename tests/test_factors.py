@@ -13,8 +13,7 @@ import pytest
 from conftest import rand_pose, rand_rotation, rand_twist_vector
 from graspmap.errors import DimensionMismatch
 from graspmap.factors import (FK_INFO_VALUE, MC_INFO_VALUE, FkFactor, McFactor,
-                              PriorFactor, ScaleVar, default_fk_info,
-                              default_mc_info, factor_cost, factor_jacobians,
+                              PriorFactor, ScaleVar, factor_cost, factor_jacobians,
                               factor_residual, fk_jacobians, fk_residual,
                               log_scale_ok, mc_jacobians, mc_residual,
                               prior_jacobians, prior_residual)
@@ -161,12 +160,13 @@ def test_scale_var_accepts_the_ends_of_exp_range():
 
 
 def test_factor_cost_values():
-    assert factor_cost(np.zeros(6), default_fk_info()) == 0.0
+    fk_info, mc_info = np.full(6, FK_INFO_VALUE), np.full(6, MC_INFO_VALUE)
+    assert factor_cost(np.zeros(6), fk_info) == 0.0
     e1 = np.array([1.0, 0, 0, 0, 0, 0])
-    assert factor_cost(e1, default_fk_info()) == pytest.approx(1e-4, rel=0, abs=0)
+    assert factor_cost(e1, fk_info) == pytest.approx(1e-4, rel=0, abs=0)
     r = np.array([1.0, 2.0, 0, 0, 0, 0])
-    assert factor_cost(r, default_mc_info()) == pytest.approx(5e-3, rel=1e-15)
-    assert factor_cost(-r, default_mc_info()) == factor_cost(r, default_mc_info())
+    assert factor_cost(r, mc_info) == pytest.approx(5e-3, rel=1e-15)
+    assert factor_cost(-r, mc_info) == factor_cost(r, mc_info)
 
 
 def test_factor_cost_dimension_mismatch():
@@ -183,8 +183,6 @@ def test_mc_factor_rejects_non_finite_translation(bad):
 
 
 def test_default_info_diagonals_exact():
-    assert np.array_equal(default_fk_info(), np.full(6, 1e-4))
-    assert np.array_equal(default_mc_info(), np.full(6, 1e-3))
     assert FK_INFO_VALUE == 1e-4 and MC_INFO_VALUE == 1e-3
     assert np.array_equal(FkFactor(1, Pose.identity()).info, np.full(6, 1e-4))
     assert np.array_equal(McFactor(1, Rotation.identity(), np.zeros(3)).info,

@@ -220,6 +220,15 @@ def test_voxelize_min_points_threshold():
     assert voxelize(c, 0.002, min_points=2).occupancy.sum() == 1
 
 
+@pytest.mark.parametrize("min_points", [2.9, True, 0])
+def test_voxelize_refuses_a_min_points_that_is_no_whole_count(min_points):
+    """2.9 is not read as 2, nor True as 1: the two-point cell stays unjudged."""
+    c = PointCloud([[0.0, 0.0, 0.0], [0.0001, 0.0, 0.0]], METERS)
+    with pytest.raises(ValueError, match=f"min_points must be a whole number >= 1, "
+                                         f"got {min_points!r}"):
+        voxelize(c, 0.002, min_points)
+
+
 @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (3, 3, 0)])
 def test_grid_refuses_a_zero_dim(shape):
     """A grid with no cells would be dumped as a dims record the reader refuses."""

@@ -20,11 +20,12 @@ from graspmap.geometry import Pose, compose, inverse, so3_exp
 from graspmap.kinematics import default_limb, fk_pose
 from graspmap.mapping import UNSCALED_UNITS
 from graspmap.simulation import (CameraModel, Hemisphere, SimConfig, Terrain,
-                                 _SurfaceSampler, config_from_dict, config_to_dict,
+                                 _SurfaceSampler, config_from_dict,
                                  default_terrain, generate_cloud,
                                  generate_trajectory, generate_vo, load_config,
                                  read_bundle, save_config, simulate,
                                  write_bundle)
+from graspmap.records import to_mapping
 from tests.conftest import rotation_gap
 
 QUIET = dict(joint_noise_stddev=0.0, vo_trans_noise_stddev=0.0,
@@ -399,7 +400,7 @@ def test_bundle_round_trip(tmp_path):
     bundle = simulate(SimConfig(seed=13, cloud_points_per_keyframe=150))
     write_bundle(tmp_path, bundle)
     back = read_bundle(tmp_path)
-    assert config_to_dict(back.config) == config_to_dict(bundle.config)
+    assert to_mapping(back.config) == to_mapping(bundle.config)
     for name in BUNDLE_ARRAYS:
         assert getattr(back, name).shape == getattr(bundle, name).shape, name
         assert np.array_equal(getattr(back, name), getattr(bundle, name)), name
@@ -440,12 +441,12 @@ def test_config_round_trip(tmp_path):
                        vo_trans_noise_stddev=3e-4, vo_rot_noise_stddev=0.01,
                        cloud_points_per_keyframe=123,
                        camera=CameraModel(fov_deg=80.0, rate_hz=15.0), terrain=terrain)
-    doc, defaults = config_to_dict(config), config_to_dict(SimConfig())
+    doc, defaults = to_mapping(config), to_mapping(SimConfig())
     assert all(doc[k] != defaults[k] for k in doc)
     assert all(doc[s][k] != defaults[s][k] for s in ("camera", "terrain") for k in doc[s])
     path = tmp_path / "run.yaml"
     save_config(path, config)
-    assert config_to_dict(load_config(path)) == doc
+    assert to_mapping(load_config(path)) == doc
 
 
 def test_default_config_file_matches_defaults(tmp_path):
@@ -470,7 +471,7 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_error_names_the_hemisphere_by_index():
-    doc = config_to_dict(SimConfig())
+    doc = to_mapping(SimConfig())
     doc["terrain"]["hemispheres"][1]["radius"] = -1
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
