@@ -31,8 +31,8 @@ from .simulation import (CameraModel, Hemisphere, SimBundle, SimConfig,
                          Terrain, default_terrain, generate_cloud,
                          generate_trajectory, generate_vo, load_config,
                          read_bundle, save_config, simulate, write_bundle)
-from .solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
-                     load_graph, load_report, save_graph, save_report)
+from .solver import (FactorGraph, SolveReport, build_graph, load_graph,
+                     load_report, save_graph, save_report)
 
 __version__ = "0.1.0"
 

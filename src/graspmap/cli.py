@@ -47,8 +47,8 @@ from .mapping import (DEFAULT_DEPTH, DEFAULT_INNER_RADIUS, DEFAULT_MIN_POINTS,
 from .records import write_yaml
 from .simulation import (SimBundle, SimConfig, load_config, read_bundle,
                          simulate, write_bundle)
-from .solver import (SolveOptions, build_graph, load_graph, load_report,
-                     save_graph, save_report)
+from .solver import (MAX_ITER, build_graph, load_graph, load_report, save_graph,
+                     save_report)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -99,9 +99,8 @@ def _stage_simulate(config: SimConfig, out_dir, model: LimbModel) -> SimBundle:
 
 
 def _stage_solve(bundle: SimBundle, out_dir, model: LimbModel, args):
-    options = SolveOptions(max_iter=args.max_iter)
     graph = build_graph(bundle, model, args.literal_eq8)
-    report = graph.optimize(options)
+    report = graph.optimize(args.max_iter)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_graph(out / GRAPH_FILE, graph)
@@ -110,7 +109,7 @@ def _stage_solve(bundle: SimBundle, out_dir, model: LimbModel, args):
           f"(final cost {report.final_cost:.6g}, {report.iterations} iterations)")
     if not report.converged:
         # artifacts are already on disk for inspection
-        raise NotConverged(f"no convergence within {options.max_iter} iterations")
+        raise NotConverged(f"no convergence within {args.max_iter} iterations")
     return graph, report
 
 
@@ -218,7 +217,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--literal-eq8", action="store_true",
                    help="use the raw tracker translation residual (scale times "
                         "measured delta with no frame re-alignment)")

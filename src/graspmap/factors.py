@@ -14,9 +14,12 @@ The scale variable is optimized as ``log s`` so any iterate maps to a positive
 scale. Jacobians are analytic, taken with respect to right perturbations
 ``T <- T @ exp(delta)`` of each pose and additive perturbation of ``log s``.
 
-The per-factor functions and their dispatch are the reference the tests use.
-``StackedFactors`` evaluates the same kinematic and tracker residuals and
-Jacobians for a whole chain at once, as arrays; the solver runs on it alone.
+``StackedFactors.linearize`` is the one implementation of the Jacobians: it
+evaluates the residuals and Jacobians of a whole chain at once, as arrays, and
+the solver runs on it alone. The scalar residuals are the independent
+reference the tests differentiate numerically; the scalar Jacobians are
+one-row views of ``linearize``, so those finite differences check the code
+the solver runs.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import (Pose, Rotation, compose, compose_stacked, frozen, hat,
-                       hat_stacked, inverse, inverse_stacked, quat_conjugate, quat_matrix,
-                       quat_product, quat_rotate, quat_unit, se3_adjoint,
-                       se3_adjoint_stacked, se3_left_jacobian_inv,
-                       se3_left_jacobian_inv_twins, se3_log, se3_right_jacobian_inv,
-                       so3_left_jacobian_inv, so3_left_jacobian_inv_twins, so3_log,
-                       so3_log_stacked, so3_right_jacobian_inv)
+from .geometry import (Pose, Rotation, compose, compose_stacked, frozen, hat_stacked,
+                       inverse, inverse_stacked, quat_conjugate, quat_matrix, quat_product,
+                       quat_rotate, quat_unit, se3_adjoint_stacked,
+                       se3_left_jacobian_inv_twins, se3_log, so3_left_jacobian_inv_twins,
+                       so3_log, so3_log_stacked)
 
 # Default information diagonals for the measurement factors. Every entry of
 # the 6x6 information matrix diagonal gets the same weight; translation and
@@ -207,64 +208,51 @@ def factor_cost(residual, info) -> float:
     return float(r @ (m * r))
 
 
-# --- analytic Jacobians ---------------------------------------------------------
+# --- analytic Jacobians: one-row views of StackedFactors.linearize ------------------
+
+
+def _one_row(t_prev: Pose, t_curr: Pose, log_s: float, fk: FkFactor, mc: McFactor):
+    """``linearize`` of the chain whose one row ``fk`` and ``mc`` make, at
+    poses t_prev and t_curr, with the prior's pose row anchored at t_prev."""
+    return StackedFactors.empty().appended(fk, mc).linearize(
+        np.array([t_prev.rotation.quat, t_curr.rotation.quat]),
+        np.array([t_prev.translation, t_curr.translation]),
+        inverse_stacked(t_prev.rotation.quat, t_prev.translation), log_s)
 
 
 def fk_jacobians(t_prev: Pose, t_curr: Pose,
                  factor: FkFactor) -> tuple[np.ndarray, np.ndarray]:
-    """(d r / d pose_{i-1}, d r / d pose_i) for right perturbations."""
-    r = fk_residual(t_prev, t_curr, factor)
-    j_prev = -se3_left_jacobian_inv(r)
-    j_curr = se3_right_jacobian_inv(r) @ se3_adjoint(factor.delta)
-    return j_prev, j_curr
+    """(d r / d pose_{i-1}, d r / d pose_i) for right perturbations.
+
+    The tracker row beside it has the factor's rotation, so its log reaches
+    the cut locus only where the kinematic row's does."""
+    placeholder = McFactor(factor.i, factor.delta.rotation, np.zeros(3))
+    (_, j_prev, j_curr), _ = _one_row(t_prev, t_curr, 0.0, factor, placeholder)
+    return j_prev[0], j_curr[0]
 
 
 def mc_jacobians(t_prev: Pose, t_curr: Pose, scale: ScaleVar,
                  factor: McFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d r / d pose_{i-1}, d r / d pose_i, d r / d log s)."""
-    s = scale.value
-    r_prev = t_prev.rotation.matrix()
-    r_curr = t_curr.rotation.matrix()
-    r_rot = so3_log((t_prev.rotation.inverse() @ t_curr.rotation)
-                    @ factor.delta_rot.inverse())
+    """(d r / d pose_{i-1}, d r / d pose_i, d r / d log s).
 
-    j_prev = np.zeros((6, 6))
-    j_curr = np.zeros((6, 6))
-    j_scale = np.zeros(6)
-
-    j_prev[:3, :3] = -r_prev
-    j_curr[:3, :3] = r_curr
-    if factor.frame_aligned:
-        rotated = r_prev @ factor.delta_trans
-        j_prev[:3, 3:] = s * r_prev @ hat(factor.delta_trans)
-        j_scale[:3] = -s * rotated
-    else:
-        j_scale[:3] = -s * factor.delta_trans
-
-    j_prev[3:, 3:] = -so3_left_jacobian_inv(r_rot)
-    j_curr[3:, 3:] = so3_right_jacobian_inv(r_rot) @ factor.delta_rot.matrix()
-    return j_prev, j_curr, j_scale
+    The kinematic row beside it has the factor's rotation, as in ``fk_jacobians``."""
+    placeholder = FkFactor(factor.i, Pose(factor.delta_rot, np.zeros(3)))
+    _, (_, j_prev, j_curr, j_scale) = _one_row(t_prev, t_curr, scale.log_value,
+                                               placeholder, factor)
+    return j_prev[0], j_curr[0], j_scale[0]
 
 
 def prior_jacobians(t0: Pose, scale: ScaleVar,
                     factor: PriorFactor) -> tuple[np.ndarray, np.ndarray]:
     """(d r / d pose_0, d r / d log s) for the 7-row anchor residual."""
-    pose_part = se3_log(compose(inverse(factor.pose), t0))
-    j_pose = np.zeros((7, 6))
-    j_pose[:6, :] = se3_right_jacobian_inv(pose_part)
+    (_, _, j_curr), _ = StackedFactors.empty().linearize(
+        t0.rotation.quat[None], t0.translation[None], factor.anchor_inverse, scale.log_value)
     j_scale = np.zeros(7)
     j_scale[6] = 1.0
-    return j_pose, j_scale
+    return np.vstack([j_curr[0], np.zeros((1, 6))]), j_scale
 
 
 # --- uniform dispatch: the reference the tests use -----------------------------
-
-
-def factor_info_diag(factor: Factor) -> np.ndarray:
-    """Information diagonal matching the factor's residual length."""
-    if isinstance(factor, PriorFactor):
-        return np.concatenate([factor.pose_info, [factor.scale_info]])
-    return factor.info
 
 
 def factor_residual(factor: Factor, poses, scale: ScaleVar) -> np.ndarray:
@@ -309,9 +297,9 @@ class StackedFactors:
     The measurement-only terms ``linearize`` needs (inverse deltas, adjoints,
     rotation matrices) are computed on its first call. It takes the state as
     arrays, (n, 4) unit quaternions, (n, 3) translations and log s, with
-    n = m + 1, and returns for every row what the scalar residual and
-    Jacobian functions return, in one pass over the pose pairs for both
-    kinds of row and the prior's pose row.
+    n = m + 1, and returns every row's residual, as the scalar residual
+    functions give it, and its Jacobians, in one pass over the pose pairs for
+    both kinds of row and the prior's pose row.
     """
 
     fk_quat: np.ndarray     # (m, 4) rotation of the kinematic delta
@@ -373,13 +361,13 @@ class StackedFactors:
         """Residuals and Jacobians of every row at the state, as two tuples.
 
         Kinematic: r (m+1, 6), j_prev (m, 6, 6) and j_curr (m+1, 6, 6). Rows
-        0..m-1 are wrt poses k and k+1, as ``fk_residual`` and
-        ``fk_jacobians``; row m is log(anchor^-1 T_0) and its Jacobian wrt
-        pose 0, as ``prior_residual`` and ``prior_jacobians`` give them, with
-        ``anchor_inv`` the anchor's inverse as (quaternion, translation)
-        (``PriorFactor.anchor_inverse``). Tracker: r (m, 6), j_prev and
-        j_curr (m, 6, 6), and (m, 6) wrt log s, as ``mc_residual`` and
-        ``mc_jacobians``.
+        0..m-1 are ``fk_residual`` and its Jacobians wrt poses k and k+1;
+        row m is log(anchor^-1 T_0), the pose part of ``prior_residual``, and
+        its Jacobian wrt pose 0, with ``anchor_inv`` the anchor's inverse as
+        (quaternion, translation) (``PriorFactor.anchor_inverse``). Tracker:
+        r (m, 6), ``mc_residual``, with its Jacobians j_prev and j_curr
+        (m, 6, 6) and (m, 6) wrt log s. ``fk_jacobians``, ``mc_jacobians``
+        and ``prior_jacobians`` return one row of these.
 
         Both kinds share conj(q_k) q_{k+1}, one product with their inverse
         delta rotations, one ``so3_log_stacked`` over the kinematic, prior

@@ -471,10 +471,6 @@ def simulate(config: SimConfig, model: LimbModel | None = None) -> SimBundle:
 # --- config file: SimConfig's fields are its schema (records.from_mapping) -----------
 
 
-def config_from_dict(doc: dict) -> SimConfig:
-    return from_mapping(SimConfig, doc)
-
-
 def load_config(path) -> SimConfig:
     return load_mapping(SimConfig, path)
 
@@ -525,7 +521,7 @@ def read_bundle(directory) -> SimBundle:
     d = Path(directory)
     path = d / MANIFEST_FILE
     try:
-        config = config_from_dict(read_yaml(path, CorruptArtifact)["config"])
+        config = from_mapping(SimConfig, read_yaml(path, CorruptArtifact)["config"])
     except (ConfigError, KeyError, TypeError) as exc:
         raise CorruptArtifact(f"{path}: bad manifest: {type(exc).__name__}: {exc}") from exc
 

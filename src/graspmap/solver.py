@@ -48,8 +48,8 @@ Damping follows the classic Marquardt schedule: the diagonal is scaled by
 step increases the cost or the damped system will not factor, and divided by
 10 when a step is accepted. A run converges when max|g| < ``GRAD_TOL``, when
 an accepted step lowers the cost by a fraction below ``REL_TOL`` or when
-rejected steps push lambda past ``LAMBDA_MAX``; ``SolveOptions.max_iter``
-accepted steps end it unconverged.
+rejected steps push lambda past ``LAMBDA_MAX``; ``max_iter`` (by default
+``MAX_ITER``) accepted steps end it unconverged.
 Each trial state is linearized once, its cost deciding acceptance and its
 system becoming the next one; a rejected trial leaves the current system as
 it was. Evaluation order is fixed, so repeated runs on the same graph produce
@@ -96,17 +96,8 @@ GRAD_TOL = 1e-14
 REL_TOL = 1e-8
 INITIAL_LAMBDA = 1e-4
 LAMBDA_MAX = 1e8
-
-
-@dataclass
-class SolveOptions:
-    """Levenberg-Marquardt's one option; the default suits graphs of tens of keyframes."""
-
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+# accepted steps before a run ends unconverged; enough for graphs of tens of keyframes
+MAX_ITER = 100
 
 
 @dataclass
@@ -425,16 +416,18 @@ class FactorGraph:
 
     # -- optimization ----------------------------------------------------------
 
-    def optimize(self, options: SolveOptions | None = None) -> SolveReport:
-        """Minimize the total cost in place; returns the iteration report."""
-        opts = options or SolveOptions()
+    def optimize(self, max_iter: int = MAX_ITER) -> SolveReport:
+        """Minimize the total cost in place in at most ``max_iter`` accepted
+        steps; returns the iteration report."""
+        if not max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
         state = self.quats, self.trans, self.log_s
         system = self._system()
         report = SolveReport(initial_cost=system.cost, final_cost=system.cost,
                              iterations=0, converged=False)
         lam = INITIAL_LAMBDA
 
-        while len(report.step_costs) < opts.max_iter:
+        while len(report.step_costs) < max_iter:
             if system.grad_max() < GRAD_TOL:
                 report.converged = True
                 break

@@ -9,8 +9,9 @@ defining series or closed forms, sharing no code with ``geometry``'s maps.
 calls, the reference ``fk_poses`` must match bit for bit. ``chain_graph``
 is a small graph whose factor residual rotations run through ``ANGLES``,
 with frame-aligned and literal tracker factors, ``started_at`` a graph's
-factors with its state started elsewhere, and ``scalar_cost`` a graph's cost
-summed factor by factor through the scalar residuals.
+factors with its state started elsewhere, ``factor_info_diag`` a factor's
+information diagonal, and ``scalar_cost`` a graph's cost summed factor by
+factor through the scalar residuals.
 """
 
 import math
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, factor_cost,
-                              factor_info_diag, factor_residual)
+                              factor_residual)
 from graspmap.geometry import (Pose, Rotation, compose, hat, inverse, se3_exp,
                                so3_exp_stacked)
 from graspmap.solver import FactorGraph
@@ -155,6 +156,13 @@ def chain_graph(rng) -> FactorGraph:
     for fk, mc in zip(fk_values, mc_values):
         graph.add_keyframe(fk, mc)
     return started_at(graph, poses, 0.2)
+
+
+def factor_info_diag(factor) -> np.ndarray:
+    """Information diagonal matching the factor's residual length."""
+    if isinstance(factor, PriorFactor):
+        return np.concatenate([factor.pose_info, [factor.scale_info]])
+    return factor.info
 
 
 def scalar_cost(graph: FactorGraph) -> float:

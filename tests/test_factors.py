@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_pose, rand_rotation, rand_twist_vector
+from conftest import quat_exp, rand_pose, rand_rotation, rand_twist_vector
 from graspmap.errors import DimensionMismatch
 from graspmap.factors import (FK_INFO_VALUE, MC_INFO_VALUE, FkFactor, McFactor,
                               PriorFactor, ScaleVar, factor_cost, factor_jacobians,
@@ -264,6 +264,29 @@ def test_prior_jacobians_match_finite_differences():
         fd_s = fd_scale_jacobian(lambda v: prior_residual(t0, v, p), s)
         assert np.abs(j_pose - fd_pose).max() < FD_TOL
         assert np.abs(j_s - fd_s).max() < FD_TOL
+
+
+def test_jacobians_of_a_half_turn_step():
+    """Poses a half-turn apart: each scalar Jacobian is one row of
+    ``StackedFactors.linearize`` beside a placeholder row of the factor's own
+    rotation, so a measured half turn leaves both rows' residual rotations
+    small, and the Jacobians match finite differences there too."""
+    rng = np.random.default_rng(8)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    t_prev = rand_pose(rng)
+    t_curr = compose(t_prev, Pose(Rotation(quat_exp(axis * (math.pi - 1e-9))), [0.1, 0.0, 0.0]))
+    rel = compose(compose(inverse(t_prev), t_curr), se3_exp(0.01 * rand_twist_vector(rng, 1.0)))
+    fk, mc = FkFactor(1, rel), McFactor(1, rel.rotation, rng.normal(size=3))
+    s = ScaleVar.from_value(2.0)
+    analytic = [*fk_jacobians(t_prev, t_curr, fk), *mc_jacobians(t_prev, t_curr, s, mc)]
+    fd = [fd_pose_jacobian(lambda p: fk_residual(p, t_curr, fk), t_prev, 6),
+          fd_pose_jacobian(lambda p: fk_residual(t_prev, p, fk), t_curr, 6),
+          fd_pose_jacobian(lambda p: mc_residual(p, t_curr, s, mc), t_prev, 6),
+          fd_pose_jacobian(lambda p: mc_residual(t_prev, p, s, mc), t_curr, 6),
+          fd_scale_jacobian(lambda v: mc_residual(t_prev, t_curr, v, mc), s)]
+    for got, want in zip(analytic, fd, strict=True):
+        assert np.abs(got - want).max() < FD_TOL
 
 
 # --- dispatch ---------------------------------------------------------------------

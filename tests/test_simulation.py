@@ -20,12 +20,11 @@ from graspmap.geometry import Pose, compose, inverse, so3_exp
 from graspmap.kinematics import default_limb, fk_pose
 from graspmap.mapping import UNSCALED_UNITS
 from graspmap.simulation import (CameraModel, Hemisphere, SimConfig, Terrain,
-                                 _SurfaceSampler, config_from_dict,
-                                 default_terrain, generate_cloud,
+                                 _SurfaceSampler, default_terrain, generate_cloud,
                                  generate_trajectory, generate_vo, load_config,
                                  read_bundle, save_config, simulate,
                                  write_bundle)
-from graspmap.records import to_mapping
+from graspmap.records import from_mapping, to_mapping
 from tests.conftest import rotation_gap
 
 QUIET = dict(joint_noise_stddev=0.0, vo_trans_noise_stddev=0.0,
@@ -459,7 +458,7 @@ def test_default_config_file_matches_defaults(tmp_path):
 def test_partial_terrain_takes_field_defaults():
     """Missing plane and patch keys take the defaults; missing hemispheres
     means flat ground."""
-    terrain = config_from_dict({"terrain": {"plane_z": 0.01}}).terrain
+    terrain = from_mapping(SimConfig, {"terrain": {"plane_z": 0.01}}).terrain
     assert terrain.plane_z == 0.01 and terrain.hemispheres == ()
     assert np.array_equal(terrain.patch_center, default_terrain().patch_center)
     assert np.array_equal(terrain.patch_size, default_terrain().patch_size)
@@ -467,14 +466,14 @@ def test_partial_terrain_takes_field_defaults():
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="warp_factor"):
-        config_from_dict({"warp_factor": 9})
+        from_mapping(SimConfig, {"warp_factor": 9})
 
 
 def test_config_error_names_the_hemisphere_by_index():
     doc = to_mapping(SimConfig())
     doc["terrain"]["hemispheres"][1]["radius"] = -1
     with pytest.raises(ConfigError) as err:
-        config_from_dict(doc)
+        from_mapping(SimConfig, doc)
     assert str(err.value) == "terrain: hemispheres[1].radius must be positive"
 
 
@@ -507,17 +506,17 @@ def test_config_rejects_bad_values():
             SimConfig(**{name: value})
     # booleans are not numbers, in a section or a pair either
     with pytest.raises(ConfigError, match="camera: fov_deg"):
-        config_from_dict({"true_scale": True, "camera": {"fov_deg": True}})
+        from_mapping(SimConfig, {"true_scale": True, "camera": {"fov_deg": True}})
     with pytest.raises(ConfigError, match="terrain: patch_center"):
-        config_from_dict({"terrain": {"patch_center": [True, 0.0]}})
+        from_mapping(SimConfig, {"terrain": {"patch_center": [True, 0.0]}})
     with pytest.raises(ConfigError, match="terrain: plane_z"):
-        config_from_dict({"terrain": {"plane_z": math.nan}})
+        from_mapping(SimConfig, {"terrain": {"plane_z": math.nan}})
     with pytest.raises(ConfigError, match="camera: rate_hz"):
-        config_from_dict({"camera": {"rate_hz": math.inf}})
+        from_mapping(SimConfig, {"camera": {"rate_hz": math.inf}})
     with pytest.raises(ConfigError, match="true_scale"):
-        config_from_dict({"true_scale": [2.0]})
+        from_mapping(SimConfig, {"true_scale": [2.0]})
     with pytest.raises(ConfigError, match="patch_center"):
-        config_from_dict({"terrain": {"patch_center": [0.25, 0.0, 0.0]}})
+        from_mapping(SimConfig, {"terrain": {"patch_center": [0.25, 0.0, 0.0]}})
     # a whole float is a whole number
     assert SimConfig(keyframes=20.0).keyframes == 20
 

@@ -18,18 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (chain_graph, rand_pose, rand_twist_vector, scalar_cost, started_at,
-                      twist_at_angle)
+from conftest import (chain_graph, factor_info_diag, rand_pose, rand_twist_vector,
+                      scalar_cost, started_at, twist_at_angle)
 from graspmap import cli, factors, geometry, kinematics, solver
 from graspmap.errors import CorruptArtifact, IndexMismatch, SingularNormalEquations
 from graspmap.factors import (FkFactor, McFactor, PriorFactor, ScaleVar,
-                              StackedFactors, factor_cost, factor_info_diag, factor_jacobians,
+                              StackedFactors, factor_cost, factor_jacobians,
                               factor_residual)
 from graspmap.geometry import (Pose, Rotation, compose, inverse,
                                se3_exp, se3_log, so3_exp)
 from graspmap.kinematics import JointReading, default_limb, fk_delta, fk_pose
 from graspmap.simulation import SimConfig, simulate, write_bundle
-from graspmap.solver import (FactorGraph, SolveOptions, SolveReport, build_graph,
+from graspmap.solver import (FactorGraph, SolveReport, build_graph,
                              damped_step, load_graph, load_report,
                              normal_equations, save_graph, save_report)
 
@@ -867,15 +867,18 @@ def test_report_step_indices_must_be_every_iteration(tmp_path, iterations, steps
     assert where in str(exc.value)
 
 
-def test_solve_options_defaults():
-    opts = SolveOptions()
-    assert opts.max_iter == 100
+def test_solver_defaults():
+    assert solver.MAX_ITER == 100
     assert solver.REL_TOL == 1e-8
     assert solver.INITIAL_LAMBDA == 1e-4
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
-def test_solve_options_reject_max_iter_below_1(max_iter):
-    """A run that may take no step can never converge: a bad parameter."""
+def test_optimize_rejects_max_iter_below_1(max_iter):
+    """A run that may take no step can never converge: a bad parameter,
+    refused before the graph is touched."""
+    graph, _ = synthetic_graph(np.random.default_rng(17), n=3)
+    quats, trans, log_s = graph.quats, graph.trans, graph.log_s
     with pytest.raises(ValueError, match="max_iter"):
-        SolveOptions(max_iter=max_iter)
+        graph.optimize(max_iter=max_iter)
+    assert graph.quats is quats and graph.trans is trans and graph.log_s == log_s

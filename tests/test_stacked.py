@@ -5,11 +5,12 @@ maps and their Jacobians; the scalar maps are thin wrappers over them. They
 are checked against oracles that share no code with them: the quaternion
 exponential in closed form, the truncated matrix-exponential series, and the
 matrix inverses of the Jacobian series sum_n ad^n/(n+1)! (``conftest``). The
-solver linearizes through ``StackedFactors``; the scalar residuals,
-Jacobians and their per-factor cost sum stay its reference. Every comparison runs over
-rotation angles on both sides of each series switch: below ``SMALL_ANGLE``
-(quaternion Taylor branch), below ``_SERIES_ANGLE`` (Jacobian coefficient
-series), and up to 3.0 rad.
+solver linearizes through ``StackedFactors``; the scalar residuals and their
+per-factor cost sum stay its reference, and its Jacobians are checked against
+central differences of those residuals. Every comparison runs over rotation
+angles on both sides of each series switch: below ``SMALL_ANGLE`` (quaternion
+Taylor branch), below ``_SERIES_ANGLE`` (Jacobian coefficient series), and up
+to 3.0 rad.
 """
 
 import math
@@ -21,9 +22,7 @@ from conftest import (ANGLES, chain_graph, jacobian_series, mat_exp_series,
                       quat_exp, rand_pose, rand_rotation, scalar_cost, se3_ad,
                       se3_hat, started_at, twist_at_angle)
 from graspmap.errors import CutLocusError
-from graspmap.factors import (PriorFactor, ScaleVar, fk_jacobians, fk_residual,
-                              mc_jacobians, mc_residual, prior_jacobians,
-                              prior_residual)
+from graspmap.factors import PriorFactor, ScaleVar, fk_residual, mc_residual, prior_residual
 from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                compose_stacked, hat, inverse, inverse_stacked,
                                quat_matrix, quat_product, quat_rotate, quat_unit,
@@ -34,6 +33,7 @@ from graspmap.geometry import (CUT_LOCUS_MARGIN, Rotation, compose,
                                so3_left_jacobian_inv_twins, so3_left_jacobian_stacked,
                                so3_log, so3_log_stacked)
 from graspmap.solver import FactorGraph, normal_equations
+from tests.test_factors import FD_TOL, fd_pose_jacobian, fd_scale_jacobian
 
 
 def close(got, want, tol: float = 1e-12) -> None:
@@ -206,12 +206,8 @@ def test_stacked_fk_matches_scalar():
     assert len(r) == len(j_curr) == len(fk_values) + 1 and len(j_prev) == len(fk_values)
     for k, f in enumerate(fk_values):
         close(r[k], fk_residual(poses[f.i - 1], poses[f.i], f))
-        want_prev, want_curr = fk_jacobians(poses[f.i - 1], poses[f.i], f)
-        close(j_prev[k], want_prev)
-        close(j_curr[k], want_curr)
-    # row m is the prior's pose part, wrt pose 0
+    # row m is the prior's pose part
     close(r[-1], prior_residual(poses[0], graph.scale, graph.prior)[:6])
-    close(j_curr[-1], prior_jacobians(poses[0], graph.scale, graph.prior)[0][:6])
 
 
 @pytest.mark.parametrize("log_s", [0.0, math.log(2.5), -3.0])
@@ -221,15 +217,40 @@ def test_stacked_mc_matches_scalar(log_s):
     poses, mc_values = graph.poses, graph.factors[2::2]
     assert {f.frame_aligned for f in mc_values} == {True, False}
     scale = ScaleVar(log_s)
-    _, (r, j_prev, j_curr, j_scale) = graph.stacked.linearize(
+    _, (r, *_) = graph.stacked.linearize(
         graph.quats, graph.trans, graph.prior.anchor_inverse, log_s)
     for k, f in enumerate(mc_values):
         close(r[k], mc_residual(poses[f.i - 1], poses[f.i], scale, f))
-        want_prev, want_curr, want_scale = mc_jacobians(poses[f.i - 1], poses[f.i],
-                                                        scale, f)
-        close(j_prev[k], want_prev)
-        close(j_curr[k], want_curr)
-        close(j_scale[k], want_scale)
+
+
+def fd_close(got, want) -> None:
+    assert np.abs(got - want).max() < FD_TOL
+
+
+def test_linearize_matches_finite_differences_of_the_scalar_residuals():
+    """Every row's Jacobians from ``linearize`` against central differences
+    of the scalar residuals, each pose perturbed on the right as
+    ``fd_pose_jacobian`` does it: the kinematic rows, the prior's pose row,
+    and the tracker rows, frame-aligned and literal, at several log s. The
+    rows' residual rotations run through ANGLES, the series branch near 0 and
+    out to 3.0 rad, which criterion 4's small perturbations do not reach."""
+    graph = chain_graph(np.random.default_rng(10))
+    poses, prior = graph.poses, graph.prior
+    fk_values, mc_values = graph.factors[1::2], graph.factors[2::2]
+    assert {f.frame_aligned for f in mc_values} == {True, False}
+    for log_s in (0.0, math.log(2.5), -3.0):
+        scale = ScaleVar(log_s)
+        (_, fk_prev, fk_curr), (_, mc_prev, mc_curr, mc_scale) = graph.stacked.linearize(
+            graph.quats, graph.trans, prior.anchor_inverse, log_s)
+        for k, (fk, mc) in enumerate(zip(fk_values, mc_values)):
+            a, b = poses[k], poses[k + 1]
+            fd_close(fk_prev[k], fd_pose_jacobian(lambda p: fk_residual(p, b, fk), a, 6))
+            fd_close(fk_curr[k], fd_pose_jacobian(lambda p: fk_residual(a, p, fk), b, 6))
+            fd_close(mc_prev[k], fd_pose_jacobian(lambda p: mc_residual(p, b, scale, mc), a, 6))
+            fd_close(mc_curr[k], fd_pose_jacobian(lambda p: mc_residual(a, p, scale, mc), b, 6))
+            fd_close(mc_scale[k], fd_scale_jacobian(lambda v: mc_residual(a, b, v, mc), scale))
+        fd_close(fk_curr[-1], fd_pose_jacobian(
+            lambda p: prior_residual(p, scale, prior)[:6], poses[0], 6))
 
 
 def test_prior_anchor_inverse_is_inverse_of_the_pose():
